@@ -26,7 +26,7 @@ from . import contraction, covers, gomega, grig, metabelian, rewriting
 from .contraction import Budget, DEFAULT_BUDGET
 from .errors import SemanticError
 from .marked import MarkedGroup
-from .recursion import WreathRecursion, parse_recursion
+from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
 from .words import concat, invert
 
 RECURSION_NAMES = (
@@ -83,29 +83,31 @@ def parse_facts(text: str) -> dict:
     return facts
 
 
-@functools.lru_cache(maxsize=None)
-def _recursion_entry(name: str, budget: Budget = DEFAULT_BUDGET):
-    text = read_definition(name)
-    rec = parse_recursion(text)
-    facts = parse_facts(text)
+def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BUDGET):
+    """The group of a wreath recursion: word problem by contraction within
+    `budget`, and the level permutation as its ball-deduplication invariant."""
 
     def is_trivial(word):
         return contraction.is_trivial(rec, word, budget)
 
     depth = 6 if rec.degree == 2 else 4
+    while rec.degree**depth > DEFAULT_LEVEL_CAP:
+        depth -= 1
 
     def invariant(word):
         return rec.level_permutation(word, depth)
 
-    return Group(
-        name,
-        rec.gens,
-        is_trivial,
-        recursion=rec,
-        facts=facts,
-        invariant=invariant,
-        norm_key=grig.reduce_word if name == "grigorchuk" else None,
-    )
+    return Group(name, rec.gens, is_trivial, recursion=rec, invariant=invariant)
+
+
+@functools.lru_cache(maxsize=None)
+def _recursion_entry(name: str, budget: Budget = DEFAULT_BUDGET):
+    text = read_definition(name)
+    group = recursion_group(parse_recursion(text), name, budget)
+    group.facts = parse_facts(text)
+    if name == "grigorchuk":
+        group.norm_key = grig.reduce_word
+    return group
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,9 +130,13 @@ def cover_for(name: str):
     return cover, sys
 
 
-def load(name: str) -> Group:
+def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
+    """The catalog group `name`; `budget` bounds the word problem of the
+    recursion-defined groups."""
     if name in RECURSION_NAMES:
-        return _recursion_entry(name)
+        if budget == DEFAULT_BUDGET:  # the cache entry `cover_for` shares
+            return _recursion_entry(name)
+        return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega = gomega.OmegaSequence.parse(name[len("gomega:") :])
         return Group(

@@ -32,15 +32,10 @@ def _group(args):
     if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as fh:
             rec = parse_recursion(fh.read())
-        name = args.file
-
-        def is_trivial(w):
-            return contraction.is_trivial(rec, w, _budget(args))
-
-        return catalog.Group(name, rec.gens, is_trivial, recursion=rec)
+        return catalog.recursion_group(rec, args.file, _budget(args))
     if not getattr(args, "group", None):
         raise ContractaError("need --group NAME or --file PATH")
-    return catalog.load(args.group)
+    return catalog.load(args.group, _budget(args))
 
 
 def _budget(args) -> Budget:

@@ -255,6 +255,44 @@ def _same_elements(rec, first, second, budget) -> bool:
     return classes_of(first) == classes_of(second)
 
 
+def _product(u, v):
+    """concat(u, v) for freely reduced u and v, where only the junction cancels."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
+def _products(cand, budget):
+    """The distinct products u·v over ordered pairs of `cand` that are not in
+    `cand`, in order of first occurrence: the seeds that join `cand` in a
+    closure.  Raises BudgetExceeded as soon as a product is longer than
+    `max_word_length`, or `cand`, its products and the identity make more than
+    `max_states` words: `section_closure` rejects exactly those seeds, so this
+    fails where the closure would, without first forming every pair."""
+    seen = set(cand)
+    seen.add(())
+    out = []
+    for u in cand:
+        for v in cand:
+            w = _product(u, v)
+            if len(w) > budget.max_word_length:
+                raise BudgetExceeded(
+                    f"section word of length {len(w)} exceeds cap "
+                    f"{budget.max_word_length}",
+                    frontier=w,
+                )
+            if w not in seen:
+                seen.add(w)
+                if len(seen) > budget.max_states:
+                    raise BudgetExceeded(
+                        f"section closure exceeds {budget.max_states} states",
+                        frontier=w,
+                    )
+                out.append(w)
+    return out
+
+
 def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
     repeat until the candidate set stabilizes (as a set of group elements)."""
@@ -264,9 +302,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         cand.add(free_reduce((-i,)))
     for _ in range(64):
         seeds = set(cand)
-        for u in cand:
-            for v in cand:
-                seeds.add(concat(u, v))
+        seeds.update(_products(cand, budget))
         auto = section_closure(rec, seeds, budget)
         reps, trans, _ = _quotient(auto)
         recurrent = _recurrent_classes(trans)
@@ -302,11 +338,7 @@ def _build_nucleus(rec, auto, recurrent, budget):
         inverses.append(cls_to_pos[c])
 
     products = {}
-    prod_auto = section_closure(
-        rec,
-        list(elements) + [concat(u, v) for u in elements for v in elements],
-        budget,
-    )
+    prod_auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
     cls_to_pos = {}
     for i, e in enumerate(elements):
         cls_to_pos[prod_auto.classes[prod_auto.state_of(e)]] = i
@@ -324,9 +356,7 @@ def is_contracting(rec, budget: Budget = DEFAULT_BUDGET) -> bool:
     nuc = nucleus(rec, budget)
     elements = set(nuc.elements)
     auto = section_closure(
-        rec,
-        list(nuc.elements) + [concat(u, v) for u in nuc.elements for v in nuc.elements],
-        budget,
+        rec, [*nuc.elements, *_products(nuc.elements, budget)], budget
     )
     nucleus_classes = {auto.classes[auto.state_of(e)] for e in elements}
     # depth until every path from a state stays inside nucleus classes

@@ -84,18 +84,19 @@ class RewriteRule:
 
 
 def _bucket(rules):
+    """The rewriting index: rules by first letter of the lhs, and the longest
+    lhs (how far a rewrite can reach back)."""
     by_first = {}
     for r in rules:
         by_first.setdefault(r.lhs[0], []).append(r)
-    return by_first
+    return by_first, max((len(r.lhs) for r in rules), default=0)
 
 
-def _apply_rules(rules, w, by_first=None) -> Word:
-    """Leftmost rewriting to an irreducible word (rules only, no free magic)."""
-    if by_first is None:
-        by_first = _bucket(rules)
+def _apply_rules(rules, w, index=None) -> Word:
+    """Leftmost rewriting to an irreducible word (rules only, no free magic).
+    `index` is `_bucket(rules)`, passed by callers that rewrite many words."""
+    by_first, max_len = _bucket(rules) if index is None else index
     w = list(w)
-    max_len = max((len(r.lhs) for r in rules), default=0)
     i = 0
     while i < len(w):
         hit = None
@@ -117,7 +118,7 @@ class RewriteSystem:
     gens: tuple
     rules: list  # RewriteRule, shortlex-sorted by lhs
     complete: bool
-    _by_first: dict = field(default=None, repr=False, compare=False)
+    _index: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def core_rules(self):
@@ -125,9 +126,9 @@ class RewriteSystem:
         return [r for r in self.rules if len(r.lhs) > 1]
 
     def rewrite(self, w) -> Word:
-        if self._by_first is None:
-            self._by_first = _bucket(self.rules)
-        return _apply_rules(self.rules, w, self._by_first)
+        if self._index is None:
+            self._index = _bucket(self.rules)
+        return _apply_rules(self.rules, w, self._index)
 
 
 def normal_form(sys: RewriteSystem, w) -> Word:
@@ -163,16 +164,14 @@ def complete(
         eqs.append((w, ()))
 
     rules = []
-    by_first = {}
-
-    def reindex():
-        by_first.clear()
-        by_first.update(_bucket(rules))
+    index = _bucket(rules)
 
     def add_equation(u, v):
-        u, v = _apply_rules(rules, u, by_first), _apply_rules(rules, v, by_first)
+        nonlocal index
+        u, v = _apply_rules(rules, u, index), _apply_rules(rules, v, index)
+        # both sides are irreducible, so neither is an existing lhs
         rule = _orient(u, v)
-        if rule is None or rule in rules:
+        if rule is None:
             return
         # interreduce: rules touched by the new lhs go back to the queue
         stale = [
@@ -183,7 +182,7 @@ def complete(
         for r in stale:
             rules.remove(r)
         rules.append(rule)
-        reindex()
+        index = _bucket(rules)
         for r in stale:
             pending.append((r.lhs, r.rhs))
 
@@ -199,9 +198,7 @@ def complete(
         for r1 in snapshot:
             for r2 in snapshot:
                 for u, v in _critical_pairs(r1, r2):
-                    if _apply_rules(rules, u, by_first) != _apply_rules(
-                        rules, v, by_first
-                    ):
+                    if _apply_rules(rules, u, index) != _apply_rules(rules, v, index):
                         new_pairs.append((u, v))
         if not new_pairs:
             return _finish(p, rules, complete=True)

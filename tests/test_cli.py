@@ -1,6 +1,9 @@
 import json
+import os
 
-from contracta import cli
+import pytest
+
+from contracta import catalog, cli
 
 
 def run(capsys, *argv):
@@ -31,6 +34,26 @@ class TestWordProblem:
         path.write_text("alphabet 2\ngen a = perm(1 0) sections(1, 1)\n")
         code, out = run(capsys, "wp", "--file", str(path), "--word", "a a")
         assert code == 0
+
+
+class TestGroupSources:
+    """`--group` and `--file` build the same group, with the same budget."""
+
+    BASILICA = os.path.join(catalog.catalog_dir(), "basilica.rec")
+
+    def test_file_and_catalog_growth_agree(self, capsys):
+        _, by_file = run(capsys, "--json", "growth", "--file", self.BASILICA, "--n-max", "4")
+        _, by_name = run(capsys, "--json", "growth", "--group", "basilica", "--n-max", "4")
+        assert json.loads(by_file)["gamma"] == json.loads(by_name)["gamma"]
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-states=2", "--max-depth=1", "--max-word-length=2"]
+    )
+    def test_budget_flags_reach_both_sources(self, capsys, flag):
+        word = "a b a^-1 b^-1"
+        for source in (["--group", "basilica"], ["--file", self.BASILICA]):
+            assert run(capsys, "wp", *source, "--word", word)[0] == 1
+            assert run(capsys, "wp", *source, flag, "--word", word)[0] == 2
 
 
 class TestStructure:

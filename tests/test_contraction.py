@@ -5,6 +5,7 @@ from contracta import catalog
 from contracta.contraction import (
     Budget,
     CounterexampleUnknown,
+    _products,
     are_equal,
     is_contracting,
     is_self_replicating_level1,
@@ -13,7 +14,7 @@ from contracta.contraction import (
     section_closure,
 )
 from contracta.errors import BudgetExceeded
-from contracta.recursion import parse_recursion
+from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import concat, invert, parse_word
 
 
@@ -198,6 +199,30 @@ class TestNucleus:
     def test_expanding_recursion_exhausts_budget(self):
         with pytest.raises(BudgetExceeded):
             nucleus(EXPANDING, Budget(max_states=500))
+
+    def test_product_seed_checks_match_the_closure_at_the_limits(self):
+        # with trivial sections a closure holds exactly its seeds and the
+        # identity, so the seed checks must fail where section_closure does
+        rec = WreathRecursion(2, ("x", "y"), (((), ()), ((), ())), ((1, 0), (0, 1)))
+
+        def fails(fn, budget):
+            try:
+                fn(budget)
+            except BudgetExceeded:
+                return True
+            return False
+
+        # the second set's longest products are x y y x^-1 and its inverse,
+        # formed with a cancellation
+        for cand in ([(), (1,), (-1,), (2,), (1, 2), (-2, -1)], [(), (1, 2, -1), (1, -2, -1)]):
+            seeds = {*cand, *(concat(u, v) for u in cand for v in cand)}
+            longest = max(map(len, seeds))
+            for states in (len(seeds) - 1, len(seeds)):
+                for length in (longest - 1, longest):
+                    budget = Budget(max_states=states, max_word_length=length)
+                    assert fails(lambda b: _products(cand, b), budget) == fails(
+                        lambda b: section_closure(rec, seeds, b), budget
+                    ), (cand, budget)
 
 
 class TestContracting:

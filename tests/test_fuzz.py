@@ -11,7 +11,14 @@ from contracta import contraction
 from contracta.contraction import Budget
 from contracta.errors import BudgetExceeded
 from contracta.recursion import WreathRecursion
-from contracta.words import concat, invert
+from contracta.contraction import (
+    Nucleus,
+    _quotient,
+    _recurrent_classes,
+    _same_elements,
+    section_closure,
+)
+from contracta.words import concat, free_reduce, invert, shortlex_key
 
 SMALL = Budget(max_states=800, max_depth=32, max_word_length=256)
 
@@ -111,3 +118,87 @@ def test_equality_is_a_congruence_on_random_recursions():
         except BudgetExceeded:
             continue
     assert hits > 5
+
+
+def reference_nucleus(rec, budget):
+    """`contraction.nucleus` as it was before its product seeds were checked
+    against the budget: every pair is formed, and only `section_closure`
+    enforces the limits."""
+    cand = {()}
+    for i in range(1, len(rec.gens) + 1):
+        cand.add(free_reduce((i,)))
+        cand.add(free_reduce((-i,)))
+    for _ in range(64):
+        seeds = set(cand)
+        for u in cand:
+            for v in cand:
+                seeds.add(concat(u, v))
+        auto = section_closure(rec, seeds, budget)
+        reps, trans, _ = _quotient(auto)
+        recurrent = _recurrent_classes(trans)
+        new_cand = {reps[c] for c in recurrent} | {()}
+        new_cand |= {free_reduce(invert(w)) for w in new_cand}
+        if _same_elements(rec, new_cand, cand, budget):
+            return reference_build(rec, auto, recurrent, budget)
+        cand = new_cand
+    raise BudgetExceeded("nucleus iteration did not stabilize in 64 rounds")
+
+
+def reference_build(rec, auto, recurrent, budget):
+    reps, trans, perms = _quotient(auto)
+    order = sorted(recurrent, key=lambda c: shortlex_key(reps[c]))
+    pos = {c: i for i, c in enumerate(order)}
+    elements = tuple(reps[c] for c in order)
+    sections = tuple(tuple(pos[t] for t in trans[c]) for c in order)
+    nperms = tuple(perms[c] for c in order)
+    identity = pos[auto.classes[auto.identity_state]]
+
+    inv_auto = section_closure(
+        rec, list(elements) + [invert(e) for e in elements], budget
+    )
+    cls_to_pos = {}
+    for i, e in enumerate(elements):
+        cls_to_pos[inv_auto.classes[inv_auto.state_of(e)]] = i
+    inverses = []
+    for e in elements:
+        c = inv_auto.classes[inv_auto.state_of(invert(e))]
+        if c not in cls_to_pos:
+            raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
+        inverses.append(cls_to_pos[c])
+
+    products = {}
+    prod_auto = section_closure(
+        rec,
+        list(elements) + [concat(u, v) for u in elements for v in elements],
+        budget,
+    )
+    cls_to_pos = {}
+    for i, e in enumerate(elements):
+        cls_to_pos[prod_auto.classes[prod_auto.state_of(e)]] = i
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            c = prod_auto.classes[prod_auto.state_of(concat(u, v))]
+            if c in cls_to_pos:
+                products[(i, j)] = cls_to_pos[c]
+    return Nucleus(rec, elements, sections, nperms, tuple(inverses), identity, products)
+
+
+def test_nucleus_agrees_with_all_pairs_reference():
+    # the budget checks on the product seeds change when a search fails,
+    # never what it answers: same nucleus, or BudgetExceeded on both sides
+    budget = Budget(max_states=300, max_depth=32, max_word_length=96)
+    rng = random.Random(74)
+    outcomes = {"answered": 0, "budget": 0}
+
+    def attempt(fn, rec):
+        try:
+            return fn(rec, budget)
+        except BudgetExceeded:
+            return BudgetExceeded
+
+    for _ in range(100):
+        rec = random_recursion(rng)
+        expected = attempt(reference_nucleus, rec)
+        assert attempt(contraction.nucleus, rec) == expected, rec
+        outcomes["budget" if expected is BudgetExceeded else "answered"] += 1
+    assert outcomes["answered"] > 40 and outcomes["budget"] > 20, outcomes

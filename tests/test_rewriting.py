@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import random_word
-from contracta import contraction
+from contracta import catalog, contraction, grig
 from contracta.errors import ParseError
 from contracta.rewriting import (
     Presentation,
     RewriteRule,
+    _apply_rules,
     complete,
     format_presentation,
     normal_form,
@@ -225,3 +226,15 @@ def test_grig_reduce_agrees_with_knuth_bendix(rng):
     for _ in range(500):
         u = random_word(rng, 4, 12)
         assert grig_mod.reduce_word(u) == normal_form(sys_, u)
+
+
+def test_cached_index_agrees_with_index_free_rewriting(rng):
+    # a system indexes its rules once; _apply_rules without an index
+    # rebuilds the first-letter buckets and the longest lhs on every call
+    systems = [complete(grig.g_n_presentation(0))]
+    systems += [catalog.cover_for(name)[1] for name in ("grigorchuk", "hanoi3")]
+    for sys_ in systems:
+        assert sys_.complete
+        for _ in range(300):
+            u = random_word(rng, len(sys_.gens), 40)
+            assert sys_.rewrite(u) == _apply_rules(sys_.rules, u)
