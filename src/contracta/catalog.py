@@ -47,7 +47,6 @@ class Group:
     recursion: WreathRecursion = None
     presentation: object = None
     facts: dict = field(default_factory=dict)
-    norm_key: object = None  # sound congruence key for marked-group caching
     invariant: object = None  # hashable prehash for ball deduplication
 
     @property
@@ -100,28 +99,15 @@ def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BU
     return Group(name, rec.gens, is_trivial, recursion=rec, invariant=invariant)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _recursion_entry(name: str, budget: Budget = DEFAULT_BUDGET):
     text = read_definition(name)
     group = recursion_group(parse_recursion(text), name, budget)
     group.facts = parse_facts(text)
-    if name == "grigorchuk":
-        group.norm_key = grig.reduce_word
     return group
 
 
-@functools.lru_cache(maxsize=None)
-def grig_cover():
-    """The universal cover of the four-involution recursion, with its
-    completed rewriting system."""
-    rec = _recursion_entry("grigorchuk").recursion
-    nuc = contraction.nucleus(rec)
-    cover = covers.universal_cover(nuc)
-    sys = rewriting.complete(cover.presentation)
-    return cover, sys
-
-
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def cover_for(name: str):
     entry = _recursion_entry(name)
     nuc = contraction.nucleus(entry.recursion)
@@ -143,11 +129,10 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
             name,
             grig.GENS,
             lambda w: gomega.omega_is_trivial(omega, w),
-            norm_key=grig.reduce_word,
-            facts={"omega": str(omega)},
+            facts={"omega": str(omega), "cover_shape": grig.CoverCongruence.shape},
         )
     if name.startswith("bs:"):
-        l, m = _two_ints(name)
+        l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)
         relator = (-2,) + (1,) * l + (2,) + (-1,) * m  # t^-1 s^l t s^-m
         return Group(
@@ -158,7 +143,7 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
             invariant=lambda w: _met_key(l, m, w),
         )
     if name.startswith("met:"):
-        l, m = _two_ints(name)
+        l, m = parse_lm(name[len("met:") :])
         return Group(
             name,
             metabelian.GENS,
@@ -192,11 +177,14 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
     raise SemanticError(f"unknown catalog name {name!r}")
 
 
-def _two_ints(name: str):
-    parts = name.split(":")
-    if len(parts) != 3:
-        raise SemanticError(f"expected <family>:<l>:<m>, got {name!r}")
-    return int(parts[1]), int(parts[2])
+def parse_lm(text: str):
+    """The integers l, m of `<l>:<m>`, as in bs:<l>:<m>, met:<l>:<m> and the
+    CLI's --params."""
+    l, _, m = text.partition(":")
+    try:
+        return int(l), int(m)
+    except ValueError:
+        raise SemanticError(f"expected <l>:<m> with integers l and m, got {text!r}") from None
 
 
 def _wreath_modulus(spec: str) -> int:
@@ -212,41 +200,64 @@ def _met_key(l, m, w):
     return tuple(x for row in mat.rows() for x in row)
 
 
-# -- marked-group wiring -----------------------------------------------------
+# -- marked groups and kernel chains -----------------------------------------
 
 
-def marked_limit(name: str) -> MarkedGroup:
-    g = load(name)
-    return MarkedGroup(g.rank, g.is_trivial, name=name, norm_key=g.norm_key)
+def marked(spec: str) -> MarkedGroup:
+    """`<name>` marks the catalog group, `<name>@<n>` level n of the kernel
+    chain on `<name>`."""
+    if "@" in spec:
+        base, _, level = spec.rpartition("@")
+        return chain(base).member(int(level))
+    g = load(spec)
+    congruence = grig.CoverCongruence()
+    if g.facts.get("cover_shape") != congruence.shape:
+        congruence = None
+    return MarkedGroup(g.rank, g.is_trivial, name=spec, congruence=congruence)
 
 
-def marked_cover_chain(name: str, n: int) -> MarkedGroup:
-    """Level-n quotient of the universal cover, marked on the cover letters."""
-    cover, sys = cover_for(name)
-    memo = {}
-    return MarkedGroup(
-        len(cover.presentation.gens),
-        lambda w: covers.kernel_member(cover, sys, w, n, memo),
-        name=f"{name}-cover-level-{n}",
-        norm_key=grig.reduce_word if name == "grigorchuk" else None,
-    )
+@dataclass(frozen=True)
+class Chain:
+    """A kernel chain and the limit it converges to in the space of marked
+    groups.  Every member is a quotient of the limit's cover, so the limit's
+    congruence is sound for all of them."""
+
+    base: str
+    limit: MarkedGroup
+    levels: object  # callable n -> (rank, kernel-membership oracle of level n)
+
+    def member(self, n: int) -> MarkedGroup:
+        rank, oracle = self.levels(n)
+        return MarkedGroup(rank, oracle, name=f"{self.base}@{n}", congruence=self.limit.congruence)
 
 
-def marked_omega_chain(omega_spec: str, n: int) -> MarkedGroup:
-    omega = gomega.OmegaSequence.parse(omega_spec)
-    _, sys = grig_cover()
-    memo = {}
-    return MarkedGroup(
-        4,
-        lambda w: gomega.omega_kernel_member(omega, w, n, sys, memo),
-        name=f"gomega:{omega_spec}-level-{n}",
-        norm_key=grig.reduce_word,
-    )
+def chain(base: str) -> Chain:
+    """The kernel chain on `base`: the universal-cover chain of a catalog
+    recursion, the splitting chain of gomega:<omega> on the C2 * V cover, or
+    the bs:<l>:<m> tower, whose limit is met:<l>:<m>."""
+    if base in RECURSION_NAMES:
 
+        def levels(n):
+            cover, sys = cover_for(base)
+            memo = {}
+            rank = len(cover.presentation.gens)
+            return rank, lambda w: covers.kernel_member(cover, sys, w, n, memo)
 
-def marked_bs_tower(l: int, m: int, n: int) -> MarkedGroup:
-    return MarkedGroup(
-        2,
-        lambda w: metabelian.bs_kernel_chain_member(l, m, w, n),
-        name=f"bs:{l}:{m}-tower-{n}",
-    )
+        return Chain(base, marked(base), levels)
+    if base.startswith("gomega:"):
+        omega = gomega.OmegaSequence.parse(base[len("gomega:") :])
+
+        def levels(n):
+            _, sys = cover_for("grigorchuk")
+            memo = {}
+            return len(grig.GENS), lambda w: gomega.omega_kernel_member(omega, w, n, sys, memo)
+
+        return Chain(base, marked(base), levels)
+    if base.startswith("bs:"):
+        l, m = parse_lm(base[len("bs:") :])
+        return Chain(
+            base,
+            marked(f"met:{l}:{m}"),
+            lambda n: (2, lambda w: metabelian.bs_kernel_chain_member(l, m, w, n)),
+        )
+    raise SemanticError(f"no chain family for {base!r}")

@@ -255,31 +255,8 @@ def cmd_gomega_wp(args):
     return 0 if trivial else 1
 
 
-def _marked(spec: str):
-    """`<name>` for a limit group, `<name>@<n>` for a chain member."""
-    if "@" in spec:
-        base, _, level = spec.rpartition("@")
-        n = int(level)
-        if base in catalog.RECURSION_NAMES:
-            return catalog.marked_cover_chain(base, n)
-        if base.startswith("gomega:"):
-            return catalog.marked_omega_chain(base[len("gomega:") :], n)
-        if base.startswith("bs:"):
-            l, m = catalog._two_ints(base)
-            return catalog.marked_bs_tower(l, m, n)
-        raise ContractaError(f"no chain family for {base!r}")
-    return catalog.marked_limit(spec)
-
-
-def _congruence_for(*specs):
-    if all("grigorchuk" in s or s.startswith("gomega:") for s in specs):
-        return grig.CoverCongruence()
-    return None
-
-
 def cmd_dist(args):
-    a, b = _marked(args.group_a), _marked(args.group_b)
-    v = marked.valuation(a, b, args.radius, congruence=_congruence_for(args.group_a, args.group_b))
+    v = marked.valuation(catalog.marked(args.group_a), catalog.marked(args.group_b), args.radius)
     _emit(
         args,
         {"v": v.value, "at_least": v.at_least, "d": v.distance, "radius": v.radius},
@@ -289,22 +266,9 @@ def cmd_dist(args):
 
 
 def cmd_converge(args):
-    chain = args.chain
-    congruence = _congruence_for(chain)
-    if chain in catalog.RECURSION_NAMES:
-        groups = [(n, catalog.marked_cover_chain(chain, n)) for n in range(args.n_max + 1)]
-        limit = catalog.marked_limit(chain)
-    elif chain.startswith("gomega:"):
-        spec = chain[len("gomega:") :]
-        groups = [(n, catalog.marked_omega_chain(spec, n)) for n in range(args.n_max + 1)]
-        limit = catalog.marked_limit(chain)
-    elif chain.startswith("bs:"):
-        l, m = catalog._two_ints(chain)
-        groups = [(n, catalog.marked_bs_tower(l, m, n)) for n in range(args.n_max + 1)]
-        limit = catalog.marked_limit(f"met:{l}:{m}")
-    else:
-        raise ContractaError(f"no convergence chain for {chain!r}")
-    report = marked.converge_report(groups, limit, args.radius, congruence=congruence)
+    chain = catalog.chain(args.chain)
+    groups = [(n, chain.member(n)) for n in range(args.n_max + 1)]
+    report = marked.converge_report(groups, chain.limit, args.radius)
     _emit(args, report.to_json_dict(), report.to_text())
     return 0
 
@@ -336,7 +300,7 @@ def _st_word(text):
 
 
 def cmd_bs(args):
-    l, m = (int(x) for x in args.params.split(":"))
+    l, m = catalog.parse_lm(args.params)
     w = _st_word(args.word)
     if args.phi:
         w = metabelian.bs_phi(w, args.phi, l)
@@ -352,7 +316,7 @@ def cmd_bs(args):
 
 
 def cmd_met(args):
-    l, m = (int(x) for x in args.params.split(":"))
+    l, m = catalog.parse_lm(args.params)
     mat = metabelian.met_eval(l, m, _st_word(args.word))
     rows = [[str(x) for x in row] for row in mat.rows()]
     text = "\n".join(" ".join(row) for row in rows)

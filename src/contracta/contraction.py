@@ -412,16 +412,16 @@ def is_self_replicating_level1(
     letters += [-i for i in letters]
     seen = {()}
     frontier = [()]
-    class_cache = {}
+    known = {}
 
     def section_class(word):
-        if word not in class_cache:
+        if word not in known:
             try:
-                class_cache[word] = nuc.class_of(word, budget)
+                known[word] = nuc.class_of(word, budget)
             except BudgetExceeded:
                 # unclassifiable within budget: treat as "not a witness"
-                class_cache[word] = None
-        return class_cache[word]
+                known[word] = None
+        return known[word]
 
     for _ in range(search_radius):
         if not pending:

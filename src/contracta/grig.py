@@ -10,7 +10,10 @@ finitely presented truncations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import SemanticError
+from .marked import length_order
 from .rewriting import Presentation
 from .words import Word, free_reduce
 
@@ -70,7 +73,7 @@ def sigma_apply(word, k: int = 1) -> Word:
 U0 = free_reduce((A, D) * 4)
 V0 = free_reduce((A, D, A, C, A, C) * 4)
 
-_relator_cache = {("u", 0): U0, ("v", 0): V0}
+_relators = {("u", 0): U0, ("v", 0): V0}
 
 
 def lysenok_relator(kind: str, n: int) -> Word:
@@ -79,11 +82,11 @@ def lysenok_relator(kind: str, n: int) -> Word:
         raise ValueError("relator kind must be 'u' or 'v'")
     if n < 0:
         raise ValueError("n must be >= 0")
-    best = max(m for k, m in _relator_cache if k == kind and m <= n)
-    w = _relator_cache[(kind, best)]
+    best = max(m for k, m in _relators if k == kind and m <= n)
+    w = _relators[(kind, best)]
     for m in range(best + 1, n + 1):
         w = sigma_apply(w, 1)
-        _relator_cache[(kind, m)] = w
+        _relators[(kind, m)] = w
     return w
 
 
@@ -153,6 +156,11 @@ def psi0_image(tokens) -> tuple:
     return reduce_word(left), reduce_word(right)
 
 
+# the letters that may follow each letter in an alternating word
+_ALTERNATING = {None: (A, B, C, D), A: (B, C, D), B: (A,), C: (A,), D: (A,)}
+
+
+@dataclass(frozen=True)
 class CoverCongruence:
     """The C2 * V congruence as a shared normalizer for marked-group scans.
 
@@ -163,28 +171,15 @@ class CoverCongruence:
     """
 
     rank = 4
+    shape = "C2 * V"  # the `cover_shape` fact of the groups it is sound for
 
     def normal_form(self, word) -> Word:
         return reduce_word(word)
 
     def ball(self, radius: int):
-        """All alternating irreducible words of length <= radius."""
-        out = [()]
-        stack = [()]
-        while stack:
-            w = stack.pop()
-            if len(w) == radius:
-                continue
-            last = w[-1] if w else None
-            for x in (A, B, C, D):
-                if x == A and last == A:
-                    continue
-                if x != A and last is not None and last != A:
-                    continue
-                nxt = w + (x,)
-                out.append(nxt)
-                stack.append(nxt)
-        return out
+        """The alternating irreducible words of length <= radius, shortest
+        first, generated lazily."""
+        return length_order(_ALTERNATING, radius)
 
 
 def h_n_generators(n: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .words import Word
@@ -24,17 +24,36 @@ class MarkedGroup:
     rank: int
     oracle: object  # callable Word -> bool (kernel membership)
     name: str = ""
-    # optional sound congruence key: equal keys must imply equal membership
-    norm_key: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    # optional congruence sound for the kernel: a length-nonincreasing normal
+    # form whose `ball(radius)` yields its irreducible words shortest first
+    congruence: object = None
 
     def contains(self, word) -> bool:
-        if self.norm_key is None:
-            return self.oracle(word)
-        key = self.norm_key(word)
-        if key not in self._cache:
-            self._cache[key] = self.oracle(word)
-        return self._cache[key]
+        return self.oracle(word)
+
+
+def length_order(follow, radius: int):
+    """Words of length <= radius, shortest first, generated lazily: the first
+    letter ranges over `follow[None]`, each next one over `follow[previous]`."""
+
+    def extend(w, last, depth):
+        for s in follow[last]:
+            if depth == 1:
+                yield w + (s,)
+            else:
+                yield from extend(w + (s,), s, depth - 1)
+
+    yield ()
+    for r in range(1, radius + 1):
+        yield from extend((), None, r)
+
+
+def _free_words(k: int, radius: int):
+    """Freely reduced words of length <= radius in rank k, shortest first."""
+    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    follow = {s: [t for t in letters if t != -s] for s in letters}
+    follow[None] = letters
+    return length_order(follow, radius)
 
 
 def free_ball(k: int, n: int, cap: int = DEFAULT_BALL_CAP):
@@ -44,39 +63,11 @@ def free_ball(k: int, n: int, cap: int = DEFAULT_BALL_CAP):
     size = ball_size(k, n)
     if size > cap:
         raise BudgetExceeded(f"free ball has {size} words, cap is {cap}")
-    out = [()]
-    frontier = [()]
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    for _ in range(n):
-        nxt = []
-        for w in frontier:
-            for s in letters:
-                if w and w[-1] == -s:
-                    continue
-                nxt.append(w + (s,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return list(_free_words(k, n))
 
 
 def ball_size(k: int, n: int) -> int:
     return 1 + sum(2 * k * (2 * k - 1) ** (i - 1) for i in range(1, n + 1))
-
-
-def _sphere(k: int, n: int):
-    """Freely reduced words of length exactly n, generated lazily."""
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-
-    def extend(w, depth):
-        if depth == 0:
-            yield w
-            return
-        for s in letters:
-            if w and w[-1] == -s:
-                continue
-            yield from extend(w + (s,), depth - 1)
-
-    yield from extend((), n)
 
 
 @dataclass(frozen=True)
@@ -97,30 +88,50 @@ class Valuation:
         return f"v = {v}, d = {self.distance:.6g}"
 
 
-def valuation(a: MarkedGroup, b: MarkedGroup, radius: int, congruence=None) -> Valuation:
-    """Scan balls outward; the first radius with a membership disagreement
-    ends the scan.  With a shared `congruence` (objects exposing
-    `normal_form`, length-nonincreasing and sound for both kernels, and
-    `ball(radius)` enumerating its irreducible words), the scan runs over
-    congruence representatives instead of the full free ball."""
-    if a.rank != b.rank:
+def valuation(a: MarkedGroup, b: MarkedGroup, radius: int) -> Valuation:
+    """The one-member case of `scan`: the first radius with a membership
+    disagreement ends it."""
+    return scan([a], b, radius)[0]
+
+
+def scan(members, limit: MarkedGroup, radius: int):
+    """Valuation of each member against `limit`, in one pass over the ball.
+
+    Words come shortest first, so a member leaves the scan at its first
+    disagreement with the limit, and the limit is asked once per word.  When
+    every group carries the same congruence the words are its irreducible
+    ones, else the free ball.  More than DEFAULT_BALL_CAP words is
+    BudgetExceeded.
+    """
+    if any(g.rank != limit.rank for g in members):
         raise ValueError("marked groups must have equal ranks")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if congruence is not None:
-        disagreements = [
-            len(w)
-            for w in congruence.ball(radius)
-            if w and a.contains(w) != b.contains(w)
-        ]
-        if disagreements:
-            return Valuation(min(disagreements) - 1, False, radius)
-        return Valuation(radius, True, radius)
-    for r in range(1, radius + 1):
-        for w in _sphere(a.rank, r):
-            if a.contains(w) != b.contains(w):
-                return Valuation(r - 1, False, radius)
-    return Valuation(radius, True, radius)
+    congruence = limit.congruence
+    if congruence is None or any(g.congruence != congruence for g in members):
+        words = _free_words(limit.rank, radius)
+    else:
+        words = congruence.ball(radius)
+    first = [None] * len(members)  # length of each member's first disagreement
+    live = list(enumerate(members))
+    for count, w in enumerate(words, 1):
+        if not live:
+            break
+        if count > DEFAULT_BALL_CAP:
+            raise BudgetExceeded(
+                f"marked-group scan passed the ball cap of {DEFAULT_BALL_CAP} words"
+            )
+        if not w:
+            continue
+        inside = limit.contains(w)
+        for i, g in live:
+            if g.contains(w) != inside:
+                first[i] = len(w)
+        live = [(i, g) for i, g in live if first[i] is None]
+    return [
+        Valuation(radius, True, radius) if f is None else Valuation(f - 1, False, radius)
+        for f in first
+    ]
 
 
 @dataclass
@@ -180,15 +191,13 @@ class ConvergenceReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def converge_report(
-    groups, limit: MarkedGroup, radius: int, congruence=None
-) -> ConvergenceReport:
-    """Valuation of each chain member against the limit, one row per member.
+def converge_report(groups, limit: MarkedGroup, radius: int) -> ConvergenceReport:
+    """Valuation of each chain member against the limit, one row per member,
+    from one `scan`.
 
     `groups` is an iterable of (n, MarkedGroup) pairs.
     """
-    rows = [
-        ConvergenceRow(n, valuation(g, limit, radius, congruence))
-        for n, g in groups
-    ]
+    groups = list(groups)
+    values = scan([g for _, g in groups], limit, radius)
+    rows = [ConvergenceRow(n, v) for (n, _), v in zip(groups, values)]
     return ConvergenceReport(rows, radius, limit.name or "limit")

@@ -121,27 +121,23 @@ def test_criterion_5_substitution_relators():
 
 
 def test_criterion_6_kernel_chain_convergence():
-    cong = grig.CoverCongruence()
+    def chain_report(base, radius):
+        chain = catalog.chain(base)
+        return converge_report([(n, chain.member(n)) for n in range(5)], chain.limit, radius)
 
-    lim = catalog.marked_limit("grigorchuk")
-    chain = [(n, catalog.marked_cover_chain("grigorchuk", n)) for n in range(5)]
-    cover_report = converge_report(chain, lim, 8, congruence=cong)
+    cover_report = chain_report("grigorchuk", 8)
     assert cover_report.non_decreasing
     assert cover_report.strictly_increases
 
-    om_lim = catalog.marked_limit("gomega::012")
-    om_chain = [(n, catalog.marked_omega_chain(":012", n)) for n in range(5)]
-    omega_report = converge_report(om_chain, om_lim, 8, congruence=cong)
+    omega_report = chain_report("gomega::012", 8)
     assert omega_report.non_decreasing
     assert omega_report.strictly_increases
 
-    met = catalog.marked_limit("met:2:3")
-    tower = [(n, catalog.marked_bs_tower(2, 3, n)) for n in range(5)]
-    bs_report = converge_report(tower, met, 6)
+    bs_report = chain_report("bs:2:3", 6)
     assert bs_report.non_decreasing
     # radius 6 cannot see the shortest disagreement (a length-8 word); the
     # strict increase of the same tower shows up one radius later
-    bs_report8 = converge_report(tower, met, 8)
+    bs_report8 = chain_report("bs:2:3", 8)
     assert bs_report8.non_decreasing and bs_report8.strictly_increases
 
     report(
@@ -242,7 +238,7 @@ class TestCriterion8PropertySuites:
 
     def test_rewrite_confluence(self):
         rng = random.Random(SEED + 4)
-        _, c2v = catalog.grig_cover()
+        _, c2v = catalog.cover_for("grigorchuk")
         gs_cover, gs_sys = catalog.cover_for("gupta_sidki")
         systems = [(4, c2v), (2, gs_sys)]
         for case in range(CASES):
@@ -259,9 +255,8 @@ class TestCriterion8PropertySuites:
 
     def test_ultrametric_inequality(self):
         rng = random.Random(SEED + 5)
-        pool = [catalog.marked_bs_tower(2, 3, n) for n in range(4)]
-        pool += [catalog.marked_limit("met:2:3"), catalog.marked_limit("bs:2:3"),
-                 catalog.marked_limit("wreath:z"), catalog.marked_limit("w_n:2")]
+        pool = [catalog.marked(f"bs:2:3@{n}") for n in range(4)]
+        pool += [catalog.marked(name) for name in ("met:2:3", "bs:2:3", "wreath:z", "w_n:2")]
         radius = 4
         cache = {}
         for i in range(len(pool)):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from contracta import catalog, cli
+from contracta import catalog, cli, marked
 
 
 def run(capsys, *argv):
@@ -153,6 +153,47 @@ class TestFamilies:
         assert doc["schema_version"] == 1
         assert doc["non_decreasing"] is True
         assert len(doc["rows"]) == 3
+
+    @pytest.mark.parametrize(
+        "base, radius", [("grigorchuk", 8), ("gomega::012", 8), ("bs:2:3", 5), ("hanoi3", 4)]
+    )
+    def test_dist_to_the_limit_is_the_converge_row(self, capsys, base, radius):
+        code, out = run(capsys, "--json", "converge", "--chain", base,
+                        "--radius", str(radius), "--n-max", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["limit"] == ("met:2:3" if base == "bs:2:3" else base)
+        for row in report["rows"]:
+            code, out = run(capsys, "--json", "dist", "--group-a", f"{base}@{row['n']}",
+                            "--group-b", report["limit"], "--radius", str(radius))
+            assert code == 0
+            doc = json.loads(out)
+            assert {key: doc[key] for key in row if key != "n"} == {
+                key: row[key] for key in row if key != "n"
+            }
+
+    def test_scan_stops_at_the_ball_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 1_000)
+        code = cli.main(["dist", "--group-a", "met:2:3", "--group-b", "met:2:3",
+                         "--radius", "30"])
+        assert code == 2
+        assert "ball cap of 1000 words" in capsys.readouterr().err
+
+    def test_unknown_chain_base(self, capsys):
+        for argv in (["dist", "--group-a", "met:2:3@1", "--group-b", "met:2:3", "--radius", "2"],
+                     ["converge", "--chain", "met:2:3", "--radius", "2", "--n-max", "1"]):
+            assert cli.main(argv) == 2
+            assert "no chain family for 'met:2:3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", ["2", "2:3:4", "2:x"])
+    def test_params_share_the_catalog_parser(self, capsys, params):
+        expected = f"expected <l>:<m> with integers l and m, got {params!r}"
+        for argv in (["bs", "--params", params, "--word", "s"],
+                     ["met", "--params", params, "--word", "s"],
+                     ["dist", "--group-a", f"bs:{params}@1", "--group-b", "met:2:3",
+                      "--radius", "2"]):
+            assert cli.main(argv) == 2
+            assert expected in capsys.readouterr().err
 
     def test_bs_met_wreath(self, capsys):
         witness = "t^-1 s t s t^-1 s^-1 t s^-1"

@@ -14,7 +14,7 @@ from contracta.words import concat, format_word, invert, parse_word
 
 @pytest.fixture(scope="module")
 def grig_cover():
-    return catalog.grig_cover()
+    return catalog.cover_for("grigorchuk")
 
 
 def relator_texts(cover):

@@ -182,7 +182,7 @@ class TestPhi:
 
 @pytest.fixture(scope="module")
 def sys_():
-    return catalog.grig_cover()[1]
+    return catalog.cover_for("grigorchuk")[1]
 
 
 class TestKernel:
@@ -227,7 +227,7 @@ class TestKernel:
         from contracta import covers
 
         om = OmegaSequence.parse(":012")
-        cover, _ = catalog.grig_cover()
+        cover, _ = catalog.cover_for("grigorchuk")
         ad4 = w("a d") * 4
         words = [ad4, w("a c a c") * 4, w("a b"), ()]
         words += [random_word(rng, 4, 8) for _ in range(40)]

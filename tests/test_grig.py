@@ -276,9 +276,14 @@ class TestHn:
 class TestCongruence:
     def test_ball_counts(self):
         cong = G.CoverCongruence()
-        assert len(cong.ball(0)) == 1
-        assert len(cong.ball(1)) == 5
-        assert len(cong.ball(8)) == 401
+        assert len(list(cong.ball(0))) == 1
+        assert len(list(cong.ball(1))) == 5
+        assert len(list(cong.ball(8))) == 401
+
+    def test_ball_is_lazy_and_in_length_order(self):
+        ball = G.CoverCongruence().ball(40)
+        lengths = [len(next(ball)) for _ in range(2_000)]
+        assert lengths == sorted(lengths)
 
     def test_ball_words_are_irreducible(self):
         cong = G.CoverCongruence()
