@@ -197,7 +197,7 @@ def _wreath_modulus(spec: str) -> int:
 
 def _met_key(l, m, w):
     mat = metabelian.met_eval(l, m, w)
-    return tuple(x for row in mat.rows() for x in row)
+    return mat.a, mat.b
 
 
 # -- marked groups and kernel chains -----------------------------------------

@@ -10,8 +10,8 @@ import json
 import sys
 
 from . import catalog, contraction, covers, gomega, grig, growth, marked, metabelian
-from . import rewriting, words
-from .contraction import Budget
+from . import cosets, rewriting, words
+from .contraction import DEFAULT_BUDGET, Budget
 from .cosets import FreeProductSignature, enumerate_cosets, kernel_rank_free_product
 from .errors import ContractaError
 from .recursion import parse_recursion
@@ -40,9 +40,9 @@ def _group(args):
 
 def _budget(args) -> Budget:
     return Budget(
-        max_states=getattr(args, "max_states", 10_000),
-        max_depth=getattr(args, "max_depth", 64),
-        max_word_length=getattr(args, "max_word_length", 4_096),
+        max_states=getattr(args, "max_states", DEFAULT_BUDGET.max_states),
+        max_depth=getattr(args, "max_depth", DEFAULT_BUDGET.max_depth),
+        max_word_length=getattr(args, "max_word_length", DEFAULT_BUDGET.max_word_length),
     )
 
 
@@ -346,9 +346,9 @@ def _add_group_options(p):
 
 
 def _add_budget_options(p):
-    p.add_argument("--max-states", type=int, default=10_000)
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--max-word-length", type=int, default=4_096)
+    p.add_argument("--max-states", type=int, default=DEFAULT_BUDGET.max_states)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_BUDGET.max_depth)
+    p.add_argument("--max-word-length", type=int, default=DEFAULT_BUDGET.max_word_length)
 
 
 def build_parser():
@@ -393,7 +393,8 @@ def build_parser():
                                  p.add_argument("--gn", type=int),
                                  p.add_argument("--subgroup", required=True,
                                                 help="comma-separated words, aliases, or a preset"),
-                                 p.add_argument("--max-cosets", type=int, default=2**22),
+                                 p.add_argument("--max-cosets", type=int,
+                                                default=cosets.DEFAULT_MAX_COSETS),
                                  p.add_argument("--dump", action="store_true")))
     add("kb", cmd_kb, lambda p: (p.add_argument("--pres", required=True),
                                  p.add_argument("--max-rules", type=int, default=2_000)))

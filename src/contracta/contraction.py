@@ -146,6 +146,8 @@ class Nucleus:
     inverses: tuple  # element -> index of its inverse
     identity: int
     products: dict  # (i, j) -> k for the products that land in the nucleus
+    # section closure of the elements and their pairwise products
+    closure: SectionAutomaton = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -244,17 +246,6 @@ def _recurrent_classes(trans):
     return reach
 
 
-def _same_elements(rec, first, second, budget) -> bool:
-    if first == second:
-        return True
-    auto = section_closure(rec, list(first | second), budget)
-
-    def classes_of(ws):
-        return {auto.classes[auto.state_of(w)] for w in ws}
-
-    return classes_of(first) == classes_of(second)
-
-
 def _product(u, v):
     """concat(u, v) for freely reduced u and v, where only the junction cancels."""
     k, n = 0, min(len(u), len(v))
@@ -308,7 +299,10 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}
         new_cand |= {free_reduce(invert(w)) for w in new_cand}
-        if _same_elements(rec, new_cand, cand, budget):
+        # the seeds are closed under inversion, so auto is too: both sets are its states
+        if {auto.classes[auto.index[w]] for w in new_cand} == {
+            auto.classes[auto.index[w]] for w in cand
+        }:
             return _build_nucleus(rec, auto, recurrent, budget)
         cand = new_cand
     raise BudgetExceeded("nucleus iteration did not stabilize in 64 rounds")
@@ -323,20 +317,6 @@ def _build_nucleus(rec, auto, recurrent, budget):
     nperms = tuple(perms[c] for c in order)
     identity = pos[auto.classes[auto.identity_state]]
 
-    # inverses: the closure of N u N^-1 identifies each inverse's class
-    inv_auto = section_closure(
-        rec, list(elements) + [invert(e) for e in elements], budget
-    )
-    cls_to_pos = {}
-    for i, e in enumerate(elements):
-        cls_to_pos[inv_auto.classes[inv_auto.state_of(e)]] = i
-    inverses = []
-    for e in elements:
-        c = inv_auto.classes[inv_auto.state_of(invert(e))]
-        if c not in cls_to_pos:
-            raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
-        inverses.append(cls_to_pos[c])
-
     products = {}
     prod_auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
     cls_to_pos = {}
@@ -347,18 +327,22 @@ def _build_nucleus(rec, auto, recurrent, budget):
             c = prod_auto.classes[prod_auto.state_of(concat(u, v))]
             if c in cls_to_pos:
                 products[(i, j)] = cls_to_pos[c]
-    return Nucleus(rec, elements, sections, nperms, tuple(inverses), identity, products)
+    inverse_of = {i: j for (i, j), k in products.items() if k == identity}
+    for i, e in enumerate(elements):
+        if i not in inverse_of:
+            raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
+    inverses = tuple(inverse_of[i] for i in range(len(elements)))
+    return Nucleus(
+        rec, elements, sections, nperms, inverses, identity, products, prod_auto
+    )
 
 
 def is_contracting(rec, budget: Budget = DEFAULT_BUDGET) -> bool:
     """True when the nucleus converged and all nucleus-pair products contract
     back into it within the depth budget.  Never returns False."""
     nuc = nucleus(rec, budget)
-    elements = set(nuc.elements)
-    auto = section_closure(
-        rec, [*nuc.elements, *_products(nuc.elements, budget)], budget
-    )
-    nucleus_classes = {auto.classes[auto.state_of(e)] for e in elements}
+    auto = nuc.closure
+    nucleus_classes = {auto.classes[auto.state_of(e)] for e in nuc.elements}
     # depth until every path from a state stays inside nucleus classes
     depth = {}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ContractaError
 DEFAULT_MAX_COSETS = 2**22
 
 
@@ -183,21 +183,25 @@ def enumerate_cosets(
 def _verify(table: CosetTable, rel_cols, sub_cols):
     rows = table.table
     for row in rows:
-        assert all(x is not None for x in row), "incomplete coset table"
+        if any(x is None for x in row):
+            raise ContractaError("incomplete coset table")
     for col in range(2 * len(table.gens)):
         images = [row[col] for row in rows]
-        assert sorted(images) == list(range(len(rows))), "column is not a permutation"
+        if sorted(images) != list(range(len(rows))):
+            raise ContractaError("column is not a permutation")
     for cols in rel_cols:
         for i in range(len(rows)):
             a = i
             for c in cols:
                 a = rows[a][c]
-            assert a == i, "relator does not fix a coset"
+            if a != i:
+                raise ContractaError("relator does not fix a coset")
     for cols in sub_cols:
         a = 0
         for c in cols:
             a = rows[a][c]
-        assert a == 0, "subgroup generator moves coset 0"
+        if a != 0:
+            raise ContractaError("subgroup generator moves coset 0")
 
 
 def _standardize(enum, pres, subgroup_gens):
@@ -217,7 +221,8 @@ def _standardize(enum, pres, subgroup_gens):
             if x is not None and x not in seen:
                 seen.add(x)
                 order.append(x)
-    assert len(order) == len(live), "coset table is not transitive"
+    if len(order) != len(live):
+        raise ContractaError("coset table is not transitive")
     renum = {a: i for i, a in enumerate(order)}
     table = [[renum[x] for x in resolved[a]] for a in order]
     return CosetTable(pres.gens, table, tuple(subgroup_gens))

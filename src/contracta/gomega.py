@@ -97,10 +97,6 @@ def _as_element(g) -> OmegaElement:
     return g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
 
 
-def omega_root_perm_trivial(elt: OmegaElement) -> bool:
-    return sum(1 for x in elt.word if x == A) % 2 == 0
-
-
 def _letter_sections(omega: OmegaSequence, letter: int, offset: int):
     """Pair of first-level sections of a generator at the given shift."""
     if letter == A:

@@ -243,57 +243,42 @@ def bs_kernel_chain_member(l: int, m: int, word, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class RationalMatrix2:
+class MetElement:
+    """The matrix [[a, b], [0, 1]] of Met(l, m), with exact rational a, b."""
+
     a: Fraction
     b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
-            raise SemanticError("matrix must be invertible")
 
     def __mul__(self, other):
-        return RationalMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MetElement(self.a * other.a, self.a * other.b + self.b)
 
     @property
     def is_identity(self):
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
-    def inverse(self):
-        det = self.a * self.d - self.b * self.c
-        return RationalMatrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return self.a == 1 and self.b == 0
 
     def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
+        return ((self.a, self.b), (0, 1))
 
 
-def _met_generators(l: int, m: int):
+def met_eval(l: int, m: int, word) -> MetElement:
+    """Exact matrix image of a word over s, t, with s = [[1, 1], [0, 1]] and
+    t = [[l/m, 0], [0, 1]]; identity decides triviality."""
     if l < 1 or m < 1 or (l == 1 and m == 1) or gcd(l, m) != 1:
         raise SemanticError("parameters must be coprime positive, not both 1")
-    one = Fraction(1)
-    s = RationalMatrix2(one, one, Fraction(0), one)
-    t = RationalMatrix2(Fraction(l, m), Fraction(0), Fraction(0), one)
-    return s, t
-
-
-def met_eval(l: int, m: int, word) -> RationalMatrix2:
-    """Exact matrix image of a word over s, t; identity decides triviality."""
-    s, t = _met_generators(l, m)
-    out = RationalMatrix2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    ratio = Fraction(l, m)
+    a, b = Fraction(1), Fraction(0)
     for x in free_reduce(word):
-        if abs(x) == S:
-            out = out * (s if x > 0 else s.inverse())
-        elif abs(x) == T:
-            out = out * (t if x > 0 else t.inverse())
+        if x == S:
+            b += a
+        elif x == -S:
+            b -= a
+        elif x == T:
+            a *= ratio
+        elif x == -T:
+            a /= ratio
         else:
             raise SemanticError("matrix words use the letters s and t only")
-    return out
+    return MetElement(a, b)
 
 
 def commutator(u, v) -> Word:

@@ -51,16 +51,6 @@ def power(word, n: int) -> Word:
     return out
 
 
-def cyclic_rotations(word):
-    if not word:
-        return [()]
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
-def letter_of(name: str, gens, sign: int = 1) -> int:
-    return sign * (gens.index(name) + 1)
-
-
 def parse_word(text: str, gens) -> Word:
     """Parse a space-separated token word; ``1`` (alone) is the identity.
 

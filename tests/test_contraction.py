@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import random_word
-from contracta import catalog
+from contracta import catalog, contraction
 from contracta.contraction import (
     Budget,
     CounterexampleUnknown,
@@ -226,6 +226,33 @@ class TestNucleus:
 
 
 class TestContracting:
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_one_section_closure_per_round_and_one_for_the_tables(
+        self, name, monkeypatch
+    ):
+        # a round's closure also decides whether the round changed anything,
+        # and the tables' closure gives the inverses and the depth walk
+        calls = {"section_closure": 0, "_recurrent_classes": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn in (contraction.section_closure, contraction._recurrent_classes):
+            monkeypatch.setattr(contraction, fn.__name__, counted(fn))
+        rec = catalog.load(name).recursion
+        nucleus(rec)
+        rounds = calls["_recurrent_classes"]
+        assert calls["section_closure"] == rounds + 1
+        assert is_contracting(rec) is True
+        assert calls == {
+            "section_closure": 2 * (rounds + 1),
+            "_recurrent_classes": 2 * rounds,
+        }
+
     def test_catalog_groups_contract(self, all_recursion_groups):
         for g in all_recursion_groups:
             assert is_contracting(g.recursion) is True

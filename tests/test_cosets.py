@@ -5,12 +5,26 @@ import pytest
 from contracta import grig
 from contracta.cosets import (
     FreeProductSignature,
+    _col,
+    _verify,
     enumerate_cosets,
     kernel_rank_free_product,
 )
-from contracta.errors import BudgetExceeded
+from contracta.errors import BudgetExceeded, ContractaError
 from contracta.rewriting import Presentation
 from contracta.words import parse_word
+
+
+def _hole(rows):
+    rows[3][0] = None
+
+
+def _repeat(rows):
+    rows[3][0] = rows[4][0]
+
+
+def _swap(rows):
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +76,24 @@ class TestEnumeration:
         for k in range(len(g0.gens)):
             perm = table.permutation(k)
             assert sorted(perm) == list(range(table.index))
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (_hole, "incomplete coset table"),
+            (_repeat, "column is not a permutation"),
+            (_swap, "relator does not fix a coset"),
+        ],
+    )
+    def test_corrupted_table_raises(self, g0, corrupt, message):
+        # a real error, not an assert, so the check also runs under python -O
+        table = enumerate_cosets(g0, grig.B0_GENS)
+        rel_cols = [tuple(_col(x) for x in r) for r in g0.relators]
+        sub_cols = [tuple(_col(x) for x in u) for u in grig.B0_GENS if u]
+        _verify(table, rel_cols, sub_cols)
+        corrupt(table.table)
+        with pytest.raises(ContractaError, match=message):
+            _verify(table, rel_cols, sub_cols)
 
     def test_transitive_action(self, g0):
         table = enumerate_cosets(g0, grig.K0_GENS)

@@ -15,7 +15,6 @@ from contracta.contraction import (
     Nucleus,
     _quotient,
     _recurrent_classes,
-    _same_elements,
     section_closure,
 )
 from contracta.words import concat, free_reduce, invert, shortlex_key
@@ -120,10 +119,23 @@ def test_equality_is_a_congruence_on_random_recursions():
     assert hits > 5
 
 
+def reference_same_elements(rec, first, second, budget) -> bool:
+    """Compare two word sets as group elements in a closure of their own."""
+    if first == second:
+        return True
+    auto = section_closure(rec, list(first | second), budget)
+
+    def classes_of(ws):
+        return {auto.classes[auto.state_of(w)] for w in ws}
+
+    return classes_of(first) == classes_of(second)
+
+
 def reference_nucleus(rec, budget):
     """`contraction.nucleus` as it was before its product seeds were checked
-    against the budget: every pair is formed, and only `section_closure`
-    enforces the limits."""
+    against the budget: every pair is formed, only `section_closure`
+    enforces the limits, and the round test and the inverse table each build
+    a section closure of their own."""
     cand = {()}
     for i in range(1, len(rec.gens) + 1):
         cand.add(free_reduce((i,)))
@@ -138,7 +150,7 @@ def reference_nucleus(rec, budget):
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}
         new_cand |= {free_reduce(invert(w)) for w in new_cand}
-        if _same_elements(rec, new_cand, cand, budget):
+        if reference_same_elements(rec, new_cand, cand, budget):
             return reference_build(rec, auto, recurrent, budget)
         cand = new_cand
     raise BudgetExceeded("nucleus iteration did not stabilize in 64 rounds")

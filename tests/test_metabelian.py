@@ -134,6 +134,26 @@ class TestMet:
                 2, 3, v
             )
 
+    def test_matches_fraction_matrix_products(self, rng):
+        for l, m in ((2, 3), (1, 2), (3, 1), (3, 5), (4, 7)):
+            letters = {
+                1: ((1, 1), (0, 1)),
+                -1: ((1, -1), (0, 1)),
+                2: ((Fraction(l, m), 0), (0, 1)),
+                -2: ((Fraction(m, l), 0), (0, 1)),
+            }
+            for _ in range(60):
+                u = random_word(rng, 2, 30)
+                mat = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+                for x in u:
+                    g = letters[x]
+                    mat = tuple(
+                        tuple(mat[i][0] * g[0][j] + mat[i][1] * g[1][j] for j in range(2))
+                        for i in range(2)
+                    )
+                assert met_eval(l, m, u).rows() == mat, (l, m, u)
+                assert met_eval(l, m, u).is_identity == (mat == ((1, 0), (0, 1)))
+
     def test_parameter_validation(self):
         with pytest.raises(SemanticError):
             met_eval(2, 4, w("s"))
