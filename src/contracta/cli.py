@@ -1,6 +1,7 @@
 """Command-line front end.  Every subcommand prints deterministic text, or a
-single JSON document with --json; exit codes: 0 for success / "true", 1 for a
-mathematically negative predicate answer, 2 for errors and exhausted budgets.
+single JSON document with --json (an error too: its message under "error");
+exit codes: 0 for success / "true", 1 for a mathematically negative predicate
+answer, 2 for errors and exhausted budgets.
 """
 
 from __future__ import annotations
@@ -433,11 +434,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ContractaError as e:
+    except (ContractaError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        if args.json:
+            _emit(args, {"error": str(e)}, "")
         return 2
 
 

@@ -72,7 +72,8 @@ def universal_cover(
 ) -> CoverPresentation:
     """Presentation on the nucleus: one generator per element (identity and
     one of each inverse pair always dropped; products of two others dropped
-    when `prune` is set), relators = every trivial word of length <= 3."""
+    when `prune` is set), relators = every trivial word of length <= 3, read
+    off the nucleus product table (so `budget` is not spent)."""
     rec = nucleus.rec
     n = len(nucleus)
     identity = nucleus.identity
@@ -157,51 +158,36 @@ def universal_cover(
 
     # relators: all trivial signed words of length <= 3 over the kept letters,
     # first letter positive, deduplicated up to rotation and inversion
-    letters = []
+    element_of = {}  # signed letter -> nucleus index
     for idx in kept:
-        letters.append(letter[idx])
+        element_of[letter[idx]] = idx
         if nucleus.inverses[idx] != idx:
-            letters.append(-letter[idx])
-
-    kept_by_letter = {letter[idx]: idx for idx in kept}
-
-    def normalize_letter(x):
-        # inverse letters of self-inverse elements fold back to positive
-        idx = kept_by_letter[abs(x)]
-        return abs(x) if x < 0 and nucleus.inverses[idx] == idx else x
+            element_of[-letter[idx]] = nucleus.inverses[idx]
+    letters = list(element_of)
 
     def dedup_key(w):
-        inverse = tuple(normalize_letter(-x) for x in reversed(w))
-        variants = []
-        for v in (w, inverse):
-            for r in range(len(v)):
-                variants.append(v[r:] + v[:r])
+        # inverse letters of self-inverse elements fold back to positive
+        inverse = tuple(-x if -x in element_of else x for x in reversed(w))
+        variants = [v[r:] + v[:r] for v in (w, inverse) for r in range(len(v))]
         return min(variants, key=shortlex_key)
+
+    def trivial(w):
+        # x_1...x_k is trivial iff x_1...x_{k-1} is the inverse of x_k, a
+        # nucleus element, and `products` records every pair landing there
+        *head, last = (element_of[x] for x in w)
+        prefix = identity
+        for e in head:
+            prefix = nucleus.products.get((prefix, e))
+        return prefix == nucleus.inverses[last]
 
     relators = []
     seen_keys = set()
-    base_words = {
-        x: (
-            nucleus.elements[kept_by_letter[abs(x)]]
-            if x > 0
-            else invert(nucleus.elements[kept_by_letter[abs(x)]])
-        )
-        for x in letters
-    }
     for length in (1, 2, 3):
-        for combo in product(letters, repeat=length):
-            if combo[0] < 0:
-                continue
-            w = free_reduce(combo)
-            if len(w) != length:
+        for w in product(letters, repeat=length):
+            if w[0] < 0 or len(free_reduce(w)) != length or not trivial(w):
                 continue
             key = dedup_key(w)
-            if key in seen_keys:
-                continue
-            base = ()
-            for x in w:
-                base = concat(base, base_words[x])
-            if contraction.is_trivial(rec, base, budget):
+            if key not in seen_keys:
                 seen_keys.add(key)
                 relators.append(w)
 
@@ -265,7 +251,7 @@ def standard_cover(
     letters = [i for i in range(1, len(rec.gens) + 1)]
     letters += [-i for i in letters]
     radius = 0
-    while frontier and len(witnesses) < len(targets) and radius <= search_radius:
+    while frontier and radius <= search_radius:
         for h in sorted(frontier, key=shortlex_key):
             tau = rec.word_perm(h)
             for x in range(d):
@@ -278,6 +264,8 @@ def standard_cover(
                     if sec == targets[(x, i)]:
                         witnesses[(x, i)] = h
                         exact[(x, i)] = True
+        if len(witnesses) == len(targets):
+            break  # `seen` feeds only the fallback, which has nothing to do
         nxt = []
         for h in frontier:
             for s in letters:

@@ -84,33 +84,31 @@ class RewriteRule:
 
 
 def _bucket(rules):
-    """The rewriting index: rules by first letter of the lhs, and the longest
-    lhs (how far a rewrite can reach back)."""
-    by_first = {}
-    for r in rules:
-        by_first.setdefault(r.lhs[0], []).append(r)
-    return by_first, max((len(r.lhs) for r in rules), default=0)
+    """The rewriting index: rhs by lhs, and the distinct lhs lengths."""
+    by_lhs = {r.lhs: r.rhs for r in rules}
+    return by_lhs, sorted({len(lhs) for lhs in by_lhs})
 
 
 def _apply_rules(rules, w, index=None) -> Word:
-    """Leftmost rewriting to an irreducible word (rules only, no free magic).
+    """Rewriting to an irreducible word (rules only, no free magic), in one
+    left-to-right pass: an lhs that ends on the output stack is replaced by
+    its rhs, pushed back onto the input.  The lhs set is substring-free, so
+    the first lhs to end is also the leftmost one.
     `index` is `_bucket(rules)`, passed by callers that rewrite many words."""
-    by_first, max_len = _bucket(rules) if index is None else index
-    w = list(w)
-    i = 0
-    while i < len(w):
-        hit = None
-        for r in by_first.get(w[i], ()):
-            n = len(r.lhs)
-            if i + n <= len(w) and tuple(w[i : i + n]) == r.lhs:
-                hit = r
+    by_lhs, lengths = _bucket(rules) if index is None else index
+    todo = list(reversed(w))
+    out = []
+    while todo:
+        out.append(todo.pop())
+        for k in lengths:
+            if k > len(out):
                 break
-        if hit is None:
-            i += 1
-        else:
-            w[i : i + len(hit.lhs)] = hit.rhs
-            i = max(0, i - max_len + 1)
-    return tuple(w)
+            rhs = by_lhs.get(tuple(out[-k:]))
+            if rhs is not None:
+                del out[-k:]
+                todo.extend(reversed(rhs))
+                break
+    return tuple(out)
 
 
 @dataclass

@@ -269,3 +269,27 @@ class TestJsonDeterminism:
     def test_error_exit_code(self, capsys):
         code = cli.main(["wp", "--group", "nonexistent", "--word", "a"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wp", "--group", "nonexistent", "--word", "a"],  # ContractaError
+            ["kernel-member", "--group", "grigorchuk", "--word", "a", "--level", "-1"],
+            ["wp", "--file", "no/such/file.rec", "--word", "a"],  # OSError
+        ],
+        ids=["contracta_error", "value_error", "os_error"],
+    )
+    def test_error_is_a_json_document_under_json(self, capsys, argv):
+        code = cli.main(["--json", *argv])
+        out = capsys.readouterr()
+        assert code == 2
+        message = out.err.removeprefix("error: ").rstrip("\n")
+        assert out.err.startswith("error: ") and message
+        assert json.loads(out.out) == {
+            "schema_version": 1,
+            "command": argv[0],
+            "error": message,
+        }
+        # without --json, stdout stays empty
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""

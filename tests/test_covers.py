@@ -1,15 +1,36 @@
+import random
+from itertools import product
+
 import pytest
 
 from conftest import random_word
 from contracta import catalog, contraction, covers, rewriting
-from contracta.contraction import nucleus
+from contracta.contraction import Budget, nucleus
 from contracta.covers import (
     kernel_chain_profile,
     kernel_member,
     standard_cover,
     universal_cover,
 )
-from contracta.words import concat, format_word, invert, parse_word
+from contracta.errors import BudgetExceeded
+from contracta.recursion import WreathRecursion
+from contracta.words import (
+    concat,
+    format_word,
+    free_reduce,
+    invert,
+    parse_word,
+    shortlex_key,
+)
+from test_fuzz import random_recursion
+
+# seven cover generators, found at index 28 of the fuzz generator's seed-72 draw
+SEVEN_GENERATOR_RECURSION = WreathRecursion(
+    3,
+    ("x", "y", "z"),
+    (((1,), (-3,), (3,)), ((-3,), (-3,), (-1,)), ((), (1,), (3,))),
+    ((1, 2, 0), (0, 1, 2), (2, 0, 1)),
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +115,61 @@ class TestUniversalCover:
                 )
 
 
+def reference_relators(cover, budget):
+    """Every trivial word of length <= 3 over the cover's letters, first
+    letter positive, one per rotation and inversion class, each decided by
+    its own section closure in the base group."""
+    rec = cover.base_recursion
+    reps = [cover.gen_to_nucleus[g] for g in cover.presentation.gens]
+    involution = [contraction.is_trivial(rec, concat(r, r), budget) for r in reps]
+    letters = []
+    for pos in range(len(reps)):
+        letters.append(pos + 1)
+        if not involution[pos]:
+            letters.append(-(pos + 1))
+
+    def dedup_key(w):
+        # the inverse letter of an involution is the letter itself
+        inverse = tuple(
+            abs(x) if involution[abs(x) - 1] else -x for x in reversed(w)
+        )
+        variants = [v[r:] + v[:r] for v in (w, inverse) for r in range(len(v))]
+        return min(variants, key=shortlex_key)
+
+    relators, seen_keys = [], set()
+    for length in (1, 2, 3):
+        for combo in product(letters, repeat=length):
+            w = free_reduce(combo)
+            if combo[0] < 0 or len(w) != length or dedup_key(w) in seen_keys:
+                continue
+            if contraction.is_trivial(rec, cover.to_base(w), budget):
+                seen_keys.add(dedup_key(w))
+                relators.append(w)
+    return tuple(relators)
+
+
+def test_relators_from_the_nucleus_tables_agree_with_per_word_triviality(
+    all_recursion_groups,
+):
+    cases = [(g.recursion, contraction.DEFAULT_BUDGET) for g in all_recursion_groups]
+    budget = Budget(max_states=300, max_depth=32, max_word_length=96)
+    rng = random.Random(74)
+    for _ in range(100):
+        cases.append((random_recursion(rng), budget))
+    answered = 0
+    for rec, budget in cases:
+        try:
+            nuc = nucleus(rec, budget)
+        except BudgetExceeded:
+            continue
+        answered += 1
+        for prune in (False, True):
+            cover = universal_cover(nuc, prune=prune, budget=budget)
+            expected = reference_relators(cover, budget)
+            assert cover.presentation.relators == expected, (rec, prune)
+    assert answered > 40
+
+
 class TestStandardCover:
     def test_all_catalog_covers_already_self_replicating(self, all_recursion_groups):
         for g in all_recursion_groups:
@@ -129,6 +205,26 @@ class TestStandardCover:
         cover = universal_cover(nucleus(rec))
         result = standard_cover(cover)
         assert result.extra_relators == []
+
+    @pytest.mark.parametrize(
+        "rec",
+        [catalog.load("grigorchuk").recursion, SEVEN_GENERATOR_RECURSION],
+        ids=["grigorchuk", "seven_generators"],
+    )
+    def test_search_stops_at_its_last_witness(self, rec, monkeypatch):
+        cover = universal_cover(nucleus(rec))
+        sys_ = rewriting.complete(cover.presentation)
+        given = []
+
+        def recording_normal_form(sys, w):
+            given.append(w)
+            return rewriting.normal_form(sys, w)
+
+        monkeypatch.setattr(covers, "normal_form", recording_normal_form)
+        result = standard_cover(cover, sys=sys_)
+        assert all(result.exact.values())
+        longest = max(len(h) for h in result.witnesses.values())
+        assert max(len(w) for w in given) <= longest
 
     def test_witness_search_budget_failure_is_explicit(self, grig_cover):
         from contracta.errors import BudgetExceeded

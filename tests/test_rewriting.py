@@ -230,7 +230,7 @@ def test_grig_reduce_agrees_with_knuth_bendix(rng):
 
 def test_cached_index_agrees_with_index_free_rewriting(rng):
     # a system indexes its rules once; _apply_rules without an index
-    # rebuilds the first-letter buckets and the longest lhs on every call
+    # rebuilds the lhs -> rhs table and the lhs lengths on every call
     systems = [complete(grig.g_n_presentation(0))]
     systems += [catalog.cover_for(name)[1] for name in ("grigorchuk", "hanoi3")]
     for sys_ in systems:
@@ -238,3 +238,46 @@ def test_cached_index_agrees_with_index_free_rewriting(rng):
         for _ in range(300):
             u = random_word(rng, len(sys_.gens), 40)
             assert sys_.rewrite(u) == _apply_rules(sys_.rules, u)
+
+
+def reference_apply_rules(rules, w):
+    """Leftmost rewriting by a scan of the rules whose lhs starts with the
+    current letter, backing up by the longest lhs after each rewrite."""
+    by_first = {}
+    for r in rules:
+        by_first.setdefault(r.lhs[0], []).append(r)
+    max_len = max((len(r.lhs) for r in rules), default=0)
+    w = list(w)
+    i = 0
+    while i < len(w):
+        hit = None
+        for r in by_first.get(w[i], ()):
+            n = len(r.lhs)
+            if i + n <= len(w) and tuple(w[i : i + n]) == r.lhs:
+                hit = r
+                break
+        if hit is None:
+            i += 1
+        else:
+            w[i : i + len(hit.lhs)] = hit.rhs
+            i = max(0, i - max_len + 1)
+    return tuple(w)
+
+
+def test_one_pass_rewriting_agrees_with_first_letter_scan(rng):
+    # the lhs set stays substring-free, complete or not, so the first lhs to
+    # end on the stack is the leftmost one and both make the same rewrites
+    gens = ("a", "b")
+    abab = Presentation(gens, (parse_word("a b a b a b", gens),))
+    systems = [complete(grig.g_n_presentation(0))]
+    systems += [catalog.cover_for(name)[1] for name in catalog.RECURSION_NAMES]
+    systems += [
+        complete(grig.g_n_presentation(1), max_rules=50),
+        complete(abab, max_rules=2),
+        complete(abab, max_rules=5),
+    ]
+    assert [s.complete for s in systems[-3:]] == [False] * 3
+    for sys_ in systems:
+        for _ in range(200):
+            u = random_word(rng, len(sys_.gens), 40)
+            assert sys_.rewrite(u) == reference_apply_rules(sys_.rules, u), u
