@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
-from .words import Word, concat, free_reduce, invert, shortlex_key
+from .words import concat, free_reduce, invert, shortlex_key
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,8 @@ class SectionAutomaton:
     def state_of(self, word):
         return self.index.get(free_reduce(word))
 
-    def same_class(self, i: int, j: int) -> bool:
-        return self.classes[i] == self.classes[j]
-
     def is_identity(self, i: int) -> bool:
         return self.classes[i] == self.classes[self.identity_state]
-
-    def class_representative(self, cls: int) -> Word:
-        return min(
-            (self.states[i] for i in range(len(self.states)) if self.classes[i] == cls),
-            key=shortlex_key,
-        )
 
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:

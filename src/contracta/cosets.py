@@ -19,10 +19,6 @@ def _col(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
-def _inv_col(col: int) -> int:
-    return col ^ 1
-
-
 @dataclass
 class CosetTable:
     gens: tuple
@@ -50,32 +46,43 @@ class CosetTable:
 
 
 class _Enumerator:
+    """HLT working storage in one flat list of `ncols`-slot rows.
+
+    Coset k's row starts at offset `(k + 1) * ncols`, so coset 0 sits at
+    offset `ncols` and an entry of 0 means undefined.  Entries hold row
+    offsets.  The union-find `p` holds dead cosets only, mapping each to the
+    coset it merged into; a live coset's offset is not in `p`.  One list of
+    ints, not one list per coset, keeps the garbage collector off the table.
+    """
+
     def __init__(self, ngens, max_cosets):
         self.ncols = 2 * ngens
+        self.blank = [0] * self.ncols
+        self.t = self.blank * 2  # an unused row at offset 0, then coset 0
+        self.end = (max_cosets + 1) * self.ncols  # table length at the budget
         self.max_cosets = max_cosets
-        self.table = [[None] * self.ncols]
-        self.p = [0]  # union-find; p[i] <= i for live cosets
+        self.p = {}
         self.queue = []
-        self.dead = 0
 
     # -- union-find --------------------------------------------------------
 
     def rep(self, a):
+        p = self.p
         r = a
-        while self.p[r] != r:
-            r = self.p[r]
-        while self.p[a] != r:
-            self.p[a], a = r, self.p[a]
+        while r in p:
+            r = p[r]
+        while a != r:
+            p[a], a = r, p[a]
         return r
 
     def define(self, a, col):
-        if len(self.table) >= self.max_cosets:
+        t = self.t
+        b = len(t)
+        if b >= self.end:
             raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
-        b = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(b)
-        self.table[a][col] = b
-        self.table[b][_inv_col(col)] = a
+        t += self.blank
+        t[a + col] = b
+        t[b + (col ^ 1)] = a
         return b
 
     def merge(self, a, b):
@@ -85,38 +92,40 @@ class _Enumerator:
         if a > b:
             a, b = b, a
         self.p[b] = a
-        self.dead += 1
         self.queue.append(b)
 
     def process_coincidences(self):
-        while self.queue:
-            dead = self.queue.pop()
-            row = self.table[dead]
+        t, queue, rep = self.t, self.queue, self.rep
+        while queue:
+            dead = queue.pop()
             for col in range(self.ncols):
-                c = row[col]
-                if c is None:
+                c = t[dead + col]
+                if not c:
                     continue
                 # clear the mirrored pointer back at the dead coset, then
                 # replay the edge between current representatives
-                if self.table[c][_inv_col(col)] == dead:
-                    self.table[c][_inv_col(col)] = None
-                mu, nu = self.rep(dead), self.rep(c)
-                if self.table[mu][col] is not None:
-                    self.merge(nu, self.table[mu][col])
-                elif self.table[nu][_inv_col(col)] is not None:
-                    self.merge(mu, self.table[nu][_inv_col(col)])
+                inv = col ^ 1
+                if t[c + inv] == dead:
+                    t[c + inv] = 0
+                mu, nu = rep(dead), rep(c)
+                if t[mu + col]:
+                    self.merge(nu, t[mu + col])
+                elif t[nu + inv]:
+                    self.merge(mu, t[nu + inv])
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][_inv_col(col)] = mu
+                    t[mu + col] = nu
+                    t[nu + inv] = mu
 
-    def scan_and_fill(self, a, cols):
-        """Scan a relator (as column sequence) at coset a, filling gaps."""
+    def scan_and_fill(self, a, cols, inv):
+        """Scan a relator (columns `cols`, inverse columns `inv`) at coset
+        offset a, filling gaps."""
+        t = self.t
         f, i = a, 0
         b, j = a, len(cols) - 1
         while True:
             # scan forward as far as possible
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.table[f][cols[i]]
+            while i <= j and (x := t[f + cols[i]]):
+                f = x
                 i += 1
             if i > j:
                 if f != b:
@@ -124,8 +133,8 @@ class _Enumerator:
                     self.process_coincidences()
                 return
             # scan backward
-            while j >= i and self.table[b][_inv_col(cols[j])] is not None:
-                b = self.table[b][_inv_col(cols[j])]
+            while j >= i and (x := t[b + inv[j]]):
+                b = x
                 j -= 1
             if j < i:
                 self.merge(f, b)
@@ -133,14 +142,11 @@ class _Enumerator:
                 return
             if j == i:
                 # deduction closes the scan
-                self.table[f][cols[i]] = b
-                self.table[b][_inv_col(cols[i])] = f
+                t[f + cols[i]] = b
+                t[b + inv[i]] = f
                 return
             f = self.define(f, cols[i])
             i += 1
-
-    def live(self):
-        return [i for i in range(len(self.table)) if self.p[i] == i]
 
 
 def enumerate_cosets(
@@ -148,32 +154,39 @@ def enumerate_cosets(
 ) -> CosetTable:
     """Index of the subgroup generated by `subgroup_gens` in the presented
     group, with the completed coset table (standardized numbering)."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    if not pres.gens:  # the trivial group: one coset, and no columns
+        return CosetTable(pres.gens, [[]], tuple(subgroup_gens))
     enum = _Enumerator(len(pres.gens), max_cosets)
     rel_cols = [tuple(_col(x) for x in r) for r in pres.relators]
     sub_cols = [tuple(_col(x) for x in w) for w in subgroup_gens if w]
+    rels = [(c, tuple(x ^ 1 for x in c)) for c in rel_cols]
+    subs = [(c, tuple(x ^ 1 for x in c)) for c in sub_cols]
+    t, p, ncols = enum.t, enum.p, enum.ncols
 
     stable = False
     while not stable:
         stable = True
-        for cols in sub_cols:
-            enum.scan_and_fill(0, cols)
-        a = 0
-        while a < len(enum.table):
-            if enum.p[a] != a:
-                a += 1
+        for cols, inv in subs:
+            enum.scan_and_fill(ncols, cols, inv)
+        a = ncols
+        while a < len(t):
+            if a in p:
+                a += ncols
                 continue
-            dead_before = enum.dead
-            for cols in rel_cols:
-                enum.scan_and_fill(a, cols)
-                if enum.p[a] != a:
+            dead_before = len(p)
+            for cols, inv in rels:
+                enum.scan_and_fill(a, cols, inv)
+                if a in p:
                     break
-            if enum.p[a] == a:
-                for col in range(enum.ncols):
-                    if enum.table[a][col] is None:
+            else:
+                for col in range(ncols):
+                    if not t[a + col]:
                         enum.define(a, col)
-            if enum.dead != dead_before:
+            if len(p) != dead_before:
                 stable = False  # coincidences can punch holes in earlier rows
-            a += 1
+            a += ncols
 
     table = _standardize(enum, pres, subgroup_gens)
     _verify(table, rel_cols, sub_cols)
@@ -206,19 +219,18 @@ def _verify(table: CosetTable, rel_cols, sub_cols):
 
 def _standardize(enum, pres, subgroup_gens):
     """Renumber live cosets in BFS order from coset 0, column order."""
-    live = enum.live()
+    t, ncols, rep = enum.t, enum.ncols, enum.rep
+    live = [a for a in range(ncols, len(t), ncols) if a not in enum.p]
     # resolve all entries through the union-find first
-    resolved = {}
-    for a in live:
-        resolved[a] = [enum.rep(x) if x is not None else None for x in enum.table[a]]
-    order = [enum.rep(0)]
-    seen = {order[0]}
+    resolved = {a: [rep(x) for x in t[a:a + ncols]] for a in live}
+    order = [ncols]
+    seen = {ncols}
     q = 0
     while q < len(order):
         a = order[q]
         q += 1
         for x in resolved[a]:
-            if x is not None and x not in seen:
+            if x not in seen:
                 seen.add(x)
                 order.append(x)
     if len(order) != len(live):

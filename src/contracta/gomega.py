@@ -88,10 +88,6 @@ class OmegaElement:
     def __post_init__(self):
         object.__setattr__(self, "word", reduce_word(self.word))
 
-    @property
-    def is_identity_word(self) -> bool:
-        return not self.word
-
 
 def _as_element(g) -> OmegaElement:
     return g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))

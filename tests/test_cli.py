@@ -115,6 +115,20 @@ class TestPresentationCommands:
         assert code == 0
         assert "coset 0:" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_tc_rejects_a_non_positive_budget(self, capsys, budget):
+        argv = ["tc", "--gn", "0", "--subgroup", "xi0", "--max-cosets", budget]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: max_cosets must be positive\n"
+        assert cli.main(["--json", *argv]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "max_cosets must be positive"
+
+    def test_tc_budget_flag_reaches_the_enumerator(self, capsys):
+        # G_3/H_3 has index 2^18, far past this budget
+        argv = ["tc", "--gn", "3", "--subgroup", "h3", "--max-cosets", "4096"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: coset budget 4096 exhausted\n"
+
     def test_kb(self, capsys, tmp_path):
         pres = tmp_path / "v.pres"
         pres.write_text("pres\ngens a b c d\nrel a a\nrel b b\nrel c c\nrel d d\nrel b c d\n")

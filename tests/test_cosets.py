@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,213 @@ class TestH1:
         p1 = grig.g_n_presentation(1)
         table = enumerate_cosets(p1, grig.h_n_generators(1))
         assert table.index == 64
+
+
+class _ReferenceEnumerator:
+    """The list-of-lists HLT enumerator the flat table replaced: one row
+    list per coset, ids as entries, None for undefined, a union-find list
+    over every coset."""
+
+    def __init__(self, ngens, max_cosets):
+        self.ncols = 2 * ngens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.ncols]
+        self.p = [0]
+        self.queue = []
+        self.dead = 0
+
+    def rep(self, a):
+        r = a
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[a] != r:
+            self.p[a], a = r, self.p[a]
+        return r
+
+    def define(self, a, col):
+        if len(self.table) >= self.max_cosets:
+            raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
+        b = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(b)
+        self.table[a][col] = b
+        self.table[b][col ^ 1] = a
+        return b
+
+    def merge(self, a, b):
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.p[b] = a
+        self.dead += 1
+        self.queue.append(b)
+
+    def process_coincidences(self):
+        while self.queue:
+            dead = self.queue.pop()
+            row = self.table[dead]
+            for col in range(self.ncols):
+                c = row[col]
+                if c is None:
+                    continue
+                if self.table[c][col ^ 1] == dead:
+                    self.table[c][col ^ 1] = None
+                mu, nu = self.rep(dead), self.rep(c)
+                if self.table[mu][col] is not None:
+                    self.merge(nu, self.table[mu][col])
+                elif self.table[nu][col ^ 1] is not None:
+                    self.merge(mu, self.table[nu][col ^ 1])
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][col ^ 1] = mu
+
+    def scan_and_fill(self, a, cols):
+        f, i = a, 0
+        b, j = a, len(cols) - 1
+        while True:
+            while i <= j and self.table[f][cols[i]] is not None:
+                f = self.table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.merge(f, b)
+                    self.process_coincidences()
+                return
+            while j >= i and self.table[b][cols[j] ^ 1] is not None:
+                b = self.table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.merge(f, b)
+                self.process_coincidences()
+                return
+            if j == i:
+                self.table[f][cols[i]] = b
+                self.table[b][cols[i] ^ 1] = f
+                return
+            f = self.define(f, cols[i])
+            i += 1
+
+
+def reference_table(pres, subgroup_gens, max_cosets):
+    """Standardized rows from the list-of-lists enumerator, and the number
+    of cosets it defined."""
+    enum = _ReferenceEnumerator(len(pres.gens), max_cosets)
+    rel_cols = [tuple(_col(x) for x in r) for r in pres.relators]
+    sub_cols = [tuple(_col(x) for x in w) for w in subgroup_gens if w]
+    stable = False
+    while not stable:
+        stable = True
+        for cols in sub_cols:
+            enum.scan_and_fill(0, cols)
+        a = 0
+        while a < len(enum.table):
+            if enum.p[a] != a:
+                a += 1
+                continue
+            dead_before = enum.dead
+            for cols in rel_cols:
+                enum.scan_and_fill(a, cols)
+                if enum.p[a] != a:
+                    break
+            if enum.p[a] == a:
+                for col in range(enum.ncols):
+                    if enum.table[a][col] is None:
+                        enum.define(a, col)
+            if enum.dead != dead_before:
+                stable = False
+            a += 1
+    live = [i for i in range(len(enum.table)) if enum.p[i] == i]
+    resolved = {a: [enum.rep(x) for x in enum.table[a]] for a in live}
+    order, seen, q = [0], {0}, 0
+    while q < len(order):
+        for x in resolved[order[q]]:
+            if x not in seen:
+                seen.add(x)
+                order.append(x)
+        q += 1
+    assert len(order) == len(live)
+    renum = {a: i for i, a in enumerate(order)}
+    return [[renum[x] for x in resolved[a]] for a in order], len(enum.table)
+
+
+def _triangle(k):
+    gens = ("x", "y")
+    return Presentation(
+        gens, tuple(parse_word(r, gens) for r in ["x x", "y y y", " ".join(["x y"] * k)])
+    )
+
+
+class TestFlatTableAgreesWithListOfLists:
+    """The flat-table enumerator keeps the list-of-lists one's definitions,
+    so both produce the same standardized table and run out at the same
+    coset."""
+
+    CASES = {
+        "g0_xi0": lambda: (grig.g_n_presentation(0), grig.XI0_GENS),
+        "g0_b0": lambda: (grig.g_n_presentation(0), grig.B0_GENS),
+        "g0_k0": lambda: (grig.g_n_presentation(0), grig.K0_GENS),
+        "g0_all": lambda: (grig.g_n_presentation(0), [(1,), (2,), (3,), (4,)]),  # a b c d
+        "g1_h1": lambda: (grig.g_n_presentation(1), grig.h_n_generators(1)),
+        "g2_h2": lambda: (grig.g_n_presentation(2), grig.h_n_generators(2)),
+        "g3_h2": lambda: (grig.g_n_presentation(3), grig.h_n_generators(2)),
+        "triangle_3": lambda: (_triangle(3), []),
+        "triangle_4": lambda: (_triangle(4), []),
+        "triangle_5": lambda: (_triangle(5), []),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_table(self, case):
+        pres, gens = self.CASES[case]()
+        table = enumerate_cosets(pres, gens)
+        assert table.table == reference_table(pres, gens, 2**22)[0]
+
+    @pytest.mark.parametrize("case", ["g0_b0", "triangle_5"])
+    def test_same_budget_point(self, case):
+        # the budget admits exactly the cosets the list-of-lists one defines
+        pres, gens = self.CASES[case]()
+        rows, defined = reference_table(pres, gens, 2**22)
+        assert enumerate_cosets(pres, gens, max_cosets=defined).table == rows
+        with pytest.raises(BudgetExceeded, match=f"coset budget {defined - 1} exhausted"):
+            enumerate_cosets(pres, gens, max_cosets=defined - 1)
+
+    def test_triangle_group_orders(self):
+        # <x, y | x^2, y^3, (xy)^k> is A_4, S_4, A_5 for k = 3, 4, 5
+        assert [enumerate_cosets(_triangle(k), []).index for k in (3, 4, 5)] == [12, 24, 60]
+
+    def test_same_budget_failure(self):
+        pres, gens = grig.g_n_presentation(3), grig.h_n_generators(3)
+        with pytest.raises(BudgetExceeded) as flat:
+            enumerate_cosets(pres, gens, max_cosets=2**12)
+        with pytest.raises(BudgetExceeded) as ref:
+            reference_table(pres, gens, 2**12)
+        assert str(flat.value) == str(ref.value) == "coset budget 4096 exhausted"
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_is_rejected(self, g0, budget):
+        with pytest.raises(ValueError, match="max_cosets must be positive"):
+            enumerate_cosets(g0, grig.XI0_GENS, max_cosets=budget)
+
+    def test_one_coset_fits_a_budget_of_one(self, g0):
+        gens = [parse_word(g, g0.gens) for g in g0.gens]
+        assert enumerate_cosets(g0, gens, max_cosets=1).index == 1
+
+    def test_peak_memory_per_budgeted_coset(self):
+        # G_3/H_3 fills its whole budget, so the traced peak is the table's
+        # size at the budget: one flat list of offsets, no list per coset
+        pres, gens = grig.g_n_presentation(3), grig.h_n_generators(3)
+        budget = 2**14
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                enumerate_cosets(pres, gens, max_cosets=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * budget
 
 
 class TestRank:
