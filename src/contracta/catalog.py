@@ -125,10 +125,11 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega = gomega.OmegaSequence.parse(name[len("gomega:") :])
+        memo = {}
         return Group(
             name,
             grig.GENS,
-            lambda w: gomega.omega_is_trivial(omega, w),
+            lambda w: gomega.omega_is_trivial(omega, w, budget, memo),
             facts={"omega": str(omega), "cover_shape": grig.CoverCongruence.shape},
         )
     if name.startswith("bs:"):
@@ -248,9 +249,8 @@ def chain(base: str) -> Chain:
         omega = gomega.OmegaSequence.parse(base[len("gomega:") :])
 
         def levels(n):
-            _, sys = cover_for("grigorchuk")
             memo = {}
-            return len(grig.GENS), lambda w: gomega.omega_kernel_member(omega, w, n, sys, memo)
+            return len(grig.GENS), lambda w: gomega.omega_kernel_member(omega, w, n, memo)
 
         return Chain(base, marked(base), levels)
     if base.startswith("bs:"):

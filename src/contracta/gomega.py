@@ -13,11 +13,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from . import grig
 from .contraction import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceeded, ParseError, SemanticError
 from .grig import A, B, C, D, reduce_word
-from .rewriting import RewriteSystem, normal_form
 from .words import Word, free_reduce
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
@@ -90,16 +88,23 @@ class OmegaElement:
 
 
 def _as_element(g) -> OmegaElement:
-    return g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
+    return g if isinstance(g, OmegaElement) else OmegaElement(g)
 
 
-def _letter_sections(omega: OmegaSequence, letter: int, offset: int):
-    """Pair of first-level sections of a generator at the given shift."""
-    if letter == A:
-        return (), ()
-    first = omega.symbol(offset + 1)
-    apart = (A,) if _A_PART[letter][first] else ()
-    return apart, (letter,)
+def _split(symbol: int, word) -> tuple:
+    """Both first-level sections of a C2 * V-reduced word at a shift whose
+    first symbol is `symbol`, each in C2 * V normal form, and the parity of
+    its flips."""
+    outs = ([], [])
+    flip = 0
+    for s in word:
+        if s == A:
+            flip ^= 1
+        else:
+            outs[flip ^ 1].append(s)
+            if _A_PART[s][symbol]:
+                outs[flip].append(A)
+    return reduce_word(outs[0]), reduce_word(outs[1]), flip
 
 
 def omega_section(omega: OmegaSequence, g, vertex) -> OmegaElement:
@@ -109,14 +114,8 @@ def omega_section(omega: OmegaSequence, g, vertex) -> OmegaElement:
     for x in vertex:
         if x not in (0, 1):
             raise SemanticError("vertices use the binary alphabet {0, 1}")
-        out = []
-        pos = x
-        for s in word:
-            secs = _letter_sections(omega, s, offset)
-            out.extend(secs[pos])
-            if s == A:
-                pos ^= 1
-        word, offset = reduce_word(out), offset + 1
+        word = _split(omega.symbol(offset + 1), word)[x]
+        offset += 1
     return OmegaElement(word, offset)
 
 
@@ -127,26 +126,37 @@ def _canonical_offset(omega: OmegaSequence, offset: int) -> int:
     return pre + (offset - pre) % len(omega.period)
 
 
-def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Exact triviality: no reachable section state has an odd flip count."""
+def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _memo=None) -> bool:
+    """Exact triviality: no reachable section state has an odd flip count.
+
+    `_memo` holds the decided states (word, canonical offset) of this
+    parameter: a trivial answer records every state reached, a nontrivial one
+    its start.  A memo hit can turn a would-be BudgetExceeded into an exact
+    answer, and never the reverse.
+    """
+    if _memo is None:
+        _memo = {}
     elt = _as_element(g)
     start = (elt.word, _canonical_offset(omega, elt.offset))
+    if start in _memo:
+        return _memo[start]
     seen = {start}
     queue = deque([start])
     while queue:
         word, offset = queue.popleft()
-        if sum(1 for x in word if x == A) % 2:
+        w0, w1, flip = _split(omega.symbol(offset + 1), word)
+        offset = _canonical_offset(omega, offset + 1)
+        states = ((w0, offset), (w1, offset))
+        if flip or any(_memo.get(state) is False for state in states):
+            _memo[start] = False
             return False
-        for x in (0, 1):
-            nxt = omega_section(omega, OmegaElement(word, offset), (x,))
-            state = (nxt.word, _canonical_offset(omega, nxt.offset))
-            if state not in seen:
+        for state in states:
+            if state not in seen and state not in _memo:  # known states are trivial
                 if len(seen) >= budget.max_states:
-                    raise BudgetExceeded(
-                        f"section states exceed {budget.max_states}"
-                    )
+                    raise BudgetExceeded(f"section states exceed {budget.max_states}")
                 seen.add(state)
                 queue.append(state)
+    _memo.update(dict.fromkeys(seen, True))
     return True
 
 
@@ -195,25 +205,26 @@ def phi_i_apply(i: int, w) -> tuple:
     return comps[0], comps[1], perm
 
 
-def omega_kernel_member(
-    omega: OmegaSequence, w, n: int, sys: RewriteSystem, _memo=None
-) -> bool:
-    """Membership in the level-n kernel of the symbol-wise splitting chain."""
+def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
+    """Membership in the level-n kernel of the symbol-wise splitting chain,
+    whose level 0 is C2 * V; `_memo` caches answers for this parameter."""
     if n < 0:
         raise ValueError("level must be >= 0")
     if _memo is None:
         _memo = {}
-    w = tuple(reduce_word(w))
-    key = (w, str(omega), n)
-    if key in _memo:
-        return _memo[key]
+    return _kernel_member(omega, reduce_word(w), 0, n, _memo)
+
+
+def _kernel_member(omega, w, offset, n, memo) -> bool:
     if n == 0:
-        result = normal_form(sys, w) == ()
-    else:
-        w0, w1, tau = phi_i_apply(omega.symbol(1), w)
-        shifted = omega.shift()
-        result = tau == (0, 1) and all(
-            omega_kernel_member(shifted, c, n - 1, sys, _memo) for c in (w0, w1)
+        return w == ()
+    key = (w, offset, n)
+    result = memo.get(key)
+    if result is None:
+        w0, w1, flip = _split(omega.symbol(offset + 1), w)
+        offset = _canonical_offset(omega, offset + 1)
+        result = not flip and all(
+            _kernel_member(omega, c, offset, n - 1, memo) for c in (w0, w1)
         )
-    _memo[key] = result
+        memo[key] = result
     return result

@@ -154,6 +154,19 @@ class TestFamilies:
                       "--word", "a d a d a d a d")
         assert code == 0
 
+    def test_gomega_wp_budget(self, capsys):
+        code = cli.main(["gomega-wp", "--omega", ":012", "--word", "a d a d a d a d",
+                         "--max-states", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: section states exceed 1\n"
+
+    def test_budget_flags_reach_gomega_groups(self, capsys):
+        word = "a d a d a d a d"
+        assert run(capsys, "wp", "--group", "gomega::012", "--word", word)[0] == 0
+        assert cli.main(["wp", "--group", "gomega::012", "--max-states", "1",
+                         "--word", word]) == 2
+        assert capsys.readouterr().err == "error: section states exceed 1\n"
+
     def test_dist(self, capsys):
         code, out = run(capsys, "dist", "--group-a", "grigorchuk@0",
                         "--group-b", "grigorchuk", "--radius", "8")

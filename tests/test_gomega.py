@@ -1,12 +1,17 @@
+import random
+from collections import deque
+
 import pytest
 
 from conftest import random_word
-from contracta import catalog, contraction
+from contracta import catalog, contraction, grig
 from contracta import gomega as GO
-from contracta.errors import ParseError, SemanticError
+from contracta.contraction import Budget, DEFAULT_BUDGET
+from contracta.errors import BudgetExceeded, ParseError, SemanticError
 from contracta.gomega import OmegaElement, OmegaSequence
-from contracta.grig import A, B, C, D, GENS
-from contracta.words import parse_word
+from contracta.grig import A, B, C, D, GENS, reduce_word
+from contracta.rewriting import normal_form
+from contracta.words import free_reduce, parse_word
 
 
 def w(text):
@@ -187,36 +192,36 @@ def sys_():
 
 class TestKernel:
 
-    def test_base_relator_is_level_zero(self, sys_):
+    def test_base_relator_is_level_zero(self):
         for om_text in (":012", ":0", "12:0"):
             om = OmegaSequence.parse(om_text)
-            assert GO.omega_kernel_member(om, w("a a"), 0, sys_)
+            assert GO.omega_kernel_member(om, w("a a"), 0)
 
-    def test_ad4_profile_matches_cover_chain(self, sys_):
+    def test_ad4_profile_matches_cover_chain(self):
         om = OmegaSequence.parse(":012")
         ad4 = w("a d") * 4
-        assert not GO.omega_kernel_member(om, ad4, 0, sys_)
-        assert GO.omega_kernel_member(om, ad4, 1, sys_)
+        assert not GO.omega_kernel_member(om, ad4, 0)
+        assert GO.omega_kernel_member(om, ad4, 1)
 
-    def test_ab_never_a_member(self, sys_):
+    def test_ab_never_a_member(self):
         om = OmegaSequence.parse(":012")
         for n in range(5):
-            assert not GO.omega_kernel_member(om, w("a b"), n, sys_)
+            assert not GO.omega_kernel_member(om, w("a b"), n)
 
-    def test_kernel_nesting(self, sys_, rng):
+    def test_kernel_nesting(self, rng):
         om = OmegaSequence.parse(":012")
         for _ in range(60):
             u = random_word(rng, 4, 10)
             for n in range(3):
-                if GO.omega_kernel_member(om, u, n, sys_):
-                    assert GO.omega_kernel_member(om, u, n + 1, sys_)
+                if GO.omega_kernel_member(om, u, n):
+                    assert GO.omega_kernel_member(om, u, n + 1)
 
-    def test_members_are_trivial_in_the_limit(self, sys_, rng):
+    def test_members_are_trivial_in_the_limit(self, rng):
         om = OmegaSequence.parse(":012")
         hits = 0
         for _ in range(150):
             u = random_word(rng, 4, 8)
-            if GO.omega_kernel_member(om, u, 3, sys_):
+            if GO.omega_kernel_member(om, u, 3):
                 hits += 1
                 assert GO.omega_is_trivial(om, u)
         assert hits > 0
@@ -234,7 +239,224 @@ class TestKernel:
         for u in words:
             cover_profile = covers.kernel_chain_profile(cover, sys_, u, 4)
             omega_profile = next(
-                (n for n in range(5) if GO.omega_kernel_member(om, u, n, sys_)),
+                (n for n in range(5) if GO.omega_kernel_member(om, u, n)),
                 None,
             )
             assert cover_profile == omega_profile
+
+
+# -- the per-word oracles that `_split` and the memos replaced, kept verbatim
+# as references: the BFS over OmegaElement sections, and the kernel chain on
+# phi_i_apply with level 0 decided by Knuth-Bendix on the C2 * V cover
+
+
+def _reference_letter_sections(omega, letter, offset):
+    if letter == A:
+        return (), ()
+    first = omega.symbol(offset + 1)
+    apart = (A,) if GO._A_PART[letter][first] else ()
+    return apart, (letter,)
+
+
+def _reference_section(omega, g, vertex):
+    elt = g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
+    word, offset = elt.word, elt.offset
+    for x in vertex:
+        if x not in (0, 1):
+            raise SemanticError("vertices use the binary alphabet {0, 1}")
+        out = []
+        pos = x
+        for s in word:
+            secs = _reference_letter_sections(omega, s, offset)
+            out.extend(secs[pos])
+            if s == A:
+                pos ^= 1
+        word, offset = reduce_word(out), offset + 1
+    return OmegaElement(word, offset)
+
+
+def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET):
+    elt = g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
+    start = (elt.word, GO._canonical_offset(omega, elt.offset))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        word, offset = queue.popleft()
+        if sum(1 for x in word if x == A) % 2:
+            return False
+        for x in (0, 1):
+            nxt = _reference_section(omega, OmegaElement(word, offset), (x,))
+            state = (nxt.word, GO._canonical_offset(omega, nxt.offset))
+            if state not in seen:
+                if len(seen) >= budget.max_states:
+                    raise BudgetExceeded(
+                        f"section states exceed {budget.max_states}"
+                    )
+                seen.add(state)
+                queue.append(state)
+    return True
+
+
+def reference_kernel_member(omega, w, n, sys, _memo=None):
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    if _memo is None:
+        _memo = {}
+    w = tuple(reduce_word(w))
+    key = (w, str(omega), n)
+    if key in _memo:
+        return _memo[key]
+    if n == 0:
+        result = normal_form(sys, w) == ()
+    else:
+        w0, w1, tau = GO.phi_i_apply(omega.symbol(1), w)
+        shifted = omega.shift()
+        result = tau == (0, 1) and all(
+            reference_kernel_member(shifted, c, n - 1, sys, _memo) for c in (w0, w1)
+        )
+    _memo[key] = result
+    return result
+
+
+AGREEMENT_OMEGAS = (":0", ":01", ":012", "0:12", "2:0121", "12:10220", "01:201", ":01202")
+LEVELS = range(5)
+
+
+@pytest.fixture(scope="module")
+def ball9():
+    return list(grig.CoverCongruence().ball(9))
+
+
+@pytest.fixture(scope="module")
+def references(ball9, sys_):
+    """Per parameter: the reference triviality of each ball word, and its
+    reference kernel membership at each level."""
+    out = {}
+    for text in AGREEMENT_OMEGAS:
+        om = OmegaSequence.parse(text)
+        trivial = [reference_is_trivial(om, u) for u in ball9]
+        memos = {n: {} for n in LEVELS}
+        kernel = {
+            n: [reference_kernel_member(om, u, n, sys_, memos[n]) for u in ball9]
+            for n in LEVELS
+        }
+        out[text] = trivial, kernel
+    return out
+
+
+class TestAgreement:
+    """The one-pass split and the memoized oracles agree with the per-word
+    references on the radius-9 ball of C2 * V."""
+
+    def test_split_is_phi_then_reduce(self, ball9):
+        for symbol in (0, 1, 2):
+            for u in ball9:
+                u0, u1, tau = GO.phi_i_apply(symbol, u)
+                flip = 0 if tau == (0, 1) else 1
+                assert GO._split(symbol, u) == (reduce_word(u0), reduce_word(u1), flip)
+
+    def test_sections_match_the_reference(self, ball9):
+        om = OmegaSequence.parse("1:02")
+        for u in ball9[::7]:
+            for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
+                assert GO.omega_section(om, u, v) == _reference_section(om, u, v)
+
+    @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
+    def test_fresh_memo_per_word(self, text, ball9, references):
+        om = OmegaSequence.parse(text)
+        trivial, kernel = references[text]
+        assert [GO.omega_is_trivial(om, u) for u in ball9] == trivial
+        for n in LEVELS:
+            assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
+
+    @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
+    def test_shared_memo_in_any_order(self, text, ball9, references):
+        om = OmegaSequence.parse(text)
+        trivial, kernel = references[text]
+        shuffled = list(range(len(ball9)))
+        random.Random(text).shuffle(shuffled)
+        for order in (shuffled, list(reversed(range(len(ball9))))):
+            memo = {}
+            got = {i: GO.omega_is_trivial(om, ball9[i], _memo=memo) for i in order}
+            assert [got[i] for i in range(len(ball9))] == trivial
+            memo = {}  # one memo for every level, too
+            for n in LEVELS:
+                got = {i: GO.omega_kernel_member(om, ball9[i], n, memo) for i in order}
+                assert [got[i] for i in range(len(ball9))] == kernel[n]
+
+    def test_kernel_memo_keeps_shifts_apart(self, sys_):
+        # (ad)^4 is the left section of (bada)^4 under symbol 0, so asking for
+        # the lift at level 2 decides (ad)^4 at level 1 one shift along, where
+        # symbol 1 puts it outside the kernel; at the start it is inside
+        om = OmegaSequence.parse(":01")
+        ad4, lift = w("a d") * 4, w("b a d a") * 4
+        assert GO._split(0, lift) == (ad4, (), 0)
+        memo = {}
+        assert not GO.omega_kernel_member(om, lift, 2, memo)
+        assert not reference_kernel_member(om, lift, 2, sys_)
+        assert GO.omega_kernel_member(om, ad4, 1, memo)
+        assert not GO.omega_kernel_member(om.shift(), ad4, 1)
+
+    def test_inverse_letters_and_free_words(self, rng):
+        om = OmegaSequence.parse("2:0121")
+        memo = {}
+        for _ in range(200):
+            u = random_word(rng, 4, 10)
+            expected = reference_is_trivial(om, u)
+            assert GO.omega_is_trivial(om, u) == expected
+            assert GO.omega_is_trivial(om, u, _memo=memo) == expected
+
+
+class TestBudget:
+    def _states(self, om, u):
+        """How many states the reference search adds for a trivial word: the
+        least budget that decides it."""
+        for k in range(1, 1000):
+            try:
+                assert reference_is_trivial(om, u, Budget(max_states=k))
+                return k
+            except BudgetExceeded:
+                pass
+        raise AssertionError("no budget below 1000 decides the word")
+
+    def test_fresh_memo_checks_the_budget_before_adding_a_state(self):
+        om = OmegaSequence.parse(":012")
+        u = w("a d") * 4
+        k = self._states(om, u)
+        assert k > 1
+        assert GO.omega_is_trivial(om, u, Budget(max_states=k))
+        with pytest.raises(BudgetExceeded, match=f"section states exceed {k - 1}"):
+            GO.omega_is_trivial(om, u, Budget(max_states=k - 1))
+        with pytest.raises(BudgetExceeded, match="section states exceed 1"):
+            GO.omega_is_trivial(om, u, Budget(max_states=1), _memo={})
+
+    def test_a_memo_hit_only_turns_budget_failures_into_answers(self, ball9):
+        om = OmegaSequence.parse(":012")
+        small = Budget(max_states=4)
+        memo = {}
+        failed = answered = 0
+        for u in ball9:
+            expected = reference_is_trivial(om, u)
+            try:
+                fresh = GO.omega_is_trivial(om, u, small)
+            except BudgetExceeded:
+                fresh = None
+            try:
+                shared = GO.omega_is_trivial(om, u, small, _memo=memo)
+            except BudgetExceeded:
+                shared = None
+            if fresh is not None:
+                assert fresh == shared == expected
+            elif shared is not None:
+                assert shared == expected
+                answered += 1
+            else:
+                failed += 1
+        assert answered > 0 and failed > 0
+
+    def test_a_warm_memo_answers_within_any_budget(self):
+        om = OmegaSequence.parse(":012")
+        u = w("a d") * 4
+        memo = {}
+        assert GO.omega_is_trivial(om, u, _memo=memo)
+        assert GO.omega_is_trivial(om, u, Budget(max_states=1), _memo=memo)
