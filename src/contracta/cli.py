@@ -47,10 +47,6 @@ def _budget(args) -> Budget:
     )
 
 
-def _word(text, gens):
-    return words.parse_word(text, gens)
-
-
 def _vertex(text):
     return tuple(int(c) for c in text.strip())
 
@@ -70,7 +66,7 @@ def _require_recursion(group):
 
 def cmd_wp(args):
     g = _group(args)
-    trivial = g.is_trivial(_word(args.word, g.gens))
+    trivial = g.is_trivial(words.parse_word(args.word, g.gens))
     _emit(args, {"word": args.word, "trivial": trivial},
           "trivial" if trivial else "nontrivial")
     return 0 if trivial else 1
@@ -78,7 +74,7 @@ def cmd_wp(args):
 
 def cmd_eq(args):
     g = _group(args)
-    equal = g.equal(_word(args.word, g.gens), _word(args.other, g.gens))
+    equal = g.equal(words.parse_word(args.word, g.gens), words.parse_word(args.other, g.gens))
     _emit(args, {"equal": equal}, "equal" if equal else "different")
     return 0 if equal else 1
 
@@ -86,7 +82,7 @@ def cmd_eq(args):
 def cmd_act(args):
     g = _group(args)
     rec = _require_recursion(g)
-    img = rec.act(_word(args.word, g.gens), _vertex(args.vertex))
+    img = rec.act(words.parse_word(args.word, g.gens), _vertex(args.vertex))
     _emit(args, {"image": _vertex_str(img)}, _vertex_str(img))
     return 0
 
@@ -94,7 +90,7 @@ def cmd_act(args):
 def cmd_section(args):
     g = _group(args)
     rec = _require_recursion(g)
-    sec = rec.section(_word(args.word, g.gens), _vertex(args.vertex))
+    sec = rec.section(words.parse_word(args.word, g.gens), _vertex(args.vertex))
     out = words.format_word(sec, g.gens)
     _emit(args, {"section": out}, out)
     return 0
@@ -149,7 +145,7 @@ def cmd_standard_cover(args):
 def cmd_kernel_member(args):
     cover, sys_ = catalog.cover_for(args.group)
     member = covers.kernel_member(
-        cover, sys_, _word(args.word, cover.presentation.gens), args.level
+        cover, sys_, words.parse_word(args.word, cover.presentation.gens), args.level
     )
     _emit(args, {"member": member, "level": args.level},
           "member" if member else "not a member")
@@ -159,7 +155,7 @@ def cmd_kernel_member(args):
 def cmd_chain_profile(args):
     cover, sys_ = catalog.cover_for(args.group)
     least = covers.kernel_chain_profile(
-        cover, sys_, _word(args.word, cover.presentation.gens), args.max_level
+        cover, sys_, words.parse_word(args.word, cover.presentation.gens), args.max_level
     )
     _emit(args, {"least_level": least},
           "none" if least is None else str(least))

@@ -137,8 +137,6 @@ class Nucleus:
     inverses: tuple  # element -> index of its inverse
     identity: int
     products: dict  # (i, j) -> k for the products that land in the nucleus
-    # section closure of the elements and their pairwise products
-    closure: SectionAutomaton = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -155,7 +153,7 @@ class Nucleus:
 
 
 def _quotient(auto: SectionAutomaton):
-    """Collapse bisimulation classes: (reps, trans, perms, class->rep word)."""
+    """Per bisimulation class: its shortlex-least word, successors, perm."""
     ncls = max(auto.classes) + 1
     rep_state = [None] * ncls
     for i, c in enumerate(auto.classes):
@@ -171,70 +169,24 @@ def _quotient(auto: SectionAutomaton):
     return reps, trans, perms
 
 
-def _strongly_connected_components(trans):
-    """Tarjan's algorithm, iterative; returns a list of components."""
-    n = len(trans)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            succs = trans[node]
-            for i in range(pi, len(succs)):
-                nxt = succs[i]
-                if index[nxt] is None:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    recurse = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
-
-
 def _recurrent_classes(trans):
-    """Classes lying on a cycle of the section graph, or reachable from one."""
-    on_cycle = set()
-    for comp in _strongly_connected_components(trans):
-        if len(comp) > 1 or comp[0] in trans[comp[0]]:
-            on_cycle.update(comp)
-    reach = set(on_cycle)
-    queue = deque(on_cycle)
-    while queue:
-        c = queue.popleft()
-        for nxt in trans[c]:
-            if nxt not in reach:
-                reach.add(nxt)
-                queue.append(nxt)
-    return reach
+    """Classes lying on a cycle of the section graph, or reachable from one.
+
+    Kahn's peel: a class that no remaining class enters is on no cycle and
+    reachable from none, so it goes, and its successors lose an in-edge.
+    What survives has an endless backward path, which in a finite graph
+    runs through a cycle."""
+    indegree = [0] * len(trans)
+    for succs in trans:
+        for t in succs:
+            indegree[t] += 1
+    peeled = [c for c, k in enumerate(indegree) if not k]
+    for c in peeled:  # grows as the peel goes
+        for t in trans[c]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                peeled.append(t)
+    return set(range(len(trans))).difference(peeled)
 
 
 def _product(u, v):
@@ -278,15 +230,12 @@ def _products(cand, budget):
 def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
     repeat until the candidate set stabilizes (as a set of group elements)."""
-    cand = {()}
-    for i in range(1, len(rec.gens) + 1):
-        cand.add(free_reduce((i,)))
-        cand.add(free_reduce((-i,)))
+    cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(64):
         seeds = set(cand)
         seeds.update(_products(cand, budget))
         auto = section_closure(rec, seeds, budget)
-        reps, trans, _ = _quotient(auto)
+        reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}
         new_cand |= {free_reduce(invert(w)) for w in new_cand}
@@ -294,68 +243,49 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         if {auto.classes[auto.index[w]] for w in new_cand} == {
             auto.classes[auto.index[w]] for w in cand
         }:
-            return _build_nucleus(rec, auto, recurrent, budget)
+            return _build_nucleus(rec, reps, trans, perms, recurrent, budget)
         cand = new_cand
     raise BudgetExceeded("nucleus iteration did not stabilize in 64 rounds")
 
 
-def _build_nucleus(rec, auto, recurrent, budget):
-    reps, trans, perms = _quotient(auto)
+def _build_nucleus(rec, reps, trans, perms, recurrent, budget):
     order = sorted(recurrent, key=lambda c: shortlex_key(reps[c]))
     pos = {c: i for i, c in enumerate(order)}
     elements = tuple(reps[c] for c in order)
     sections = tuple(tuple(pos[t] for t in trans[c]) for c in order)
     nperms = tuple(perms[c] for c in order)
-    identity = pos[auto.classes[auto.identity_state]]
+    identity = elements.index(())  # the shortlex-least word represents its class
 
+    auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
+    at = {auto.classes[auto.state_of(e)]: i for i, e in enumerate(elements)}
     products = {}
-    prod_auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
-    cls_to_pos = {}
-    for i, e in enumerate(elements):
-        cls_to_pos[prod_auto.classes[prod_auto.state_of(e)]] = i
     for i, u in enumerate(elements):
         for j, v in enumerate(elements):
-            c = prod_auto.classes[prod_auto.state_of(concat(u, v))]
-            if c in cls_to_pos:
-                products[(i, j)] = cls_to_pos[c]
+            k = at.get(auto.classes[auto.state_of(concat(u, v))])
+            if k is not None:
+                products[(i, j)] = k
     inverse_of = {i: j for (i, j), k in products.items() if k == identity}
     for i, e in enumerate(elements):
         if i not in inverse_of:
             raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
     inverses = tuple(inverse_of[i] for i in range(len(elements)))
-    return Nucleus(
-        rec, elements, sections, nperms, inverses, identity, products, prod_auto
-    )
+    return Nucleus(rec, elements, sections, nperms, inverses, identity, products)
 
 
 def is_contracting(rec, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True when the nucleus converged and all nucleus-pair products contract
-    back into it within the depth budget.  Never returns False."""
-    nuc = nucleus(rec, budget)
-    auto = nuc.closure
-    nucleus_classes = {auto.classes[auto.state_of(e)] for e in nuc.elements}
-    # depth until every path from a state stays inside nucleus classes
-    depth = {}
+    """True when the nucleus iteration reaches its fixed point within budget;
+    otherwise BudgetExceeded.  Never returns False.
 
-    def settle(state, stack):
-        if auto.classes[state] in nucleus_classes:
-            return 0
-        if state in depth:
-            return depth[state]
-        if state in stack or len(stack) > budget.max_depth:
-            raise BudgetExceeded(
-                "products do not contract into the nucleus within "
-                f"depth {budget.max_depth}",
-                frontier=auto.states[state],
-            )
-        stack.add(state)
-        d = 1 + max(settle(t, stack) for t in auto.trans[state])
-        stack.remove(state)
-        depth[state] = d
-        return d
-
-    for i in range(len(auto.states)):
-        settle(i, set())
+    The fixed point shows that products of nucleus pairs contract into the
+    nucleus N.  Its last round seeds N and N·N, the same group elements as
+    the seeds of the nucleus tables, so both closures have one quotient
+    graph, whose cycles all lie in its recurrent classes, N.  A path outside
+    N meets no class twice, so it enters N within as many steps as there
+    are classes outside N.  A depth-first walk of those paths could only
+    fail on a depth count, which depends on the walk's order, since a
+    memoized state skips it.
+    """
+    nucleus(rec, budget)
     return True
 
 

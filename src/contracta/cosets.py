@@ -165,28 +165,22 @@ def enumerate_cosets(
     subs = [(c, tuple(x ^ 1 for x in c)) for c in sub_cols]
     t, p, ncols = enum.t, enum.p, enum.ncols
 
-    stable = False
-    while not stable:
-        stable = True
-        for cols, inv in subs:
-            enum.scan_and_fill(ncols, cols, inv)
-        a = ncols
-        while a < len(t):
-            if a in p:
-                a += ncols
-                continue
-            dead_before = len(p)
-            for cols, inv in rels:
-                enum.scan_and_fill(a, cols, inv)
-                if a in p:
-                    break
-            else:
-                for col in range(ncols):
-                    if not t[a + col]:
-                        enum.define(a, col)
-            if len(p) != dead_before:
-                stable = False  # coincidences can punch holes in earlier rows
+    for cols, inv in subs:
+        enum.scan_and_fill(ncols, cols, inv)
+    a = ncols
+    while a < len(t):
+        if a in p:
             a += ncols
+            continue
+        for cols, inv in rels:
+            enum.scan_and_fill(a, cols, inv)
+            if a in p:
+                break
+        else:
+            for col in range(ncols):
+                if not t[a + col]:
+                    enum.define(a, col)
+        a += ncols
 
     table = _standardize(enum, pres, subgroup_gens)
     _verify(table, rel_cols, sub_cols)
@@ -223,6 +217,8 @@ def _standardize(enum, pres, subgroup_gens):
     live = [a for a in range(ncols, len(t), ncols) if a not in enum.p]
     # resolve all entries through the union-find first
     resolved = {a: [rep(x) for x in t[a:a + ncols]] for a in live}
+    if any(0 in row for row in resolved.values()):
+        raise ContractaError("incomplete coset table")
     order = [ncols]
     seen = {ncols}
     q = 0

@@ -76,37 +76,7 @@ def wreath_eval(word, modulus: int = 0) -> WreathElement:
 # -- HNN data and Britton reduction -----------------------------------------
 
 
-class HnnDatum:
-    """Base group with associated subgroups K, L and isomorphism psi: K -> L.
-
-    Relation convention: t^-1 k t = psi(k), so pinches are t^-1 (k in K) t
-    and t (l in L) t^-1.  Base elements are opaque to the reducer; the datum
-    supplies the arithmetic.
-    """
-
-    def base_identity(self):
-        raise NotImplementedError
-
-    def base_mul(self, u, v):
-        raise NotImplementedError
-
-    def base_letter(self, letter):
-        """Base element of a +-s letter."""
-        raise NotImplementedError
-
-    def is_base_identity(self, u):
-        raise NotImplementedError
-
-    def psi(self, u):
-        """psi(u) if u in K, else None."""
-        raise NotImplementedError
-
-    def psi_inv(self, u):
-        """psi^-1(u) if u in L, else None."""
-        raise NotImplementedError
-
-
-class BsDatum(HnnDatum):
+class BsDatum:
     """BS(l, m) = <s, t | t^-1 s^l t = s^m>; base <s> = Z, K = lZ, L = mZ."""
 
     def __init__(self, l: int, m: int):
@@ -133,7 +103,7 @@ class BsDatum(HnnDatum):
         return u // self.m * self.l if u % self.m == 0 else None
 
 
-class WnDatum(HnnDatum):
+class WnDatum:
     """Truncated lamplighter: base Z^{n+1} on s_0..s_n, t shifts the basis.
 
     K = span(s_0..s_{n-1}), L = span(s_1..s_n); s maps to s_0.
@@ -174,7 +144,7 @@ class BrittonWord:
     """Alternating pinch-free form: base elements separated by t-powers."""
 
     pieces: list  # [base, eps, base, eps, ..., base] with eps in {+1, -1}
-    datum: HnnDatum
+    datum: object  # BsDatum or WnDatum
 
     @property
     def stable_letter_count(self) -> int:
@@ -187,9 +157,18 @@ class BrittonWord:
         )
 
 
-def britton_reduce(datum: HnnDatum, word) -> BrittonWord:
+def britton_reduce(datum, word) -> BrittonWord:
     """Pinch-free form of a word over s, t; trivial iff the reduced form is
-    the empty base element with no stable letters (Britton's lemma)."""
+    the empty base element with no stable letters (Britton's lemma).
+
+    `datum` is an HNN datum: a base group with associated subgroups K, L and
+    an isomorphism psi: K -> L, under the relation t^-1 k t = psi(k), so
+    pinches are t^-1 (k in K) t and t (l in L) t^-1.  Base elements are
+    opaque here; the datum supplies `base_identity()`, `base_mul(u, v)`,
+    `base_letter(letter)` (the base element of a +-s letter),
+    `is_base_identity(u)`, `psi(u)` (None unless u is in K) and `psi_inv(u)`
+    (None unless u is in L).
+    """
     pieces = [datum.base_identity()]
     for x in free_reduce(word):
         if abs(x) == S:

@@ -17,11 +17,10 @@ from .words import Word, free_reduce, shortlex_key
 
 @dataclass(frozen=True)
 class Presentation:
+    # shortlex ranks generators in list order, inverses right after their
+    # generator
     gens: tuple
     relators: tuple
-    # shortlex ranks generators in list order, inverses right after their
-    # generator; a custom order permutes the generator list
-    order: tuple = None
 
     def __post_init__(self):
         if len(set(self.gens)) != len(self.gens):
@@ -29,9 +28,6 @@ class Presentation:
         for r in self.relators:
             if not r or free_reduce(r) != r:
                 raise ValueError("relators must be freely reduced and nonempty")
-
-    def ordered_gens(self):
-        return self.order if self.order else self.gens
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -148,18 +144,12 @@ def complete(
 ) -> RewriteSystem:
     """Shortlex Knuth-Bendix.  Returns a system with `complete=True` when all
     critical pairs resolve; otherwise `complete=False` with the partial rules."""
-    order = p.ordered_gens()
-    relabel = None
-    if p.order:
-        relabel = {i + 1: order.index(g) + 1 for i, g in enumerate(p.gens)}
-
     eqs = []
     for g in range(1, len(p.gens) + 1):
         eqs.append(((g, -g), ()))
         eqs.append(((-g, g), ()))
     for r in p.relators:
-        w = tuple(relabel[x] if x > 0 else -relabel[-x] for x in r) if relabel else r
-        eqs.append((w, ()))
+        eqs.append((r, ()))
 
     rules = []
     index = _bucket(rules)
@@ -226,4 +216,4 @@ def _critical_pairs(r1, r2):
 
 def _finish(p, rules, complete):
     rules = sorted(rules, key=lambda r: shortlex_key(r.lhs))
-    return RewriteSystem(p.ordered_gens(), rules, complete)
+    return RewriteSystem(p.gens, rules, complete)

@@ -231,7 +231,8 @@ class TestContracting:
         self, name, monkeypatch
     ):
         # a round's closure also decides whether the round changed anything,
-        # and the tables' closure gives the inverses and the depth walk
+        # the tables' closure gives the inverses, and is_contracting is the
+        # nucleus call alone
         calls = {"section_closure": 0, "_recurrent_classes": 0}
 
         def counted(fn):

@@ -7,6 +7,8 @@ from contracta import grig
 from contracta.cosets import (
     FreeProductSignature,
     _col,
+    _Enumerator,
+    _standardize,
     _verify,
     enumerate_cosets,
     kernel_rank_free_product,
@@ -95,6 +97,28 @@ class TestEnumeration:
         corrupt(table.table)
         with pytest.raises(ContractaError, match=message):
             _verify(table, rel_cols, sub_cols)
+
+    def test_undefined_entry_raises(self):
+        # a hole left in a live row is an error, not a KeyError in renumbering
+        enum = _Enumerator(1, 4)
+        with pytest.raises(ContractaError, match="incomplete coset table"):
+            _standardize(enum, Presentation(("x",), ()), [])
+
+    def test_one_pass_over_the_cosets(self, monkeypatch):
+        # G_2/H_2 meets no coincidence, so one HLT pass scans each subgroup
+        # generator once at coset 0 and each relator once at each coset
+        calls = []
+        scan = _Enumerator.scan_and_fill
+
+        def counted(self, *args):
+            calls.append(args)
+            return scan(self, *args)
+
+        monkeypatch.setattr(_Enumerator, "scan_and_fill", counted)
+        pres, gens = grig.g_n_presentation(2), grig.h_n_generators(2)
+        table = enumerate_cosets(pres, gens)
+        assert table.index == 1024
+        assert len(calls) == len(gens) + table.index * len(pres.relators)
 
     def test_transitive_action(self, g0):
         table = enumerate_cosets(g0, grig.K0_GENS)
@@ -267,7 +291,8 @@ def _triangle(k):
 class TestFlatTableAgreesWithListOfLists:
     """The flat-table enumerator keeps the list-of-lists one's definitions,
     so both produce the same standardized table and run out at the same
-    coset."""
+    coset.  The reference repeats its HLT pass until a pass meets no
+    coincidence; the flat one makes a single pass."""
 
     CASES = {
         "g0_xi0": lambda: (grig.g_n_presentation(0), grig.XI0_GENS),

@@ -6,6 +6,7 @@ or raise BudgetExceeded, and independent oracles must agree.
 """
 
 import random
+from collections import deque
 
 from contracta import contraction
 from contracta.contraction import Budget
@@ -13,6 +14,7 @@ from contracta.errors import BudgetExceeded
 from contracta.recursion import WreathRecursion
 from contracta.contraction import (
     Nucleus,
+    _products,
     _quotient,
     _recurrent_classes,
     section_closure,
@@ -214,3 +216,170 @@ def test_nucleus_agrees_with_all_pairs_reference():
         assert attempt(contraction.nucleus, rec) == expected, rec
         outcomes["budget" if expected is BudgetExceeded else "answered"] += 1
     assert outcomes["answered"] > 40 and outcomes["budget"] > 20, outcomes
+
+
+def reference_strongly_connected_components(trans):
+    """Tarjan's algorithm, iterative; returns a list of components."""
+    n = len(trans)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            recurse = False
+            succs = trans[node]
+            for i in range(pi, len(succs)):
+                nxt = succs[i]
+                if index[nxt] is None:
+                    work[-1] = (node, i + 1)
+                    work.append((nxt, 0))
+                    recurse = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            if recurse:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(comp)
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return components
+
+
+def reference_recurrent_classes(trans):
+    """`contraction._recurrent_classes` as it was before the in-degree
+    peel: Tarjan components with a cycle, then everything they reach."""
+    on_cycle = set()
+    for comp in reference_strongly_connected_components(trans):
+        if len(comp) > 1 or comp[0] in trans[comp[0]]:
+            on_cycle.update(comp)
+    reach = set(on_cycle)
+    queue = deque(on_cycle)
+    while queue:
+        c = queue.popleft()
+        for nxt in trans[c]:
+            if nxt not in reach:
+                reach.add(nxt)
+                queue.append(nxt)
+    return reach
+
+
+def reference_is_contracting(rec, budget):
+    """`contraction.is_contracting` as it was before it read its answer off
+    the nucleus fixed point: a depth-first walk of the nucleus tables'
+    closure, which was kept on the nucleus then and is rebuilt here."""
+    nuc = contraction.nucleus(rec, budget)
+    auto = section_closure(rec, [*nuc.elements, *_products(nuc.elements, budget)], budget)
+    nucleus_classes = {auto.classes[auto.state_of(e)] for e in nuc.elements}
+    # depth until every path from a state stays inside nucleus classes
+    depth = {}
+
+    def settle(state, stack):
+        if auto.classes[state] in nucleus_classes:
+            return 0
+        if state in depth:
+            return depth[state]
+        if state in stack or len(stack) > budget.max_depth:
+            raise BudgetExceeded(
+                "products do not contract into the nucleus within "
+                f"depth {budget.max_depth}",
+                frontier=auto.states[state],
+            )
+        stack.add(state)
+        d = 1 + max(settle(t, stack) for t in auto.trans[state])
+        stack.remove(state)
+        depth[state] = d
+        return d
+
+    for i in range(len(auto.states)):
+        settle(i, set())
+    return True
+
+
+def random_graph(rng):
+    """Successor tuples of a random total graph: self-loops and repeated
+    targets occur freely, and a DAG tail of `k` nodes, each pointing only
+    to later nodes, may feed the rest."""
+    n = rng.randint(1, 30)
+    degree = rng.randint(1, 3)
+    k = rng.choice([0, rng.randint(0, n - 1)])
+    trans = []
+    for c in range(n):
+        low = c + 1 if c < k else k
+        trans.append(tuple(rng.randint(low, n - 1) for _ in range(degree)))
+    return trans
+
+
+def test_peel_matches_tarjan_on_random_graphs():
+    rng = random.Random(75)
+    sizes = set()
+    for _ in range(2000):
+        trans = random_graph(rng)
+        recurrent = _recurrent_classes(trans)
+        assert recurrent == reference_recurrent_classes(trans), trans
+        sizes.add(len(trans) - len(recurrent))
+    assert 0 in sizes and max(sizes) > 10  # cores with and without tails
+
+
+def _outcome(fn, rec, budget):
+    try:
+        return fn(rec, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+# (seed, draw index, max_depth) where the depth-first walk gave up, though the
+# nucleus fixed point was reached: a memoized state skips the walk's depth
+# check, so its count depended on the walk's order, not on the recursion
+DEPTH_ONLY_FAILURES = [(72, 67, 2), (72, 84, 2)]
+
+
+def test_fixed_point_agrees_with_depth_walk_on_random_recursions(monkeypatch):
+    # each quotient graph a nucleus round meets is also checked against
+    # the Tarjan reference
+    graphs = []
+
+    def checked(trans):
+        recurrent = _recurrent_classes(trans)
+        assert recurrent == reference_recurrent_classes(trans), trans
+        graphs.append(trans)
+        return recurrent
+
+    monkeypatch.setattr(contraction, "_recurrent_classes", checked)
+    depth_only = []
+    for seed in (72, 74):
+        rng = random.Random(seed)
+        recs = [random_recursion(rng) for _ in range(100)]
+        for max_depth in (2, 3, 4, 32):
+            budget = Budget(max_states=300, max_depth=max_depth, max_word_length=96)
+            for i, rec in enumerate(recs):
+                new = _outcome(contraction.is_contracting, rec, budget)
+                if new is not True:
+                    continue  # the reference makes the same failing nucleus call
+                old = _outcome(reference_is_contracting, rec, budget)
+                if old is not True:
+                    assert old.startswith("products do not contract"), old
+                    depth_only.append((seed, i, max_depth))
+    assert depth_only == DEPTH_ONLY_FAILURES
+    assert len(graphs) > 500
