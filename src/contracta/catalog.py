@@ -93,10 +93,9 @@ def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BU
     while rec.degree**depth > DEFAULT_LEVEL_CAP:
         depth -= 1
 
-    def invariant(word):
-        return rec.level_permutation(word, depth)
-
-    return Group(name, rec.gens, is_trivial, recursion=rec, invariant=invariant)
+    return Group(
+        name, rec.gens, is_trivial, recursion=rec, invariant=rec.level_action(depth)
+    )
 
 
 @functools.cache

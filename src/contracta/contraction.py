@@ -27,6 +27,7 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+NUCLEUS_ROUNDS = 64  # the catalog recursions settle in one or two
 
 
 @dataclass
@@ -54,13 +55,11 @@ class SectionAutomaton:
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:
     """Smallest section-closed automaton containing the seeds (plus identity)."""
-    d = rec.degree
     states, trans, perms = [], [], []
     index = {}
     queue = deque()
 
-    def add(word, depth):
-        word = free_reduce(word)
+    def add(word, depth):  # `word` is freely reduced
         if word in index:
             return index[word]
         if len(word) > budget.max_word_length:
@@ -76,22 +75,22 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
         i = len(states)
         index[word] = i
         states.append(word)
-        trans.append(None)
-        perms.append(rec.word_perm(word))
         queue.append((i, depth))
         return i
 
     add((), 0)
     for s in seeds:
-        add(s, 0)
-    while queue:
+        add(free_reduce(s), 0)
+    while queue:  # first in, first out: state i is the i-th one split
         i, depth = queue.popleft()
         if depth > budget.max_depth:
             raise BudgetExceeded(
                 f"section closure deeper than {budget.max_depth}",
                 frontier=states[i],
             )
-        trans[i] = tuple(add(rec.section(states[i], (x,)), depth + 1) for x in range(d))
+        perm, sections = rec.split(states[i])
+        perms.append(perm)
+        trans.append(tuple(add(sec, depth + 1) for sec in sections))
     auto = SectionAutomaton(rec, states, trans, perms, index)
     auto.classes = _bisimulation_classes(auto)
     return auto
@@ -231,7 +230,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
     repeat until the candidate set stabilizes (as a set of group elements)."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
-    for _ in range(64):
+    for _ in range(NUCLEUS_ROUNDS):
         seeds = set(cand)
         seeds.update(_products(cand, budget))
         auto = section_closure(rec, seeds, budget)
@@ -245,7 +244,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         }:
             return _build_nucleus(rec, reps, trans, perms, recurrent, budget)
         cand = new_cand
-    raise BudgetExceeded("nucleus iteration did not stabilize in 64 rounds")
+    raise BudgetExceeded(f"nucleus iteration did not stabilize in {NUCLEUS_ROUNDS} rounds")
 
 
 def _build_nucleus(rec, reps, trans, perms, recurrent, budget):
@@ -339,11 +338,11 @@ def is_self_replicating_level1(
                     continue
                 seen.add(h)
                 nxt.append(h)
-                tau = rec.word_perm(h)
+                tau, sections = rec.split(h)
                 for x in range(d):
                     if tau[x] != x or not any(p[0] == x for p in pending):
                         continue
-                    cls = section_class(rec.section(h, (x,)))
+                    cls = section_class(sections[x])
                     if cls is not None:
                         pending.discard((x, cls))
         frontier = nxt

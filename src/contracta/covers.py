@@ -253,11 +253,11 @@ def standard_cover(
     radius = 0
     while frontier and radius <= search_radius:
         for h in sorted(frontier, key=shortlex_key):
-            tau = rec.word_perm(h)
+            tau, sections = rec.split(h)
             for x in range(d):
                 if tau[x] != x:
                     continue
-                sec = normal_form(sys, rec.section(h, (x,)))
+                sec = normal_form(sys, sections[x])
                 for i in range(len(nucleus)):
                     if (x, i) in witnesses:
                         continue
@@ -283,12 +283,10 @@ def standard_cover(
         elements = sorted(seen, key=shortlex_key)
         for x, i in missing:
             for h in elements:
-                tau = rec.word_perm(h)
+                tau, sections = rec.split(h)
                 if tau[x] != x:
                     continue
-                w = normal_form(
-                    sys, concat(rec.section(h, (x,)), invert(cover.element_words[i]))
-                )
+                w = normal_form(sys, concat(sections[x], invert(cover.element_words[i])))
                 base = cover.to_base(w)
                 if contraction.is_trivial(cover.base_recursion, base, budget):
                     witnesses[(x, i)] = h
@@ -315,8 +313,8 @@ def _section_closure_words(rec, sys, w, budget):
             out.add(u)
         if len(seen) > budget.max_states:
             raise BudgetExceeded("extra-relator closure exceeded state budget")
-        for x in range(rec.degree):
-            v = normal_form(sys, rec.section(u, (x,)))
+        for sec in rec.split(u)[1]:
+            v = normal_form(sys, sec)
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -340,12 +338,10 @@ def kernel_member(
         return _memo[key]
     if n == 0:
         result = w == ()
-    elif cover.recursion.word_perm(w) != perm_identity(cover.recursion.degree):
-        result = False
     else:
-        result = all(
-            kernel_member(cover, sys, cover.recursion.section(w, (x,)), n - 1, _memo)
-            for x in range(cover.recursion.degree)
+        tau, sections = cover.recursion.split(w)
+        result = tau == perm_identity(len(tau)) and all(
+            kernel_member(cover, sys, sec, n - 1, _memo) for sec in sections
         )
     _memo[key] = result
     return result

@@ -3,14 +3,18 @@
 A recursion assigns to every generator a tuple of d section words and a root
 permutation of the alphabet {0..d-1}.  The group acts on vertices (tuples of
 letters) from the right: the root permutation moves the first letter and the
-section at the original first letter acts on the rest.  Sections of inverse
-generators are derived on demand, never stored.
+section at the original first letter acts on the rest.  A table built once
+holds every letter's root permutation and sections, those of the inverse
+generators included, so that one pass over a word gives its permutation and
+all of its first-level sections (`split`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
+
 from . import words
 from .errors import BudgetExceeded, ParseError, SemanticError
 from .words import Word, free_reduce, invert
@@ -20,11 +24,6 @@ DEFAULT_LEVEL_CAP = 2**20
 GEN_LINE_RE = re.compile(
     r"gen\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*perm\(([^)]*)\)\s*sections\(([^)]*)\)\s*$"
 )
-
-
-def perm_mul(p, q):
-    """Right-action composition: apply p, then q."""
-    return tuple(q[x] for x in p)
 
 
 def perm_inverse(p):
@@ -44,64 +43,59 @@ class WreathRecursion:
     gens: tuple
     section_table: tuple  # per generator: d section words
     perm_table: tuple  # per generator: image table of the root permutation
-    _inv_perms: tuple = field(init=False, repr=False, compare=False)
+    # signed letter s -> (root permutation, d section words), indexed by s
+    # itself: generator g sits at g, its inverse at -g, counted from the end
+    _letters: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_inv_perms", tuple(perm_inverse(p) for p in self.perm_table)
-        )
+        d = self.degree
+        gens, inverses = [], []
+        for perm, secs in zip(self.perm_table, self.section_table):
+            inv = perm_inverse(perm)
+            gens.append((perm, secs))
+            # (h^-1)_x = (h_{x tau_{h^-1}})^-1
+            inverses.append((inv, tuple(invert(secs[inv[x]]) for x in range(d))))
+        object.__setattr__(self, "_letters", (None, *gens, *reversed(inverses)))
 
-    # -- single letters ---------------------------------------------------
-
-    def letter_perm(self, letter: int):
-        if letter > 0:
-            return self.perm_table[letter - 1]
-        return self._inv_perms[-letter - 1]
-
-    def letter_section(self, letter: int, x: int) -> Word:
+    def _check_vertex_letter(self, x):
         if not 0 <= x < self.degree:
             raise SemanticError(f"letter {x} out of range for degree {self.degree}")
-        if letter > 0:
-            return self.section_table[letter - 1][x]
-        # (h^-1)_x = (h_{x tau_{h^-1}})^-1
-        g = -letter - 1
-        return invert(self.section_table[g][self._inv_perms[g][x]])
 
-    # -- words -------------------------------------------------------------
-
-    def word_perm(self, word) -> tuple:
-        p = perm_identity(self.degree)
-        for s in word:
-            p = perm_mul(p, self.letter_perm(s))
-        return p
-
-    def section(self, word, vertex) -> Word:
-        """g_v, via (gh)_x = g_x h_{x tau_g} one vertex letter at a time."""
-        w = word
-        for x in vertex:
-            if not 0 <= x < self.degree:
-                raise SemanticError(f"letter {x} out of range for degree {self.degree}")
+    def split(self, word, at=None):
+        """(root permutation, its d first-level sections) of a word, via
+        (gh)_x = g_x h_{x tau_g}; the sections come out freely reduced.  With
+        vertex letters `at`, only the images and sections of those letters."""
+        letters = self._letters
+        perm, sections = [], []
+        for x in range(self.degree) if at is None else at:
             out = []
             pos = x
-            for s in w:
-                for y in self.letter_section(s, pos):
+            for s in word:
+                images, secs = letters[s]
+                for y in secs[pos]:
                     if out and out[-1] == -y:
                         out.pop()
                     else:
                         out.append(y)
-                pos = self.letter_perm(s)[pos]
-            w = tuple(out)
-        return w
+                pos = images[pos]
+            perm.append(pos)
+            sections.append(tuple(out))
+        return tuple(perm), tuple(sections)
+
+    def section(self, word, vertex) -> Word:
+        """g_v, one vertex letter at a time."""
+        for x in vertex:
+            self._check_vertex_letter(x)
+            word = self.split(word, (x,))[1][0]
+        return word
 
     def act(self, word, vertex) -> tuple:
         """Image of a vertex under the right action: (xv)g = (x tau_g)(v g_x)."""
         out = []
-        w = word
         for x in vertex:
-            if not 0 <= x < self.degree:
-                raise SemanticError(f"letter {x} out of range for degree {self.degree}")
-            out.append(self.word_perm(w)[x])
-            w = self.section(w, (x,))
+            self._check_vertex_letter(x)
+            (image,), (word,) = self.split(word, (x,))
+            out.append(image)
         return tuple(out)
 
     def level_permutation(self, word, n: int, cap: int = DEFAULT_LEVEL_CAP):
@@ -122,11 +116,11 @@ class WreathRecursion:
             cached = memo.get(key)
             if cached is not None:
                 return cached
-            tau = self.word_perm(w)
+            tau, sections = self.split(w)
             block = d ** (k - 1)
             out = [0] * (d**k)
-            for x in range(d):
-                sub = perm_of(self.section(w, (x,)), k - 1)
+            for x, sec in enumerate(sections):
+                sub = perm_of(sec, k - 1)
                 base, image_base = x * block, tau[x] * block
                 for j, pj in enumerate(sub):
                     out[base + j] = image_base + pj
@@ -135,6 +129,31 @@ class WreathRecursion:
             return result
 
         return perm_of(free_reduce(word), n)
+
+    def level_action(self, n: int, cap: int = DEFAULT_LEVEL_CAP):
+        """The map word -> level_permutation(word, n), for many words.  The
+        action on X^n is a homomorphism, so a word's permutation is its
+        letters' ones composed, right to left, one `itemgetter` call per
+        letter.  The letters' permutations are computed on the first call."""
+        d = self.degree
+        if d**n > cap:
+            raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
+        if n < 1:
+            raise ValueError("level_action needs a level of at least 1")
+        identity = tuple(range(d**n))
+        apply_letter = {}  # s -> (P -> permutation of s followed by P)
+
+        def permutation(word):
+            if not apply_letter:
+                for g in range(1, len(self.gens) + 1):
+                    for s in (g, -g):
+                        apply_letter[s] = itemgetter(*self.level_permutation((s,), n))
+            p = identity
+            for s in reversed(word):
+                p = apply_letter[s](p)
+            return p
+
+        return permutation
 
     def iterate(self, word, n: int, cap: int = DEFAULT_LEVEL_CAP):
         """Level-n image: ({vertex: section word}, permutation of X^n)."""
@@ -145,10 +164,10 @@ class WreathRecursion:
             return {(): free_reduce(word)}, (0,)
         secs = {}
         perm = [0] * d**n
-        tau = self.word_perm(word)
+        tau, sections = self.split(word)
         block = d ** (n - 1)
-        for x in range(d):
-            sub_secs, sub_perm = self.iterate(self.section(word, (x,)), n - 1, cap)
+        for x, sec in enumerate(sections):
+            sub_secs, sub_perm = self.iterate(sec, n - 1, cap)
             for v, w in sub_secs.items():
                 secs[(x,) + v] = w
             base, image_base = x * block, tau[x] * block

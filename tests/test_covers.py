@@ -110,9 +110,9 @@ class TestUniversalCover:
                     lifted = cover.to_base(cover.recursion.section(letter, (x,)))
                     direct = rec.section(cover.gen_to_nucleus[gen], (x,))
                     assert contraction.are_equal(rec, lifted, direct)
-                assert cover.recursion.word_perm(letter) == rec.word_perm(
+                assert cover.recursion.split(letter)[0] == rec.split(
                     cover.gen_to_nucleus[gen]
-                )
+                )[0]
 
 
 def reference_relators(cover, budget):
@@ -193,7 +193,7 @@ class TestStandardCover:
         cover, sys_ = grig_cover
         result = standard_cover(cover, sys=sys_)
         for (x, i), h in result.witnesses.items():
-            assert cover.recursion.word_perm(h)[x] == x
+            assert cover.recursion.split(h)[0][x] == x
             section = cover.recursion.section(h, (x,))
             expect = cover.element_words[i]
             assert rewriting.normal_form(sys_, concat(section, invert(expect))) == ()
@@ -284,7 +284,7 @@ class TestKernelChain:
             u = random_word(rng, 4, 10)
             n = rng.randint(1, 3)
             direct = kernel_member(cover, sys_, u, n)
-            split = rec.word_perm(u) == (0, 1) and all(
+            split = rec.split(u)[0] == (0, 1) and all(
                 kernel_member(cover, sys_, rec.section(u, (x,)), n - 1)
                 for x in range(2)
             )

@@ -129,7 +129,7 @@ class TestPsi0:
             flat = ()
             for tok in word:
                 flat = concat(flat, spell[tok])
-            assert rec.word_perm(flat) == (0, 1)
+            assert rec.split(flat)[0] == (0, 1)
             for side in (0, 1):
                 assert contraction.are_equal(
                     rec, image[side], rec.section(flat, (side,))
@@ -207,7 +207,7 @@ class TestSubgroupWords:
         rec = grig.recursion
         for g in G.B0_GENS:
             s = G.sigma_apply(g)
-            assert rec.word_perm(s) == (0, 1)
+            assert rec.split(s)[0] == (0, 1)
             assert contraction.is_trivial(rec, rec.section(s, (0,)))
             assert contraction.are_equal(rec, rec.section(s, (1,)), g)
 

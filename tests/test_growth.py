@@ -47,7 +47,7 @@ class TestBallSizes:
             lambda u, v: True,
             4,
             6,
-            invariant=lambda w: rec.level_permutation(w, 6),
+            invariant=rec.level_action(6),
         )
         assert bisim.gamma == by_perm.gamma
 

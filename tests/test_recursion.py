@@ -1,9 +1,26 @@
+import random
+from collections import deque
+
 import pytest
 
 from conftest import random_vertex, random_word
+from contracta import catalog
+from contracta.contraction import (
+    Budget,
+    SectionAutomaton,
+    _bisimulation_classes,
+    section_closure,
+)
 from contracta.errors import BudgetExceeded, ParseError, SemanticError
-from contracta.recursion import parse_recursion
-from contracta.words import concat, invert, parse_word
+from contracta.recursion import (
+    DEFAULT_LEVEL_CAP,
+    WreathRecursion,
+    parse_recursion,
+    perm_identity,
+    perm_inverse,
+)
+from contracta.words import concat, free_reduce, invert, parse_word
+from test_fuzz import random_recursion
 
 GRIG_TEXT = """\
 alphabet 2
@@ -56,7 +73,7 @@ class TestParser:
 
     def test_forward_references_allowed(self):
         rec = parse_recursion(GRIG_TEXT)  # b references c before c is defined
-        assert rec.letter_section(2, 1) == (3,)
+        assert rec.section((2,), (1,)) == (3,)
 
 
 class TestAction:
@@ -220,3 +237,179 @@ class TestIterate:
             u = random_word(rng, 4, 8)
             n = rng.randint(0, 4)
             assert rec.iterate(u, n)[1] == rec.level_permutation(u, n)
+
+
+# -- the one-pass kernel against the per-vertex walk it replaced ---------------
+#
+# Verbatim copies of the single-track kernel: letter sections of inverse
+# generators re-derived with `invert`, one walk of the word per vertex letter,
+# and the root permutation composed letter by letter.
+
+
+def reference_perm_mul(p, q):
+    """Right-action composition: apply p, then q."""
+    return tuple(q[x] for x in p)
+
+
+def reference_letter_perm(rec, letter: int):
+    if letter > 0:
+        return rec.perm_table[letter - 1]
+    return perm_inverse(rec.perm_table[-letter - 1])
+
+
+def reference_letter_section(rec, letter: int, x: int):
+    if not 0 <= x < rec.degree:
+        raise SemanticError(f"letter {x} out of range for degree {rec.degree}")
+    if letter > 0:
+        return rec.section_table[letter - 1][x]
+    # (h^-1)_x = (h_{x tau_{h^-1}})^-1
+    g = -letter - 1
+    return invert(rec.section_table[g][perm_inverse(rec.perm_table[g])[x]])
+
+
+def reference_word_perm(rec, word) -> tuple:
+    p = perm_identity(rec.degree)
+    for s in word:
+        p = reference_perm_mul(p, reference_letter_perm(rec, s))
+    return p
+
+
+def reference_section(rec, word, vertex):
+    """g_v, via (gh)_x = g_x h_{x tau_g} one vertex letter at a time."""
+    w = word
+    for x in vertex:
+        if not 0 <= x < rec.degree:
+            raise SemanticError(f"letter {x} out of range for degree {rec.degree}")
+        out = []
+        pos = x
+        for s in w:
+            for y in reference_letter_section(rec, s, pos):
+                if out and out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+            pos = reference_letter_perm(rec, s)[pos]
+        w = tuple(out)
+    return w
+
+
+def reference_section_closure(rec, seeds, budget):
+    """The closure built from one word_perm and d per-vertex sections per state."""
+    d = rec.degree
+    states, trans, perms = [], [], []
+    index = {}
+    queue = deque()
+
+    def add(word, depth):
+        word = free_reduce(word)
+        if word in index:
+            return index[word]
+        if len(word) > budget.max_word_length:
+            raise BudgetExceeded(
+                f"section word of length {len(word)} exceeds cap "
+                f"{budget.max_word_length}",
+                frontier=word,
+            )
+        if len(states) >= budget.max_states:
+            raise BudgetExceeded(
+                f"section closure exceeds {budget.max_states} states", frontier=word
+            )
+        i = len(states)
+        index[word] = i
+        states.append(word)
+        trans.append(None)
+        perms.append(reference_word_perm(rec, word))
+        queue.append((i, depth))
+        return i
+
+    add((), 0)
+    for s in seeds:
+        add(s, 0)
+    while queue:
+        i, depth = queue.popleft()
+        if depth > budget.max_depth:
+            raise BudgetExceeded(
+                f"section closure deeper than {budget.max_depth}",
+                frontier=states[i],
+            )
+        trans[i] = tuple(
+            add(reference_section(rec, states[i], (x,)), depth + 1) for x in range(d)
+        )
+    auto = SectionAutomaton(rec, states, trans, perms, index)
+    auto.classes = _bisimulation_classes(auto)
+    return auto
+
+
+def kernel_recursions():
+    """The six catalog recursions, then the sequential seed-72 fuzz draw."""
+    recs = [catalog.load(name).recursion for name in catalog.RECURSION_NAMES]
+    draw = random.Random(72)
+    return recs + [random_recursion(draw) for _ in range(100)]
+
+
+class TestOnePassKernel:
+    def test_split_matches_the_per_vertex_walk(self, rng):
+        for rec in kernel_recursions():
+            n = len(rec.gens)
+            samples = [(s,) for s in range(-n, n + 1) if s]  # the stored letters
+            samples += [random_word(rng, n, 12) for _ in range(40)]  # often not reduced
+            for word in samples:
+                perm, sections = rec.split(word)
+                assert perm == reference_word_perm(rec, word)
+                assert sections == tuple(
+                    reference_section(rec, word, (x,)) for x in range(rec.degree)
+                )
+                x = rng.randrange(rec.degree)
+                assert rec.split(word, (x,)) == ((perm[x],), (sections[x],))
+                v = random_vertex(rng, rec.degree, 4)
+                assert rec.section(word, v) == reference_section(rec, word, v)
+
+    def test_composed_invariant_is_the_level_permutation(self, rng):
+        for rec in kernel_recursions():
+            g = catalog.recursion_group(rec, "kernel")
+            depth = 6 if rec.degree == 2 else 4
+            samples = [(), (1, -1), (-1, 1, 1)]
+            samples += [random_word(rng, len(rec.gens), 10) for _ in range(25)]
+            for word in samples:
+                assert g.invariant(word) == rec.level_permutation(word, depth)
+
+    def test_level_action_checks_its_level(self, grig):
+        rec = grig.recursion
+        with pytest.raises(BudgetExceeded):
+            rec.level_action(21)
+        with pytest.raises(ValueError):
+            rec.level_action(0)
+
+    def test_invariant_tables_wait_for_the_first_call(self, monkeypatch):
+        rec = parse_recursion(GRIG_TEXT)
+        calls = []
+        original = WreathRecursion.level_permutation
+
+        def counted(self, word, n, cap=DEFAULT_LEVEL_CAP):
+            calls.append(word)
+            return original(self, word, n, cap)
+
+        monkeypatch.setattr(WreathRecursion, "level_permutation", counted)
+        g = catalog.recursion_group(rec, "grig")
+        assert calls == []
+        g.invariant((1, 2))
+        g.invariant((3,))
+        assert sorted(calls) == [(-4,), (-3,), (-2,), (-1,), (1,), (2,), (3,), (4,)]
+
+    def test_closure_matches_the_per_vertex_closure(self, rng):
+        budget = Budget(max_states=300, max_depth=32, max_word_length=96)
+        answered = 0
+        for rec in kernel_recursions():
+            seeds = [random_word(rng, len(rec.gens), 6) for _ in range(3)]
+
+            def outcome(closure):
+                try:
+                    auto = closure(rec, seeds, budget)
+                except BudgetExceeded as e:
+                    return str(e)
+                return auto.states, auto.trans, auto.perms, auto.classes, auto.index
+
+            expected = outcome(reference_section_closure)
+            assert outcome(section_closure) == expected
+            answered += not isinstance(expected, str)
+        assert 90 < answered < 106  # and some closures exceed the budget
