@@ -83,11 +83,12 @@ def parse_facts(text: str) -> dict:
 
 
 def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BUDGET):
-    """The group of a wreath recursion: word problem by contraction within
-    `budget`, and the level permutation as its ball-deduplication invariant."""
+    """The group of a wreath recursion: word problem by a memoized section
+    walk within `budget`, level permutation as ball-deduplication invariant."""
+    memo = {}
 
     def is_trivial(word):
-        return contraction.is_trivial(rec, word, budget)
+        return contraction.is_trivial(rec, word, budget, memo)
 
     depth = 6 if rec.degree == 2 else 4
     while rec.degree**depth > DEFAULT_LEVEL_CAP:

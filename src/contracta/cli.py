@@ -342,9 +342,10 @@ def _add_group_options(p):
     p.add_argument("--file", help="group definition file (.rec)")
 
 
-def _add_budget_options(p):
+def _add_budget_options(p, depth=False):  # only the nucleus's closures count depth
     p.add_argument("--max-states", type=int, default=DEFAULT_BUDGET.max_states)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_BUDGET.max_depth)
+    if depth:
+        p.add_argument("--max-depth", type=int, default=DEFAULT_BUDGET.max_depth)
     p.add_argument("--max-word-length", type=int, default=DEFAULT_BUDGET.max_word_length)
 
 
@@ -373,13 +374,13 @@ def build_parser():
                                    p.add_argument("--vertex", required=True)))
     add("section", cmd_section, lambda p: (_add_group_options(p), word_opt(p),
                                            p.add_argument("--vertex", required=True)))
-    add("nucleus", cmd_nucleus, lambda p: (_add_group_options(p), _add_budget_options(p)))
+    add("nucleus", cmd_nucleus, lambda p: (_add_group_options(p), _add_budget_options(p, True)))
     add("cover", cmd_cover, lambda p: (_add_group_options(p),
                                        p.add_argument("--prune", action="store_true"),
-                                       _add_budget_options(p)))
+                                       _add_budget_options(p, True)))
     add("standard-cover", cmd_standard_cover,
         lambda p: (_add_group_options(p), p.add_argument("--prune", action="store_true"),
-                   p.add_argument("--radius", type=int, default=6), _add_budget_options(p)))
+                   p.add_argument("--radius", type=int, default=6), _add_budget_options(p, True)))
     add("kernel-member", cmd_kernel_member,
         lambda p: (p.add_argument("--group", "-g", required=True), word_opt(p),
                    p.add_argument("--level", type=int, required=True)))

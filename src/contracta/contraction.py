@@ -1,9 +1,9 @@
-"""Section-closure automata, exact equality by bisimulation, nuclei.
+"""The word problem by a section walk; section-closure automata and nuclei.
 
-Equality of tree automorphisms is decided on the finite section closure of a
-word: two states are equal iff they are bisimilar (same root permutation,
-pairwise bisimilar sections).  This is exact whenever the closure is finite
-within budget; blow-ups surface as BudgetExceeded and never assert a negative.
+A word is trivial iff no section state reachable from it moves the first
+level (`walk`).  Nuclei are built on section closures, whose states are
+classed by bisimulation (same root permutation, pairwise bisimilar sections).
+Both are exact within budget; blow-ups surface as BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class SectionAutomaton:
     def state_of(self, word):
         return self.index.get(free_reduce(word))
 
-    def is_identity(self, i: int) -> bool:
-        return self.classes[i] == self.classes[self.identity_state]
-
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:
     """Smallest section-closed automaton containing the seeds (plus identity)."""
@@ -62,16 +59,9 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
     def add(word, depth):  # `word` is freely reduced
         if word in index:
             return index[word]
-        if len(word) > budget.max_word_length:
-            raise BudgetExceeded(
-                f"section word of length {len(word)} exceeds cap "
-                f"{budget.max_word_length}",
-                frontier=word,
-            )
+        _check_length(word, budget)
         if len(states) >= budget.max_states:
-            raise BudgetExceeded(
-                f"section closure exceeds {budget.max_states} states", frontier=word
-            )
+            raise BudgetExceeded(f"section closure exceeds {budget.max_states} states")
         i = len(states)
         index[word] = i
         states.append(word)
@@ -84,10 +74,7 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
     while queue:  # first in, first out: state i is the i-th one split
         i, depth = queue.popleft()
         if depth > budget.max_depth:
-            raise BudgetExceeded(
-                f"section closure deeper than {budget.max_depth}",
-                frontier=states[i],
-            )
+            raise BudgetExceeded(f"section closure deeper than {budget.max_depth}")
         perm, sections = rec.split(states[i])
         perms.append(perm)
         trans.append(tuple(add(sec, depth + 1) for sec in sections))
@@ -113,16 +100,59 @@ def _bisimulation_classes(auto: SectionAutomaton):
         cls = new
 
 
-def are_equal(rec, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
-    w = concat(free_reduce(g), invert(free_reduce(h)))
-    if not w:
-        return True
-    auto = section_closure(rec, [w], budget)
-    return auto.is_identity(auto.state_of(w))
+def _check_length(word, budget: Budget):
+    if len(word) > budget.max_word_length:
+        raise BudgetExceeded(
+            f"section word of length {len(word)} exceeds cap {budget.max_word_length}"
+        )
 
 
-def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET) -> bool:
-    return are_equal(rec, g, (), budget)
+def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
+    """Exact triviality: no section state reachable from `start` moves the
+    root; `split(state)` gives (whether it does, the state's sections).  The
+    walk charges `max_states` before it adds a state and counts no depth.
+    `memo` holds decided states: a trivial answer records every state
+    reached, a nontrivial one its start, so a memo hit can turn a would-be
+    BudgetExceeded into an exact answer, and never the reverse."""
+    memo = {} if memo is None else memo
+    if start in memo:
+        return memo[start]
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        moved, sections = split(queue.popleft())
+        if moved or any(memo.get(state) is False for state in sections):
+            memo[start] = False
+            return False
+        for state in sections:
+            if state not in seen and state not in memo:  # known states are trivial
+                if len(seen) >= budget.max_states:
+                    raise BudgetExceeded(f"section states exceed {budget.max_states}")
+                seen.add(state)
+                queue.append(state)
+    memo.update(dict.fromkeys(seen, True))
+    return True
+
+
+def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
+    """`walk` over the freely reduced section words of g, which key `memo`."""
+    identity = tuple(range(rec.degree))
+
+    def split(word):
+        perm, sections = rec.split(word)
+        if perm != identity:
+            return True, ()
+        for sec in sections:
+            _check_length(sec, budget)
+        return False, sections
+
+    word = free_reduce(g)
+    _check_length(word, budget)
+    return walk(word, split, budget, memo)
+
+
+def are_equal(rec, g, h, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
+    return is_trivial(rec, concat(g, invert(h)), budget, memo)
 
 
 @dataclass
@@ -209,19 +239,11 @@ def _products(cand, budget):
     for u in cand:
         for v in cand:
             w = _product(u, v)
-            if len(w) > budget.max_word_length:
-                raise BudgetExceeded(
-                    f"section word of length {len(w)} exceeds cap "
-                    f"{budget.max_word_length}",
-                    frontier=w,
-                )
+            _check_length(w, budget)
             if w not in seen:
                 seen.add(w)
                 if len(seen) > budget.max_states:
-                    raise BudgetExceeded(
-                        f"section closure exceeds {budget.max_states} states",
-                        frontier=w,
-                    )
+                    raise BudgetExceeded(f"section closure exceeds {budget.max_states} states")
                 out.append(w)
     return out
 

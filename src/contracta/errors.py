@@ -23,9 +23,4 @@ class BudgetExceeded(ContractaError):
     """A bounded search ran out of budget before reaching a definite answer.
 
     Never a proof of anything: it signals "unknown within the given limits".
-    `frontier` optionally carries the unfinished work (e.g. unexplored words).
     """
-
-    def __init__(self, message, frontier=None):
-        self.frontier = frontier
-        super().__init__(message)

@@ -10,11 +10,10 @@ shift offset) is finite for eventually periodic parameters.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .contraction import Budget, DEFAULT_BUDGET
-from .errors import BudgetExceeded, ParseError, SemanticError
+from .contraction import DEFAULT_BUDGET, Budget, _check_length, walk
+from .errors import ParseError, SemanticError
 from .grig import A, B, C, D, reduce_word
 from .words import Word, free_reduce
 
@@ -127,37 +126,19 @@ def _canonical_offset(omega: OmegaSequence, offset: int) -> int:
 
 
 def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _memo=None) -> bool:
-    """Exact triviality: no reachable section state has an odd flip count.
-
-    `_memo` holds the decided states (word, canonical offset) of this
-    parameter: a trivial answer records every state reached, a nontrivial one
-    its start.  A memo hit can turn a would-be BudgetExceeded into an exact
-    answer, and never the reverse.
-    """
-    if _memo is None:
-        _memo = {}
+    """`contraction.walk` over the states (word, canonical offset), moving the
+    root at an odd flip count; `_memo` serves this parameter.  Only the start's
+    length is checked: a letter puts at most one letter into each section."""
     elt = _as_element(g)
-    start = (elt.word, _canonical_offset(omega, elt.offset))
-    if start in _memo:
-        return _memo[start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        word, offset = queue.popleft()
+    _check_length(elt.word, budget)
+
+    def split(state):
+        word, offset = state
         w0, w1, flip = _split(omega.symbol(offset + 1), word)
         offset = _canonical_offset(omega, offset + 1)
-        states = ((w0, offset), (w1, offset))
-        if flip or any(_memo.get(state) is False for state in states):
-            _memo[start] = False
-            return False
-        for state in states:
-            if state not in seen and state not in _memo:  # known states are trivial
-                if len(seen) >= budget.max_states:
-                    raise BudgetExceeded(f"section states exceed {budget.max_states}")
-                seen.add(state)
-                queue.append(state)
-    _memo.update(dict.fromkeys(seen, True))
-    return True
+        return flip, ((w0, offset), (w1, offset))
+
+    return walk((elt.word, _canonical_offset(omega, elt.offset)), split, budget, _memo)
 
 
 def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:

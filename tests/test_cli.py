@@ -47,14 +47,18 @@ class TestGroupSources:
         _, by_name = run(capsys, "--json", "growth", "--group", "basilica", "--n-max", "6")
         assert json.loads(by_file)["gamma"] == json.loads(by_name)["gamma"]
 
-    @pytest.mark.parametrize(
-        "flag", ["--max-states=2", "--max-depth=1", "--max-word-length=2"]
-    )
+    @pytest.mark.parametrize("flag", ["--max-states=2", "--max-word-length=2"])
     def test_budget_flags_reach_both_sources(self, capsys, flag):
         word = "a b a^-1 b^-1"
         for source in (["--group", "basilica"], ["--file", self.BASILICA]):
             assert run(capsys, "wp", *source, "--word", word)[0] == 1
             assert run(capsys, "wp", *source, flag, "--word", word)[0] == 2
+
+    def test_nucleus_depth_flag_reaches_the_closure(self, capsys, tmp_path):
+        path = tmp_path / "g.rec"
+        path.write_text("alphabet 2\ngen g = perm(1 0) sections(g g, g)\n")
+        assert cli.main(["nucleus", "--file", str(path), "--max-depth", "1"]) == 2
+        assert capsys.readouterr().err == "error: section closure deeper than 1\n"
 
 
 class TestStructure:
@@ -167,6 +171,16 @@ class TestFamilies:
         assert cli.main(["wp", "--group", "gomega::012", "--max-states", "1",
                          "--word", word]) == 2
         assert capsys.readouterr().err == "error: section states exceed 1\n"
+
+    @pytest.mark.parametrize("command", [["gomega-wp", "--omega", ":012"],
+                                         ["wp", "--group", "gomega::012"]])
+    def test_word_length_flag_reaches_gomega_groups(self, capsys, command):
+        word = "a d a d a d a d"
+        assert cli.main([*command, "--max-word-length", "8", "--word", word]) == 0
+        assert cli.main([*command, "--max-word-length", "7", "--word", word]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: section word of length 8 exceeds cap 7\n"
+        )
 
     def test_dist(self, capsys):
         code, out = run(capsys, "dist", "--group-a", "grigorchuk@0",

@@ -15,7 +15,9 @@ from contracta.contraction import (
 )
 from contracta.errors import BudgetExceeded
 from contracta.recursion import WreathRecursion, parse_recursion
-from contracta.words import concat, invert, parse_word
+from contracta.words import concat, free_reduce, invert, parse_word
+from test_fuzz import SMALL
+from test_recursion import kernel_recursions
 
 
 def w(rec, text):
@@ -292,3 +294,75 @@ class TestSelfReplication:
         assert isinstance(result, CounterexampleUnknown)
         assert result.pairs
         assert not result
+
+
+def reference_are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET):
+    """`are_equal` as it was before the section walk: the section closure of
+    g h^-1, classed by bisimulation (`is_identity` inlined)."""
+    w = concat(free_reduce(g), invert(free_reduce(h)))
+    if not w:
+        return True
+    auto = section_closure(rec, [w], budget)
+    return auto.classes[auto.state_of(w)] == auto.classes[auto.identity_state]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceeded:
+        return None
+
+
+def _walk_cases(rec, rng):
+    """Pairs (u, v): random pairs, which are mostly different, and u against
+    u times a product of conjugated relators, which are equal.  The relators
+    are the nucleus products x y = z, as x y z^-1."""
+    n = len(rec.gens)
+    cases = [(random_word(rng, n, 10), random_word(rng, n, 10)) for _ in range(12)]
+    try:
+        nuc = nucleus(rec, SMALL)
+    except BudgetExceeded:
+        return cases
+    e = nuc.elements
+    relators = [concat(e[i], e[j], invert(e[k])) for (i, j), k in nuc.products.items()]
+    relators = [r for r in relators if r]
+    for _ in range(12 if relators else 0):
+        u, product = random_word(rng, n, 8), ()
+        for _ in range(rng.randint(1, 3)):
+            c = random_word(rng, n, 4)
+            product = concat(product, c, rng.choice(relators), invert(c))
+        cases.append((u, concat(u, product)))
+    return cases
+
+
+class TestWalkAgreement:
+    """The section walk answers as the closure-and-bisimulation reference
+    does, or answers where the reference exceeds its budget; never the
+    reverse, with a fresh memo or with one memo shared in shuffled order."""
+
+    @pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, SMALL],
+                             ids=["default", "small"])
+    def test_walk_agrees_with_the_closure(self, budget, rng):
+        counts = {"equal": 0, "different": 0, "walk_only": 0}
+        for rec in kernel_recursions():
+            cases = _walk_cases(rec, rng)
+            expected = [_outcome(reference_are_equal, rec, u, v, budget) for u, v in cases]
+            fresh = [_outcome(are_equal, rec, u, v, budget) for u, v in cases]
+            order = list(range(len(cases)))
+            rng.shuffle(order)
+            memo, shared = {}, {}
+            for i in order:
+                shared[i] = _outcome(are_equal, rec, *cases[i], budget, memo)
+            for i, want in enumerate(expected):
+                got = fresh[i]
+                if want is not None:
+                    assert got == shared[i] == want, (rec, cases[i])
+                    counts["equal" if want else "different"] += 1
+                elif got is not None:
+                    assert shared[i] == got, (rec, cases[i])
+                    counts["walk_only"] += 1
+                    if got:  # then it acts trivially on every level
+                        u, v = cases[i]
+                        identity = tuple(range(rec.degree**5))
+                        assert rec.level_permutation(concat(u, invert(v)), 5) == identity
+        assert min(counts.values()) > 0, counts

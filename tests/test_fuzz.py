@@ -303,8 +303,7 @@ def reference_is_contracting(rec, budget):
         if state in stack or len(stack) > budget.max_depth:
             raise BudgetExceeded(
                 "products do not contract into the nucleus within "
-                f"depth {budget.max_depth}",
-                frontier=auto.states[state],
+                f"depth {budget.max_depth}"
             )
         stack.add(state)
         d = 1 + max(settle(t, stack) for t in auto.trans[state])

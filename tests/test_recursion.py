@@ -307,13 +307,10 @@ def reference_section_closure(rec, seeds, budget):
         if len(word) > budget.max_word_length:
             raise BudgetExceeded(
                 f"section word of length {len(word)} exceeds cap "
-                f"{budget.max_word_length}",
-                frontier=word,
+                f"{budget.max_word_length}"
             )
         if len(states) >= budget.max_states:
-            raise BudgetExceeded(
-                f"section closure exceeds {budget.max_states} states", frontier=word
-            )
+            raise BudgetExceeded(f"section closure exceeds {budget.max_states} states")
         i = len(states)
         index[word] = i
         states.append(word)
@@ -328,10 +325,7 @@ def reference_section_closure(rec, seeds, budget):
     while queue:
         i, depth = queue.popleft()
         if depth > budget.max_depth:
-            raise BudgetExceeded(
-                f"section closure deeper than {budget.max_depth}",
-                frontier=states[i],
-            )
+            raise BudgetExceeded(f"section closure deeper than {budget.max_depth}")
         trans[i] = tuple(
             add(reference_section(rec, states[i], (x,)), depth + 1) for x in range(d)
         )
