@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import contraction, covers, gomega, grig, metabelian, rewriting
-from .contraction import Budget, DEFAULT_BUDGET
+from .contraction import Budget, DEFAULT_BUDGET, _check_length
 from .errors import SemanticError
 from .marked import MarkedGroup
 from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
@@ -117,8 +117,9 @@ def cover_for(name: str):
 
 
 def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
-    """The catalog group `name`; `budget` bounds the word problem of the
-    recursion-defined groups."""
+    """The catalog group `name`; `budget` bounds its word problem, in section
+    states and word length for recursion and gomega groups, in word length
+    for the others."""
     if name in RECURSION_NAMES:
         if budget == DEFAULT_BUDGET:  # the cache entry `cover_for` shares
             return _recursion_entry(name)
@@ -139,7 +140,7 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
         return Group(
             name,
             metabelian.GENS,
-            lambda w: metabelian.britton_reduce(datum, w).is_trivial,
+            _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
             presentation=rewriting.Presentation(metabelian.GENS, (relator,)),
             invariant=lambda w: _met_key(l, m, w),
         )
@@ -148,7 +149,7 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
         return Group(
             name,
             metabelian.GENS,
-            lambda w: metabelian.met_eval(l, m, w).is_identity,
+            _bounded(lambda w: metabelian.met_eval(l, m, w).is_identity, budget),
             invariant=lambda w: _met_key(l, m, w),
         )
     if name.startswith("wreath:"):
@@ -156,7 +157,7 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
         return Group(
             name,
             metabelian.GENS,
-            lambda w: metabelian.wreath_eval(w, modulus).is_identity,
+            _bounded(lambda w: metabelian.wreath_eval(w, modulus).is_identity, budget),
             invariant=lambda w: metabelian.wreath_eval(w, modulus),
         )
     if name.startswith("w_n:"):
@@ -171,11 +172,21 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
         return Group(
             name,
             metabelian.GENS,
-            lambda w: metabelian.britton_reduce(datum, w).is_trivial,
+            _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
             presentation=rewriting.Presentation(metabelian.GENS, relators),
             invariant=lambda w: metabelian.wreath_eval(w, 0),
         )
     raise SemanticError(f"unknown catalog name {name!r}")
+
+
+def _bounded(is_trivial, budget):
+    """`is_trivial`, charging `max_word_length` on the word it is asked about."""
+
+    def check(word):
+        _check_length(word, budget)
+        return is_trivial(word)
+
+    return check
 
 
 def parse_lm(text: str):

@@ -1,9 +1,11 @@
 """The word problem by a section walk; section-closure automata and nuclei.
 
 A word is trivial iff no section state reachable from it moves the first
-level (`walk`).  Nuclei are built on section closures, whose states are
-classed by bisimulation (same root permutation, pairwise bisimilar sections).
-Both are exact within budget; blow-ups surface as BudgetExceeded.
+level (`walk`).  A nucleus is a fixed-point iteration with one section
+closure per round, whose states are classed by bisimulation (same root
+permutation, pairwise bisimilar sections); the last round's closure also
+gives its tables.  Both are exact within budget; blow-ups surface as
+BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -170,16 +172,6 @@ class Nucleus:
     def __len__(self):
         return len(self.elements)
 
-    def class_of(self, word, budget: Budget = DEFAULT_BUDGET):
-        """Index of the nucleus element equal to `word`, or None."""
-        word = free_reduce(word)
-        auto = section_closure(self.rec, [word, *self.elements], budget)
-        target = auto.classes[auto.state_of(word)]
-        for i, e in enumerate(self.elements):
-            if auto.classes[auto.state_of(e)] == target:
-                return i
-        return None
-
 
 def _quotient(auto: SectionAutomaton):
     """Per bisimulation class: its shortlex-least word, successors, perm."""
@@ -264,12 +256,15 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         if {auto.classes[auto.index[w]] for w in new_cand} == {
             auto.classes[auto.index[w]] for w in cand
         }:
-            return _build_nucleus(rec, reps, trans, perms, recurrent, budget)
+            return _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent)
         cand = new_cand
     raise BudgetExceeded(f"nucleus iteration did not stabilize in {NUCLEUS_ROUNDS} rounds")
 
 
-def _build_nucleus(rec, reps, trans, perms, recurrent, budget):
+def _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent):
+    """The tables, read off the fixed-point round's closure `auto`.  Its seeds
+    hold u·v for all candidates u, v, and the candidates meet every recurrent
+    class, so one candidate per element gives the class of every product."""
     order = sorted(recurrent, key=lambda c: shortlex_key(reps[c]))
     pos = {c: i for i, c in enumerate(order)}
     elements = tuple(reps[c] for c in order)
@@ -277,12 +272,12 @@ def _build_nucleus(rec, reps, trans, perms, recurrent, budget):
     nperms = tuple(perms[c] for c in order)
     identity = elements.index(())  # the shortlex-least word represents its class
 
-    auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
-    at = {auto.classes[auto.state_of(e)]: i for i, e in enumerate(elements)}
+    word_of = {auto.classes[auto.index[w]]: w for w in cand}
+    factors = [word_of[c] for c in order]
     products = {}
-    for i, u in enumerate(elements):
-        for j, v in enumerate(elements):
-            k = at.get(auto.classes[auto.state_of(concat(u, v))])
+    for i, u in enumerate(factors):
+        for j, v in enumerate(factors):
+            k = pos.get(auto.classes[auto.index[_product(u, v)]])
             if k is not None:
                 products[(i, j)] = k
     inverse_of = {i: j for (i, j), k in products.items() if k == identity}
@@ -298,76 +293,13 @@ def is_contracting(rec, budget: Budget = DEFAULT_BUDGET) -> bool:
     otherwise BudgetExceeded.  Never returns False.
 
     The fixed point shows that products of nucleus pairs contract into the
-    nucleus N.  Its last round seeds N and N·N, the same group elements as
-    the seeds of the nucleus tables, so both closures have one quotient
-    graph, whose cycles all lie in its recurrent classes, N.  A path outside
-    N meets no class twice, so it enters N within as many steps as there
-    are classes outside N.  A depth-first walk of those paths could only
-    fail on a depth count, which depends on the walk's order, since a
-    memoized state skips it.
+    nucleus N.  Its last round seeds words for N and all their pairwise
+    products, and the nucleus tables are read off that round's closure.
+    Every cycle of that closure's quotient graph lies in its recurrent
+    classes, N, so a path outside N meets no class twice and enters N
+    within as many steps as there are classes outside N.  A depth-first walk
+    of those paths could only fail on a depth count, which depends on the
+    walk's order, since a memoized state skips it.
     """
     nucleus(rec, budget)
-    return True
-
-
-@dataclass
-class CounterexampleUnknown:
-    """Unresolved (letter, nucleus element) pairs from a bounded witness search."""
-
-    pairs: list
-    search_radius: int
-
-    def __bool__(self):
-        return False
-
-
-def is_self_replicating_level1(
-    rec, nuc: Nucleus, budget: Budget = DEFAULT_BUDGET, search_radius: int = 6
-):
-    """Bounded BFS for witnesses h with act(h, x) = x and section(h, x) = n.
-
-    Returns True when a witness exists for every (x, n); otherwise a
-    CounterexampleUnknown listing the unresolved pairs (no negative claim).
-    """
-    d = rec.degree
-    pending = {(x, i) for x in range(d) for i in range(len(nuc.elements))}
-    # identity witnesses: the empty word fixes x with trivial section
-    pending -= {(x, nuc.identity) for x in range(d)}
-
-    letters = [i for i in range(1, len(rec.gens) + 1)]
-    letters += [-i for i in letters]
-    seen = {()}
-    frontier = [()]
-    known = {}
-
-    def section_class(word):
-        if word not in known:
-            try:
-                known[word] = nuc.class_of(word, budget)
-            except BudgetExceeded:
-                # unclassifiable within budget: treat as "not a witness"
-                known[word] = None
-        return known[word]
-
-    for _ in range(search_radius):
-        if not pending:
-            break
-        nxt = []
-        for w in frontier:
-            for s in letters:
-                h = concat(w, (s,))
-                if h in seen:
-                    continue
-                seen.add(h)
-                nxt.append(h)
-                tau, sections = rec.split(h)
-                for x in range(d):
-                    if tau[x] != x or not any(p[0] == x for p in pending):
-                        continue
-                    cls = section_class(sections[x])
-                    if cls is not None:
-                        pending.discard((x, cls))
-        frontier = nxt
-    if pending:
-        return CounterexampleUnknown(sorted(pending), search_radius)
     return True

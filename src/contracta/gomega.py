@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, walk
 from .errors import ParseError, SemanticError
 from .grig import A, B, C, D, reduce_word
-from .words import Word, free_reduce
+from .words import Word
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
 _A_PART = {
@@ -149,41 +149,6 @@ def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
     return omega_is_trivial(
         omega, OmegaElement(ge.word + tuple(reversed(he.word)), ge.offset), budget
     )
-
-
-# level-1 images of the four generators in the base cover, one table per symbol
-_PHI = {
-    i: {
-        A: ((), (), (1, 0)),
-        B: (((A,) if _A_PART[B][i] else ()), (B,), (0, 1)),
-        C: (((A,) if _A_PART[C][i] else ()), (C,), (0, 1)),
-        D: (((A,) if _A_PART[D][i] else ()), (D,), (0, 1)),
-    }
-    for i in (0, 1, 2)
-}
-
-
-def phi_i_apply(i: int, w) -> tuple:
-    """Level-1 image of a word under the symbol-i splitting: a pair of freely
-    reduced component words and the root permutation."""
-    if i not in (0, 1, 2):
-        raise ValueError("symbol must be 0, 1, or 2")
-    comps = [(), ()]
-    perm = (0, 1)
-    for s in free_reduce(w):
-        u0, u1, tau = _PHI[i][abs(s)]
-        if s < 0:
-            # wreath inverse; both elements of S_2 are self-inverse, so the
-            # permutation stays and the components permute and invert
-            u0, u1 = (
-                tuple(-y for y in reversed((u0, u1)[tau[0]])),
-                tuple(-y for y in reversed((u0, u1)[tau[1]])),
-            )
-        comps = [
-            free_reduce(comps[x] + (u0, u1)[perm[x]]) for x in (0, 1)
-        ]
-        perm = tuple(tau[perm[x]] for x in (0, 1))
-    return comps[0], comps[1], perm
 
 
 def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:

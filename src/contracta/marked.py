@@ -9,7 +9,6 @@ kernel balls agree; full agreement through the examined radius is reported as
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -186,9 +185,6 @@ class ConvergenceReport:
             ],
             "non_decreasing": self.non_decreasing,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def converge_report(groups, limit: MarkedGroup, radius: int) -> ConvergenceReport:

@@ -155,26 +155,6 @@ class WreathRecursion:
 
         return permutation
 
-    def iterate(self, word, n: int, cap: int = DEFAULT_LEVEL_CAP):
-        """Level-n image: ({vertex: section word}, permutation of X^n)."""
-        d = self.degree
-        if d**n > cap:
-            raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
-        if n == 0:
-            return {(): free_reduce(word)}, (0,)
-        secs = {}
-        perm = [0] * d**n
-        tau, sections = self.split(word)
-        block = d ** (n - 1)
-        for x, sec in enumerate(sections):
-            sub_secs, sub_perm = self.iterate(sec, n - 1, cap)
-            for v, w in sub_secs.items():
-                secs[(x,) + v] = w
-            base, image_base = x * block, tau[x] * block
-            for j, pj in enumerate(sub_perm):
-                perm[base + j] = image_base + pj
-        return secs, tuple(perm)
-
 
 def parse_recursion(text: str) -> WreathRecursion:
     """Parse a group-definition file (see the .rec grammar in the README)."""

@@ -42,15 +42,6 @@ def concat(*ws) -> Word:
     return tuple(out)
 
 
-def power(word, n: int) -> Word:
-    if n < 0:
-        word, n = invert(word), -n
-    out = ()
-    for _ in range(n):
-        out = concat(out, word)
-    return out
-
-
 def parse_word(text: str, gens) -> Word:
     """Parse a space-separated token word; ``1`` (alone) is the identity.
 

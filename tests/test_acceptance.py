@@ -206,13 +206,16 @@ class TestCriterion8PropertySuites:
             rec = g.recursion
             u = random_letters(rng, len(rec.gens), 8)
             m, n = rng.randint(0, 2), rng.randint(0, 2)
-            direct_secs, direct_perm = rec.iterate(u, m + n)
-            outer_secs, _ = rec.iterate(u, n)
-            v = rng.choice(list(outer_secs))
-            inner_secs, _ = rec.iterate(outer_secs[v], m)
-            t = rng.choice(list(inner_secs))
-            assert direct_secs[v + t] == inner_secs[t]
-            assert direct_perm == rec.level_permutation(u, m + n)
+            d = rec.degree
+            v = tuple(rng.randrange(d) for _ in range(n))
+            t = tuple(rng.randrange(d) for _ in range(m))
+            outer = rec.section(u, v)
+            assert rec.section(u, v + t) == rec.section(outer, t)
+            # vertex vt goes to (v u)(t u_v), at index i_v d^m + i_t
+            iv, it = (sum(x * d**k for k, x in enumerate(reversed(p))) for p in (v, t))
+            image = rec.level_permutation(u, n)[iv] * d**m
+            image += rec.level_permutation(outer, m)[it]
+            assert rec.level_permutation(u, m + n)[iv * d**m + it] == image
         report(8.3, f"two-stage iteration composition, {CASES} cases")
 
     def test_nucleus_closure(self, groups):

@@ -106,12 +106,14 @@ class TestExpectedFacts:
 
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
     def test_self_replicating_flag(self, name):
+        # exact witnesses for every (letter, nucleus element) pair make the
+        # base group level-1 self-replicating
         g = catalog.load(name)
         if g.facts.get("self_replicating"):
-            nuc = contraction.nucleus(g.recursion)
-            assert (
-                contraction.is_self_replicating_level1(g.recursion, nuc) is True
-            )
+            cover, sys_ = catalog.cover_for(name)
+            result = covers.standard_cover(cover, sys=sys_)
+            assert len(result.witnesses) == g.recursion.degree * len(cover.nucleus)
+            assert all(result.exact.values())
 
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
     def test_standard_cover_not_needed(self, name):

@@ -182,6 +182,22 @@ class TestFamilies:
             "error: section word of length 8 exceeds cap 7\n"
         )
 
+    @pytest.mark.parametrize("group, trivial", [("bs:2:3", True), ("met:2:3", True),
+                                                ("wreath:z", False), ("w_n:1", False)])
+    def test_word_length_flag_reaches_metabelian_groups(self, capsys, group, trivial):
+        # t^-1 s^2 t s^-3 has 7 letters, as has u v^-1 in the eq case
+        expect = 0 if trivial else 1
+        for args in (["wp", "--word", "t^-1 s^2 t s^-3"],
+                     ["eq", "--word", "t^-1 s^2 t", "--other", "s^3"]):
+            command = [args[0], "--group", group, *args[1:]]
+            assert cli.main(command) == expect
+            assert cli.main([*command, "--max-word-length", "7"]) == expect
+            capsys.readouterr()
+            assert cli.main([*command, "--max-states", "1", "--max-word-length", "6"]) == 2
+            assert capsys.readouterr().err == (
+                "error: section word of length 7 exceeds cap 6\n"
+            )
+
     def test_dist(self, capsys):
         code, out = run(capsys, "dist", "--group-a", "grigorchuk@0",
                         "--group-b", "grigorchuk", "--radius", "8")

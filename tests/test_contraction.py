@@ -1,22 +1,26 @@
+import random
+
 import pytest
 
 from conftest import random_word
 from contracta import catalog, contraction
 from contracta.contraction import (
     Budget,
-    CounterexampleUnknown,
+    Nucleus,
     _products,
+    _quotient,
+    _recurrent_classes,
     are_equal,
     is_contracting,
-    is_self_replicating_level1,
     is_trivial,
     nucleus,
     section_closure,
 )
+from contracta.covers import standard_cover, universal_cover
 from contracta.errors import BudgetExceeded
 from contracta.recursion import WreathRecursion, parse_recursion
-from contracta.words import concat, free_reduce, invert, parse_word
-from test_fuzz import SMALL
+from contracta.words import concat, free_reduce, invert, parse_word, shortlex_key
+from test_fuzz import SMALL, random_recursion
 from test_recursion import kernel_recursions
 
 
@@ -227,14 +231,99 @@ class TestNucleus:
                     ), (cand, budget)
 
 
+def reference_nucleus(rec, budget=contraction.DEFAULT_BUDGET):
+    """`nucleus` as it was before its tables were read off the fixed-point
+    round; only the call to the table builder differs."""
+    cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
+    for _ in range(contraction.NUCLEUS_ROUNDS):
+        seeds = set(cand)
+        seeds.update(_products(cand, budget))
+        auto = section_closure(rec, seeds, budget)
+        reps, trans, perms = _quotient(auto)
+        recurrent = _recurrent_classes(trans)
+        new_cand = {reps[c] for c in recurrent} | {()}
+        new_cand |= {free_reduce(invert(w)) for w in new_cand}
+        # the seeds are closed under inversion, so auto is too: both sets are its states
+        if {auto.classes[auto.index[w]] for w in new_cand} == {
+            auto.classes[auto.index[w]] for w in cand
+        }:
+            return reference_build_nucleus(rec, reps, trans, perms, recurrent, budget)
+        cand = new_cand
+    raise BudgetExceeded(
+        f"nucleus iteration did not stabilize in {contraction.NUCLEUS_ROUNDS} rounds"
+    )
+
+
+def reference_build_nucleus(rec, reps, trans, perms, recurrent, budget):
+    """`contraction._build_nucleus` as it was, verbatim: the product table
+    comes from a section closure of its own."""
+    order = sorted(recurrent, key=lambda c: shortlex_key(reps[c]))
+    pos = {c: i for i, c in enumerate(order)}
+    elements = tuple(reps[c] for c in order)
+    sections = tuple(tuple(pos[t] for t in trans[c]) for c in order)
+    nperms = tuple(perms[c] for c in order)
+    identity = elements.index(())  # the shortlex-least word represents its class
+
+    auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
+    at = {auto.classes[auto.state_of(e)]: i for i, e in enumerate(elements)}
+    products = {}
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            k = at.get(auto.classes[auto.state_of(concat(u, v))])
+            if k is not None:
+                products[(i, j)] = k
+    inverse_of = {i: j for (i, j), k in products.items() if k == identity}
+    for i, e in enumerate(elements):
+        if i not in inverse_of:
+            raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
+    inverses = tuple(inverse_of[i] for i in range(len(elements)))
+    return Nucleus(rec, elements, sections, nperms, inverses, identity, products)
+
+
+def _tables(fn, rec, budget):
+    """Every table of the nucleus, the products in insertion order, or None
+    when the budget runs out."""
+    try:
+        nuc = fn(rec, budget)
+    except BudgetExceeded:
+        return None
+    return (nuc.elements, nuc.sections, nuc.perms, nuc.inverses, nuc.identity,
+            list(nuc.products.items()))
+
+
+class TestNucleusTables:
+    """The tables read off the fixed-point round equal those of a second
+    closure wherever that closure answers.  Where only the fixed-point round
+    answers, the second closure ran out of depth, and the tables equal the
+    ones at depth 32."""
+
+    def test_tables_agree_with_a_closure_of_their_own(self):
+        draw = random.Random(74)
+        recs = kernel_recursions() + [random_recursion(draw) for _ in range(100)]
+        counts = {"answered": 0, "budget": 0, "fixed_point_only": 0}
+        for rec in recs:
+            deep = _tables(nucleus, rec, Budget(300, 32, 96))
+            for depth in (2, 3, 4, 32):
+                budget = Budget(max_states=300, max_depth=depth, max_word_length=96)
+                want = _tables(reference_nucleus, rec, budget)
+                got = _tables(nucleus, rec, budget)
+                if want is not None:
+                    assert got == want, (rec, budget)
+                    counts["answered"] += 1
+                elif got is None:
+                    counts["budget"] += 1
+                else:
+                    assert got == deep, (rec, budget)
+                    counts["fixed_point_only"] += 1
+        assert min(counts.values()) > 0, counts
+
+
 class TestContracting:
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
-    def test_one_section_closure_per_round_and_one_for_the_tables(
-        self, name, monkeypatch
-    ):
+    def test_one_section_closure_per_round(self, name, monkeypatch):
         # a round's closure also decides whether the round changed anything,
-        # the tables' closure gives the inverses, and is_contracting is the
-        # nucleus call alone
+        # the last round's closure gives the tables, and is_contracting is
+        # the nucleus call alone
         calls = {"section_closure": 0, "_recurrent_classes": 0}
 
         def counted(fn):
@@ -249,12 +338,9 @@ class TestContracting:
         rec = catalog.load(name).recursion
         nucleus(rec)
         rounds = calls["_recurrent_classes"]
-        assert calls["section_closure"] == rounds + 1
+        assert calls["section_closure"] == rounds
         assert is_contracting(rec) is True
-        assert calls == {
-            "section_closure": 2 * (rounds + 1),
-            "_recurrent_classes": 2 * rounds,
-        }
+        assert calls == {"section_closure": 2 * rounds, "_recurrent_classes": 2 * rounds}
 
     def test_catalog_groups_contract(self, all_recursion_groups):
         for g in all_recursion_groups:
@@ -277,23 +363,36 @@ class TestContracting:
 
 
 class TestSelfReplication:
+    """Level-1 self-replication is what `standard_cover`'s witness search
+    finds; an exact witness h for (x, n) fixes x with section n in the base
+    group too."""
+
     def test_catalog_groups(self, all_recursion_groups):
         for g in all_recursion_groups:
-            nuc = nucleus(g.recursion)
-            assert is_self_replicating_level1(g.recursion, nuc) is True
+            rec = g.recursion
+            cover = universal_cover(nucleus(rec))
+            result = standard_cover(cover)
+            assert all(result.exact.values())
+            for (x, i), h in result.witnesses.items():
+                base = cover.to_base(h)
+                assert rec.act(base, (x,)) == (x,)
+                assert are_equal(rec, rec.section(base, (x,)), cover.nucleus.elements[i])
 
     def test_identity_only_recursion(self):
         rec = parse_recursion("alphabet 2\ngen e = perm(0 1) sections(1, 1)\n")
-        assert is_self_replicating_level1(rec, nucleus(rec)) is True
+        result = standard_cover(universal_cover(nucleus(rec)))
+        assert result.already_self_replicating and all(result.exact.values())
 
     def test_unknown_is_reported_not_asserted(self):
         # the level-flip group C2 is not level-1 self-replicating: no element
-        # fixes 0 with section a; the search reports the unresolved pairs
-        nuc = nucleus(LEVEL_FLIP)
-        result = is_self_replicating_level1(LEVEL_FLIP, nuc, search_radius=4)
-        assert isinstance(result, CounterexampleUnknown)
-        assert result.pairs
-        assert not result
+        # fixes 0 with section a; the search fails on its budget instead of
+        # answering no
+        cover = universal_cover(nucleus(LEVEL_FLIP))
+        with pytest.raises(BudgetExceeded) as exc:
+            standard_cover(cover, search_radius=4)
+        assert str(exc.value) == (
+            "no self-replication witness for letter 0, element (1,) within radius 4"
+        )
 
 
 def reference_are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET):

@@ -212,7 +212,7 @@ class TestConvergeReport:
         rows = converge_report([(n, Z1) for n in range(2)], Z1, 3)
         text = rows.to_text()
         assert "radius 3" in text and ">=3" in text
-        doc = json.loads(rows.to_json())
+        doc = json.loads(json.dumps(rows.to_json_dict()))
         assert doc["rows"][0] == {
             "n": 0,
             "v": 3,

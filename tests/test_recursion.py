@@ -166,8 +166,6 @@ class TestLevels:
     def test_level_cap(self, grig):
         with pytest.raises(BudgetExceeded):
             grig.recursion.level_permutation((), 30, cap=2**20)
-        with pytest.raises(BudgetExceeded):
-            grig.recursion.iterate((), 30)
 
     def test_vertex_letters_out_of_range(self, grig):
         rec = grig.recursion
@@ -195,48 +193,44 @@ class TestLevels:
 
 
 class TestIterate:
+    """The level-n iterate of a word: its section at every vertex of X^n and
+    its permutation of X^n."""
+
     def test_level_zero_is_identity_map(self, grig):
         rec = grig.recursion
         word = w(rec, "a b")
-        secs, perm = rec.iterate(word, 0)
-        assert secs == {(): word}
-        assert perm == (0,)
+        assert rec.section(word, ()) == word
+        assert rec.level_permutation(word, 0) == (0,)
 
     def test_ad4_level_one(self, grig):
         rec = grig.recursion
-        secs, perm = rec.iterate(w(rec, "a d") * 4, 1)
-        assert secs == {(0,): w(rec, "b b"), (1,): w(rec, "b b")}
-        assert perm == (0, 1)
+        word = w(rec, "a d") * 4
+        assert [rec.section(word, (x,)) for x in (0, 1)] == [w(rec, "b b")] * 2
+        assert rec.level_permutation(word, 1) == (0, 1)
 
     def test_basilica_generator(self, basilica):
         rec = basilica.recursion
-        secs, perm = rec.iterate(w(rec, "a"), 1)
-        assert secs == {(0,): w(rec, "b"), (1,): ()}
-        assert perm == (1, 0)
+        assert [rec.section(w(rec, "a"), (x,)) for x in (0, 1)] == [w(rec, "b"), ()]
+        assert rec.level_permutation(w(rec, "a"), 1) == (1, 0)
 
     def test_composition_law(self, all_recursion_groups, rng):
-        # level-(m+n) data equals level-m iteration applied inside level-n data
+        # the level-(m+n) iterate is the level-m iterate of each section of
+        # the level-n iterate: u_{vt} = (u_v)_t, and vt goes to (v u)(t u_v)
+        from itertools import product
+
         for g in all_recursion_groups:
             rec = g.recursion
             d = rec.degree
             for _ in range(10):
                 u = random_word(rng, len(rec.gens), 8)
                 m, n = rng.randint(0, 2), rng.randint(0, 2)
-                direct_secs, direct_perm = rec.iterate(u, m + n)
-                outer_secs, outer_perm = rec.iterate(u, n)
-                for v, s in outer_secs.items():
-                    inner_secs, _ = rec.iterate(s, m)
-                    for t, su in inner_secs.items():
-                        assert direct_secs[v + t] == su
-                # permutation agreement via the level map itself
-                assert direct_perm == rec.level_permutation(u, m + n)
-
-    def test_iterate_matches_level_permutation(self, grig, rng):
-        rec = grig.recursion
-        for _ in range(20):
-            u = random_word(rng, 4, 8)
-            n = rng.randint(0, 4)
-            assert rec.iterate(u, n)[1] == rec.level_permutation(u, n)
+                outer = rec.level_permutation(u, n)
+                direct = rec.level_permutation(u, m + n)
+                for iv, v in enumerate(product(range(d), repeat=n)):
+                    inner = rec.level_permutation(rec.section(u, v), m)
+                    for it, t in enumerate(product(range(d), repeat=m)):
+                        assert rec.section(u, v + t) == rec.section(rec.section(u, v), t)
+                        assert direct[iv * d**m + it] == outer[iv] * d**m + inner[it]
 
 
 # -- the one-pass kernel against the per-vertex walk it replaced ---------------

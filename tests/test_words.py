@@ -7,7 +7,6 @@ from contracta.words import (
     format_word,
     invert,
     parse_word,
-    power,
     shortlex_key,
 )
 
@@ -46,12 +45,6 @@ def test_parse_rejects_unknown_names():
         parse_word("a z", GENS)
     with pytest.raises(ParseError):
         parse_word("2x", GENS)
-
-
-def test_power():
-    assert power((1,), 3) == (1, 1, 1)
-    assert power((1,), -2) == (-1, -1)
-    assert power((1, 2), 0) == ()
 
 
 def test_shortlex_orders_inverse_after_generator():
