@@ -349,19 +349,19 @@ def _add_budget_options(p, depth=False):  # only the nucleus's closures count de
     p.add_argument("--max-word-length", type=int, default=DEFAULT_BUDGET.max_word_length)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The full parser, or, when `command` names a subcommand, one that
+    registers only that subparser; its usage still lists every subcommand."""
     top = argparse.ArgumentParser(
         prog="contracta",
         description="word problems, nuclei, covers, coset enumeration, and "
         "marked-group convergence for self-similar groups",
     )
     top.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub = top.add_subparsers(dest="command", required=True)
+    specs = []
 
     def add(name, handler, configure):
-        p = sub.add_parser(name)
-        configure(p)
-        p.set_defaults(handler=handler)
+        specs.append((name, handler, configure))
 
     def word_opt(p, name="--word"):
         p.add_argument(name, required=True, help="space-separated tokens, or 1")
@@ -423,12 +423,24 @@ def build_parser():
     add("wreath", cmd_wreath, lambda p: (p.add_argument("--base", required=True,
                                                         help="z or z<h>"),
                                          word_opt(p)))
+    chosen = [spec for spec in specs if spec[0] == command]
+    # one subparser keeps the full usage line that top-level errors print;
+    # the full parser sets no metavar, as its "required" error names `command`
+    metavar = "{" + ",".join(spec[0] for spec in specs) + "}" if chosen else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, configure in chosen or specs:
+        p = sub.add_parser(name)
+        configure(p)
+        p.set_defaults(handler=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand, if every token before it is exactly --json; any other
+    # token first (-h, an abbreviation) gets the full parser
+    command = next((token for token in argv if token != "--json"), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (ContractaError, ValueError, OSError) as e:

@@ -11,6 +11,7 @@ shift offset) is finite for eventually periodic parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, walk
 from .errors import ParseError, SemanticError
@@ -61,6 +62,15 @@ class OmegaSequence:
             return self.preperiod[k - 1]
         return self.period[(k - 1 - len(self.preperiod)) % len(self.period)]
 
+    @cached_property
+    def steps(self) -> tuple:
+        """Entry k is (symbol(k + 1), canonical offset k + 1), for each
+        canonical offset k: one split's symbol and the offset it moves to."""
+        return tuple(
+            (self.symbol(k + 1), _canonical_offset(self, k + 1))
+            for k in range(len(self.preperiod) + len(self.period))
+        )
+
     def shift(self) -> "OmegaSequence":
         if self.preperiod:
             return OmegaSequence(self.preperiod[1:], self.period)
@@ -110,10 +120,12 @@ def omega_section(omega: OmegaSequence, g, vertex) -> OmegaElement:
     """Section at a vertex; every tree level shifts the parameter once."""
     elt = _as_element(g)
     word, offset = elt.word, elt.offset
+    steps, canonical = omega.steps, _canonical_offset(omega, offset)
     for x in vertex:
         if x not in (0, 1):
             raise SemanticError("vertices use the binary alphabet {0, 1}")
-        word = _split(omega.symbol(offset + 1), word)[x]
+        symbol, canonical = steps[canonical]
+        word = _split(symbol, word)[x]
         offset += 1
     return OmegaElement(word, offset)
 
@@ -129,16 +141,22 @@ def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _
     """`contraction.walk` over the states (word, canonical offset), moving the
     root at an odd flip count; `_memo` serves this parameter.  Only the start's
     length is checked: a letter puts at most one letter into each section."""
-    elt = _as_element(g)
-    _check_length(elt.word, budget)
+    if isinstance(g, OmegaElement):
+        word, offset = g.word, _canonical_offset(omega, g.offset)
+    else:
+        word, offset = reduce_word(g), 0
+    _check_length(word, budget)
+    if word.count(A) % 2:  # the first split moves the root
+        return False
+    steps = omega.steps
 
     def split(state):
         word, offset = state
-        w0, w1, flip = _split(omega.symbol(offset + 1), word)
-        offset = _canonical_offset(omega, offset + 1)
+        symbol, offset = steps[offset]
+        w0, w1, flip = _split(symbol, word)
         return flip, ((w0, offset), (w1, offset))
 
-    return walk((elt.word, _canonical_offset(omega, elt.offset)), split, budget, _memo)
+    return walk((word, offset), split, budget, _memo)
 
 
 def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -167,8 +185,8 @@ def _kernel_member(omega, w, offset, n, memo) -> bool:
     key = (w, offset, n)
     result = memo.get(key)
     if result is None:
-        w0, w1, flip = _split(omega.symbol(offset + 1), w)
-        offset = _canonical_offset(omega, offset + 1)
+        symbol, offset = omega.steps[offset]
+        w0, w1, flip = _split(symbol, w)
         result = not flip and all(
             _kernel_member(omega, c, offset, n - 1, memo) for c in (w0, w1)
         )

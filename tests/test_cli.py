@@ -175,12 +175,14 @@ class TestFamilies:
     @pytest.mark.parametrize("command", [["gomega-wp", "--omega", ":012"],
                                          ["wp", "--group", "gomega::012"]])
     def test_word_length_flag_reaches_gomega_groups(self, capsys, command):
-        word = "a d a d a d a d"
-        assert cli.main([*command, "--max-word-length", "8", "--word", word]) == 0
-        assert cli.main([*command, "--max-word-length", "7", "--word", word]) == 2
-        assert capsys.readouterr().err.endswith(
-            "error: section word of length 8 exceeds cap 7\n"
-        )
+        # an odd number of a's moves the root, but the length is checked first
+        for word, code in (("a d a d a d a d", 0), ("a d a d a d a d a", 1)):
+            n = len(word.split())
+            assert cli.main([*command, "--max-word-length", str(n), "--word", word]) == code
+            assert cli.main([*command, "--max-word-length", str(n - 1), "--word", word]) == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: section word of length {n} exceeds cap {n - 1}\n"
+            )
 
     @pytest.mark.parametrize("group, trivial", [("bs:2:3", True), ("met:2:3", True),
                                                 ("wreath:z", False), ("w_n:1", False)])
@@ -270,6 +272,57 @@ class TestFamilies:
         lines = out.strip().splitlines()
         assert lines[0] == "n,gamma,elapsed_ms"
         assert [int(l.split(",")[1]) for l in lines[1:]] == [1, 5, 13, 29]
+
+
+def subcommand_names(parser=None):
+    parser = parser or cli.build_parser()
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+DIST = ["dist", "--group-a", "gomega::012@2", "--group-b", "gomega::012", "--radius", "8"]
+
+
+class TestParser:
+    """`main` builds only the chosen subcommand's parser, and prints the
+    bytes that the full parser prints."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        out = capsys.readouterr()
+        return out.out, out.err, exit_.value.code
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "--help"] for name in subcommand_names()),
+        ["-h"], ["--help"], ["-h", "dist"], [], ["nope"], ["nope", "--json"],
+        ["--json", *DIST, "--bogus"],  # unrecognized: the top-level usage
+        [*DIST, "--json"],
+        ["--json", "--json", "dist", "--radius", "x"],
+        ["--js", *DIST[:-2]],
+        ["--json", *DIST[:-2]],  # a missing required flag
+        ["wp", "--group", "grigorchuk"], ["tc"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_same_bytes_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        assert self.outcome(capsys, cli.main, argv) == full
+        assert full[2] in (0, 2)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr("sys.argv", ["contracta", "dist", "--help"])
+        full = self.outcome(capsys, cli.build_parser().parse_args, ["dist", "--help"])
+        assert self.outcome(capsys, lambda _: cli.main(), None) == full
+
+    @pytest.mark.parametrize("argv", [DIST, ["--json", *DIST], ["--js", *DIST]])
+    def test_same_namespace_as_the_full_parser(self, argv):
+        chosen = next(token for token in argv if token != "--json")
+        assert cli.build_parser(chosen).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_only_the_chosen_subparser_is_built(self):
+        assert subcommand_names(cli.build_parser("dist")) == ["dist"]
+        assert subcommand_names(cli.build_parser("--js")) == subcommand_names()
 
 
 class TestJsonDeterminism:

@@ -358,6 +358,17 @@ AGREEMENT_OMEGAS = (":0", ":01", ":012", "0:12", "2:0121", "12:10220", "01:201",
 LEVELS = range(5)
 
 
+def past_preperiod(om):
+    """An offset past the preperiod that is not canonical."""
+    return len(om.preperiod) + len(om.period) + 1
+
+
+def shifted(om, k):
+    for _ in range(k):
+        om = om.shift()
+    return om
+
+
 @pytest.fixture(scope="module")
 def ball9():
     return list(grig.CoverCongruence().ball(9))
@@ -365,18 +376,23 @@ def ball9():
 
 @pytest.fixture(scope="module")
 def references(ball9, sys_):
-    """Per parameter: the reference triviality of each ball word, and its
-    reference kernel membership at each level."""
+    """Per parameter: the reference triviality of each ball word and its
+    reference kernel membership at each level, at offset 0 and past the
+    preperiod, where the kernel chain is that of the shifted parameter."""
     out = {}
     for text in AGREEMENT_OMEGAS:
         om = OmegaSequence.parse(text)
-        trivial = [reference_is_trivial(om, u) for u in ball9]
-        memos = {n: {} for n in LEVELS}
-        kernel = {
-            n: [reference_kernel_member(om, u, n, sys_, memos[n]) for u in ball9]
-            for n in LEVELS
-        }
-        out[text] = trivial, kernel
+        past = past_preperiod(om)
+        answers = []
+        for offset, chain_om in ((0, om), (past, shifted(om, past))):
+            trivial = [reference_is_trivial(om, OmegaElement(u, offset)) for u in ball9]
+            memos = {n: {} for n in LEVELS}
+            kernel = {
+                n: [reference_kernel_member(chain_om, u, n, sys_, memos[n]) for u in ball9]
+                for n in LEVELS
+            }
+            answers.append((trivial, kernel))
+        out[text] = answers
     return out
 
 
@@ -394,21 +410,28 @@ class TestAgreement:
     def test_sections_match_the_reference(self, ball9):
         om = OmegaSequence.parse("1:02")
         for u in ball9[::7]:
-            for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
-                assert GO.omega_section(om, u, v) == _reference_section(om, u, v)
+            for g in (u, OmegaElement(u, past_preperiod(om))):
+                for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
+                    assert GO.omega_section(om, g, v) == _reference_section(om, g, v)
 
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
     def test_fresh_memo_per_word(self, text, ball9, references):
         om = OmegaSequence.parse(text)
-        trivial, kernel = references[text]
+        (trivial, kernel), (trivial_past, kernel_past) = references[text]
         assert [GO.omega_is_trivial(om, u) for u in ball9] == trivial
         for n in LEVELS:
             assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
+        past = past_preperiod(om)
+        assert [GO.omega_is_trivial(om, OmegaElement(u, past)) for u in ball9] == trivial_past
+        start = GO._canonical_offset(om, past)
+        for n in LEVELS:
+            got = [GO._kernel_member(om, reduce_word(u), start, n, {}) for u in ball9]
+            assert got == kernel_past[n]
 
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
     def test_shared_memo_in_any_order(self, text, ball9, references):
         om = OmegaSequence.parse(text)
-        trivial, kernel = references[text]
+        (trivial, kernel), _ = references[text]
         shuffled = list(range(len(ball9)))
         random.Random(text).shuffle(shuffled)
         for order in (shuffled, list(reversed(range(len(ball9))))):
