@@ -1,7 +1,9 @@
 """The word problem by a section walk; section-closure automata and nuclei.
 
 A word is trivial iff no section state reachable from it moves the first
-level (`walk`).  A nucleus is a fixed-point iteration with one section
+level (`walk`), and lies in the level-n kernel iff it fixes the first n
+levels and its level-n sections are trivial (`in_kernel`); both take a
+tree family's split.  A nucleus is a fixed-point iteration with one section
 closure per round, whose states are classed by bisimulation (same root
 permutation, pairwise bisimilar sections); the last round's closure also
 gives its tables.  Both are exact within budget; blow-ups surface as
@@ -37,7 +39,7 @@ class SectionAutomaton:
     """Finite section closure of a set of words, with bisimulation classes.
 
     States are tagged by freely reduced representative words; transitions are
-    total; the identity state is the empty word and carries self-loops.
+    total; state 0 is the empty word and carries self-loops.
     """
 
     rec: object
@@ -45,11 +47,7 @@ class SectionAutomaton:
     trans: list  # per state: tuple of successor ids, one per letter
     perms: list  # per state: root permutation
     index: dict = field(repr=False)
-    identity_state: int = 0
     classes: list = None  # bisimulation class id per state
-
-    def state_of(self, word):
-        return self.index.get(free_reduce(word))
 
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:
@@ -123,6 +121,7 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     queue = deque(seen)
     while queue:
         moved, sections = split(queue.popleft())
+        sections = tuple(sections)  # the cover split gives them lazily, for in_kernel
         if moved or any(memo.get(state) is False for state in sections):
             memo[start] = False
             return False
@@ -134,6 +133,27 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
                 queue.append(state)
     memo.update(dict.fromkeys(seen, True))
     return True
+
+
+def in_kernel(start, split, n: int, memo, empty) -> bool:
+    """Level-n kernel test: `start` fixes the first n levels and each of its
+    level-n sections is trivial, which `empty(state)` decides.  `split` is
+    `walk`'s; its sections are taken up to the first one outside.
+    `memo` is keyed by (state, level), so one memo serves every level."""
+    if n == 0:
+        return empty(start)
+    key = (start, n)
+    result = memo.get(key)
+    if result is None:
+        moved, sections = split(start)
+        result = not moved
+        if result:
+            for state in sections:  # a loop, not all(): this is the chains' hot path
+                if not in_kernel(state, split, n - 1, memo, empty):
+                    result = False
+                    break
+        memo[key] = result
+    return result
 
 
 def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:

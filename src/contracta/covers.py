@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import not_
 
 from . import contraction, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, Nucleus
@@ -36,10 +37,6 @@ class CoverPresentation:
     recursion: WreathRecursion  # induced recursion on the cover generators
     pruning: list  # PruneEntry records
     element_words: tuple = field(default=())  # nucleus index -> cover word
-
-    @property
-    def base_recursion(self):
-        return self.nucleus.rec
 
     def to_base(self, word) -> Word:
         """Substitute nucleus representatives for cover letters."""
@@ -223,7 +220,8 @@ def standard_cover(
     sys: RewriteSystem = None,
 ) -> StandardCoverResult:
     """Choose self-replication witnesses h(x, n) by shortest-word BFS (shortlex
-    tie-break) and collect the section closure of the mismatch words w(x, n).
+    tie-break); the extra relators are the section closures of the mismatch
+    words w(x, n), one walk memo holding them all.
 
     Witnesses whose section equals the target generator in the cover's own
     rewriting normal form make w(x, n) trivial; when that happens for every
@@ -276,10 +274,13 @@ def standard_cover(
         frontier = nxt
         radius += 1
 
-    # fallback: pi-level witnesses for pairs without an exact one
-    extra = set()
+    # fallback: pi-level witnesses for pairs without an exact one.  Each
+    # trivial walk picks a witness and marks the section closure of its
+    # w(x, n) trivial in `memo`, so those states are the extra relators.
+    memo = {}
     missing = [key for key in targets if key not in witnesses]
     if missing:
+        split = section_split(cover, sys, budget)
         elements = sorted(seen, key=shortlex_key)
         for x, i in missing:
             for h in elements:
@@ -287,38 +288,40 @@ def standard_cover(
                 if tau[x] != x:
                     continue
                 w = normal_form(sys, concat(sections[x], invert(cover.element_words[i])))
-                base = cover.to_base(w)
-                if contraction.is_trivial(cover.base_recursion, base, budget):
+                if contraction.walk(w, split, budget, memo):
                     witnesses[(x, i)] = h
                     exact[(x, i)] = False
-                    extra |= _section_closure_words(rec, sys, w, budget)
                     break
             else:
                 raise BudgetExceeded(
                     f"no self-replication witness for letter {x}, "
                     f"element {nucleus.elements[i]} within radius {search_radius}"
                 )
+    extra = [state for state, trivial in memo.items() if trivial and state]
     return StandardCoverResult(
         cover, sorted(extra, key=shortlex_key), witnesses, exact
     )
 
 
-def _section_closure_words(rec, sys, w, budget):
-    out = set()
-    queue = [normal_form(sys, w)]
-    seen = set(queue)
-    while queue:
-        u = queue.pop()
-        if u:
-            out.add(u)
-        if len(seen) > budget.max_states:
-            raise BudgetExceeded("extra-relator closure exceeded state budget")
-        for sec in rec.split(u)[1]:
-            v = normal_form(sys, sec)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return out
+def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget = DEFAULT_BUDGET):
+    """The split that `walk` and `in_kernel` take over cover words in
+    rewriting normal form: whether a word moves the root, and the normal
+    forms of its first-level sections, each charged `max_word_length` and
+    rewritten only when it is reached."""
+    rec = cover.recursion
+    identity = perm_identity(rec.degree)
+
+    def section_state(sec):
+        contraction._check_length(sec, budget)
+        return normal_form(sys, sec)
+
+    def split(word):
+        perm, sections = rec.split(word)
+        if perm != identity:
+            return True, ()
+        return False, map(section_state, sections)
+
+    return split
 
 
 def kernel_member(
@@ -330,21 +333,9 @@ def kernel_member(
         raise BudgetExceeded("kernel membership needs a complete rewrite system")
     if n < 0:
         raise ValueError("level must be >= 0")
-    if _memo is None:
-        _memo = {}
-    w = normal_form(sys, free_reduce(w))
-    key = (w, n)
-    if key in _memo:
-        return _memo[key]
-    if n == 0:
-        result = w == ()
-    else:
-        tau, sections = cover.recursion.split(w)
-        result = tau == perm_identity(len(tau)) and all(
-            kernel_member(cover, sys, sec, n - 1, _memo) for sec in sections
-        )
-    _memo[key] = result
-    return result
+    memo = {} if _memo is None else _memo
+    start = normal_form(sys, free_reduce(w))
+    return contraction.in_kernel(start, section_split(cover, sys), n, memo, not_)
 
 
 def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):

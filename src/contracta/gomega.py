@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .contraction import DEFAULT_BUDGET, Budget, _check_length, walk
+from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
 from .errors import ParseError, SemanticError
 from .grig import A, B, C, D, reduce_word
 from .words import Word
@@ -70,6 +70,15 @@ class OmegaSequence:
             (self.symbol(k + 1), _canonical_offset(self, k + 1))
             for k in range(len(self.preperiod) + len(self.period))
         )
+
+    def split(self, state) -> tuple:
+        """The split of a state (C2 * V-reduced word, canonical offset) that
+        `walk` and `in_kernel` take: whether it moves the root, and both
+        first-level sections, one shift along."""
+        word, offset = state
+        symbol, offset = self.steps[offset]
+        w0, w1, flip = _split(symbol, word)
+        return flip, ((w0, offset), (w1, offset))
 
     def shift(self) -> "OmegaSequence":
         if self.preperiod:
@@ -148,15 +157,7 @@ def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _
     _check_length(word, budget)
     if word.count(A) % 2:  # the first split moves the root
         return False
-    steps = omega.steps
-
-    def split(state):
-        word, offset = state
-        symbol, offset = steps[offset]
-        w0, w1, flip = _split(symbol, word)
-        return flip, ((w0, offset), (w1, offset))
-
-    return walk((word, offset), split, budget, _memo)
+    return walk((word, offset), omega.split, budget, _memo)
 
 
 def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -171,24 +172,13 @@ def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
     """Membership in the level-n kernel of the symbol-wise splitting chain,
-    whose level 0 is C2 * V; `_memo` caches answers for this parameter."""
+    whose level 0 is C2 * V: `in_kernel` over `omega.split`, with `_memo`
+    caching answers for this parameter."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if _memo is None:
-        _memo = {}
-    return _kernel_member(omega, reduce_word(w), 0, n, _memo)
+    memo = {} if _memo is None else _memo
+    return in_kernel((reduce_word(w), 0), omega.split, n, memo, _is_identity)
 
 
-def _kernel_member(omega, w, offset, n, memo) -> bool:
-    if n == 0:
-        return w == ()
-    key = (w, offset, n)
-    result = memo.get(key)
-    if result is None:
-        symbol, offset = omega.steps[offset]
-        w0, w1, flip = _split(symbol, w)
-        result = not flip and all(
-            _kernel_member(omega, c, offset, n - 1, memo) for c in (w0, w1)
-        )
-        memo[key] = result
-    return result
+def _is_identity(state) -> bool:
+    return not state[0]

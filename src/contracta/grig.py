@@ -32,20 +32,15 @@ def reduce_word(word) -> Word:
     out = []
     for x in word:
         x = abs(x)  # all four generators are involutions
-        while True:
-            if not out:
-                out.append(x)
-                break
+        if out:
             top = out[-1]
             if top == x:
                 out.pop()
-                break
-            if top != A and x != A:
-                out.pop()
-                x = _VTABLE[(top, x)]
                 continue
-            out.append(x)
-            break
+            if top != A and x != A:  # `out` alternates: an `a` or nothing lies below
+                out[-1] = _VTABLE[(top, x)]
+                continue
+        out.append(x)
     return tuple(out)
 
 

@@ -13,7 +13,6 @@ from .errors import ParseError
 
 Word = tuple  # tuple[int, ...]
 
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 

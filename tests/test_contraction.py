@@ -265,11 +265,11 @@ def reference_build_nucleus(rec, reps, trans, perms, recurrent, budget):
     identity = elements.index(())  # the shortlex-least word represents its class
 
     auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
-    at = {auto.classes[auto.state_of(e)]: i for i, e in enumerate(elements)}
+    at = {auto.classes[auto.index[free_reduce(e)]]: i for i, e in enumerate(elements)}
     products = {}
     for i, u in enumerate(elements):
         for j, v in enumerate(elements):
-            k = at.get(auto.classes[auto.state_of(concat(u, v))])
+            k = at.get(auto.classes[auto.index[free_reduce(concat(u, v))]])
             if k is not None:
                 products[(i, j)] = k
     inverse_of = {i: j for (i, j), k in products.items() if k == identity}
@@ -402,7 +402,7 @@ def reference_are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET):
     if not w:
         return True
     auto = section_closure(rec, [w], budget)
-    return auto.classes[auto.state_of(w)] == auto.classes[auto.identity_state]
+    return auto.classes[auto.index[free_reduce(w)]] == auto.classes[0]
 
 
 def _outcome(fn, *args):

@@ -13,7 +13,7 @@ from contracta.covers import (
     universal_cover,
 )
 from contracta.errors import BudgetExceeded
-from contracta.recursion import WreathRecursion
+from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import (
     concat,
     format_word,
@@ -119,7 +119,7 @@ def reference_relators(cover, budget):
     """Every trivial word of length <= 3 over the cover's letters, first
     letter positive, one per rotation and inversion class, each decided by
     its own section closure in the base group."""
-    rec = cover.base_recursion
+    rec = cover.nucleus.rec
     reps = [cover.gen_to_nucleus[g] for g in cover.presentation.gens]
     involution = [contraction.is_trivial(rec, concat(r, r), budget) for r in reps]
     letters = []
@@ -168,6 +168,101 @@ def test_relators_from_the_nucleus_tables_agree_with_per_word_triviality(
             expected = reference_relators(cover, budget)
             assert cover.presentation.relators == expected, (rec, prune)
     assert answered > 40
+
+
+PIPELINE_BUDGET = Budget(max_states=300, max_depth=32, max_word_length=96)
+
+
+def extra_relator_cover():
+    rec = parse_recursion(
+        "alphabet 3\n"
+        "gen x = perm(0 2 1) sections(x^-1, y, y)\n"
+        "gen y = perm(1 2 0) sections(x^-1, 1, x)\n"
+    )
+    cover = universal_cover(nucleus(rec, PIPELINE_BUDGET), prune=True)
+    return cover, rewriting.complete(cover.presentation, max_rules=300)
+
+
+def reference_standard_cover(cover, budget, search_radius, sys):
+    """`covers.standard_cover` as it was before its fallback walked cover
+    words: each candidate is decided in the base group, and a witness's
+    extra relators come from a section closure of its own."""
+    rec = cover.recursion
+    d = rec.degree
+    n_elements = len(cover.nucleus)
+    targets = {
+        (x, i): rewriting.normal_form(sys, cover.element_words[i])
+        for x in range(d)
+        for i in range(n_elements)
+    }
+    witnesses, exact = {}, {}
+    frontier, seen = [()], {()}
+    letters = [i for i in range(1, len(rec.gens) + 1)]
+    letters += [-i for i in letters]
+    radius = 0
+    while frontier and radius <= search_radius:
+        for h in sorted(frontier, key=shortlex_key):
+            tau, sections = rec.split(h)
+            for x in range(d):
+                if tau[x] != x:
+                    continue
+                sec = rewriting.normal_form(sys, sections[x])
+                for i in range(n_elements):
+                    if (x, i) not in witnesses and sec == targets[(x, i)]:
+                        witnesses[(x, i)] = h
+                        exact[(x, i)] = True
+        if len(witnesses) == len(targets):
+            break
+        nxt = []
+        for h in frontier:
+            for s in letters:
+                w = rewriting.normal_form(sys, h + (s,))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        radius += 1
+
+    extra = set()
+    for x, i in [key for key in targets if key not in witnesses]:
+        for h in sorted(seen, key=shortlex_key):
+            tau, sections = rec.split(h)
+            if tau[x] != x:
+                continue
+            w = rewriting.normal_form(
+                sys, concat(sections[x], invert(cover.element_words[i]))
+            )
+            if contraction.is_trivial(cover.nucleus.rec, cover.to_base(w), budget):
+                witnesses[(x, i)] = h
+                exact[(x, i)] = False
+                extra |= reference_section_closure_words(rec, sys, w, budget)
+                break
+        else:
+            raise BudgetExceeded(
+                f"no self-replication witness for letter {x}, "
+                f"element {cover.nucleus.elements[i]} within radius {search_radius}"
+            )
+    return covers.StandardCoverResult(
+        cover, sorted(extra, key=shortlex_key), witnesses, exact
+    )
+
+
+def reference_section_closure_words(rec, sys, w, budget):
+    out = set()
+    queue = [rewriting.normal_form(sys, w)]
+    seen = set(queue)
+    while queue:
+        u = queue.pop()
+        if u:
+            out.add(u)
+        if len(seen) > budget.max_states:
+            raise BudgetExceeded("extra-relator closure exceeded state budget")
+        for sec in rec.split(u)[1]:
+            v = rewriting.normal_form(sys, sec)
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return out
 
 
 class TestStandardCover:
@@ -234,17 +329,100 @@ class TestStandardCover:
             standard_cover(cover, sys=sys_, search_radius=1)
 
     def test_extra_relator_closure_collects_sections(self, grig_cover):
-        from contracta.contraction import DEFAULT_BUDGET
-        from contracta.covers import _section_closure_words
-
+        # a trivial walk over the cover split marks the section closure of its
+        # start; the level-1 sections of (ad)^4 rewrite to nothing, so only
+        # the word itself is a nonempty state
         cover, sys_ = grig_cover
         ad4 = parse_word("a d", cover.presentation.gens) * 4
-        words = _section_closure_words(cover.recursion, sys_, ad4, DEFAULT_BUDGET)
-        # its level-1 sections rewrite to nothing, so only the word itself stays
-        assert words == {ad4}
+        memo = {}
+        assert contraction.walk(ad4, covers.section_split(cover, sys_), memo=memo)
+        assert {state for state, trivial in memo.items() if trivial and state} == {ad4}
+
+    def test_extra_relators_match_the_reference_fallback(self):
+        # x^6 has no exact witness for three pairs within radius 4, so the
+        # fallback's walks leave x^6 and x^-6 as extra relators
+        cover, sys_ = extra_relator_cover()
+        result = standard_cover(cover, PIPELINE_BUDGET, search_radius=4, sys=sys_)
+        gens = cover.presentation.gens
+        assert [format_word(w, gens) for w in result.extra_relators] == [
+            "x x x x x x",
+            "x^-1 x^-1 x^-1 x^-1 x^-1 x^-1",
+        ]
+        assert not all(result.exact.values())
+        reference = reference_standard_cover(cover, PIPELINE_BUDGET, 4, sys_)
+        assert result.extra_relators == reference.extra_relators
+        assert result.witnesses == reference.witnesses
+        assert result.exact == reference.exact
+
+    def test_fallback_matches_the_reference_on_random_recursions(self):
+        # the draws whose search finds no witness run the fallback to the end,
+        # and both sides must then fail with the same message
+        rng = random.Random(74)
+        answered = 0
+        for _ in range(12):
+            rec = random_recursion(rng)
+            for prune in (False, True):
+                try:
+                    cover = universal_cover(nucleus(rec, PIPELINE_BUDGET), prune=prune)
+                except BudgetExceeded:
+                    continue
+                sys_ = rewriting.complete(cover.presentation, max_rules=300)
+                if not sys_.complete:
+                    continue
+                outcomes = []
+                for search in (standard_cover, reference_standard_cover):
+                    try:
+                        r = search(cover, PIPELINE_BUDGET, 4, sys_)
+                        outcomes.append((r.extra_relators, r.witnesses, r.exact))
+                    except BudgetExceeded as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1], (rec, prune)
+                answered += not isinstance(outcomes[0], str)
+        assert answered > 5
+
+
+def reference_kernel_member(cover, sys, w, n, memo):
+    """`covers.kernel_member` as it was: a recursion of its own, memoized by
+    (normal form, level), level 0 included."""
+    w = rewriting.normal_form(sys, free_reduce(w))
+    key = (w, n)
+    if key in memo:
+        return memo[key]
+    if n == 0:
+        result = w == ()
+    else:
+        tau, sections = cover.recursion.split(w)
+        result = tau == tuple(range(len(tau))) and all(
+            reference_kernel_member(cover, sys, sec, n - 1, memo) for sec in sections
+        )
+    memo[key] = result
+    return result
 
 
 class TestKernelChain:
+    def test_agrees_with_the_reference_recursion(self, rng):
+        # random words, and their squares and fourth powers, which enter later
+        # kernels in the torsion groups; a fresh memo per word, then one memo
+        # for every level
+        entered_later = 0
+        for name in catalog.RECURSION_NAMES:
+            cover, sys_ = catalog.cover_for(name)
+            words = [random_word(rng, len(cover.presentation.gens), 8) for _ in range(60)]
+            words += [u * k for u in words[:30] for k in (2, 4)]
+            shared, reference = {}, {}
+            for n in range(5):
+                expected = [
+                    reference_kernel_member(cover, sys_, u, n, reference) for u in words
+                ]
+                assert [kernel_member(cover, sys_, u, n) for u in words] == expected
+                assert [kernel_member(cover, sys_, u, n, shared) for u in words] == expected
+            entered_later += sum(
+                reference[(rewriting.normal_form(sys_, u), 4)]
+                and not reference[(rewriting.normal_form(sys_, u), 0)]
+                for u in words
+            )
+        assert entered_later > 5
+
     def test_ad4_examples(self, grig_cover):
         cover, sys_ = grig_cover
         ad4 = parse_word("a d", cover.presentation.gens) * 4

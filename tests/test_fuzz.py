@@ -128,7 +128,7 @@ def reference_same_elements(rec, first, second, budget) -> bool:
     auto = section_closure(rec, list(first | second), budget)
 
     def classes_of(ws):
-        return {auto.classes[auto.state_of(w)] for w in ws}
+        return {auto.classes[auto.index[free_reduce(w)]] for w in ws}
 
     return classes_of(first) == classes_of(second)
 
@@ -165,17 +165,17 @@ def reference_build(rec, auto, recurrent, budget):
     elements = tuple(reps[c] for c in order)
     sections = tuple(tuple(pos[t] for t in trans[c]) for c in order)
     nperms = tuple(perms[c] for c in order)
-    identity = pos[auto.classes[auto.identity_state]]
+    identity = pos[auto.classes[0]]
 
     inv_auto = section_closure(
         rec, list(elements) + [invert(e) for e in elements], budget
     )
     cls_to_pos = {}
     for i, e in enumerate(elements):
-        cls_to_pos[inv_auto.classes[inv_auto.state_of(e)]] = i
+        cls_to_pos[inv_auto.classes[inv_auto.index[free_reduce(e)]]] = i
     inverses = []
     for e in elements:
-        c = inv_auto.classes[inv_auto.state_of(invert(e))]
+        c = inv_auto.classes[inv_auto.index[free_reduce(invert(e))]]
         if c not in cls_to_pos:
             raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
         inverses.append(cls_to_pos[c])
@@ -188,10 +188,10 @@ def reference_build(rec, auto, recurrent, budget):
     )
     cls_to_pos = {}
     for i, e in enumerate(elements):
-        cls_to_pos[prod_auto.classes[prod_auto.state_of(e)]] = i
+        cls_to_pos[prod_auto.classes[prod_auto.index[free_reduce(e)]]] = i
     for i, u in enumerate(elements):
         for j, v in enumerate(elements):
-            c = prod_auto.classes[prod_auto.state_of(concat(u, v))]
+            c = prod_auto.classes[prod_auto.index[free_reduce(concat(u, v))]]
             if c in cls_to_pos:
                 products[(i, j)] = cls_to_pos[c]
     return Nucleus(rec, elements, sections, nperms, tuple(inverses), identity, products)
@@ -291,7 +291,7 @@ def reference_is_contracting(rec, budget):
     closure, which was kept on the nucleus then and is rebuilt here."""
     nuc = contraction.nucleus(rec, budget)
     auto = section_closure(rec, [*nuc.elements, *_products(nuc.elements, budget)], budget)
-    nucleus_classes = {auto.classes[auto.state_of(e)] for e in nuc.elements}
+    nucleus_classes = {auto.classes[auto.index[free_reduce(e)]] for e in nuc.elements}
     # depth until every path from a state stays inside nucleus classes
     depth = {}
 

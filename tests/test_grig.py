@@ -12,6 +12,29 @@ def w(text):
     return parse_word(text, G.GENS)
 
 
+def reference_reduce_word(word):
+    """C2 * V normal form by popping two Klein-four letters and pushing their
+    product back through the loop."""
+    out = []
+    for x in word:
+        x = abs(x)
+        while True:
+            if not out:
+                out.append(x)
+                break
+            top = out[-1]
+            if top == x:
+                out.pop()
+                break
+            if top != G.A and x != G.A:
+                out.pop()
+                x = G._VTABLE[(top, x)]
+                continue
+            out.append(x)
+            break
+    return tuple(out)
+
+
 class TestReduce:
     def test_klein_four_table(self):
         assert G.reduce_word(w("b c")) == w("d")
@@ -26,6 +49,13 @@ class TestReduce:
             nf = G.reduce_word(u)
             for x, y in zip(nf, nf[1:]):
                 assert (x == G.A) != (y == G.A)
+
+    def test_agrees_with_the_reference_loop(self, rng):
+        # random words in all eight signed letters, so inverses and runs of
+        # Klein-four letters both occur
+        for _ in range(2000):
+            u = random_word(rng, 4, 16)
+            assert G.reduce_word(u) == reference_reduce_word(u)
 
     def test_reduction_is_sound_for_the_group(self, grig, rng):
         rec = grig.recursion
