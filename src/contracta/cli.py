@@ -183,6 +183,8 @@ def _subgroup_words(spec: str, gens):
 
 
 def cmd_tc(args):
+    if args.gn is not None and args.pres:
+        raise ContractaError("tc takes --pres FILE or --gn N, not both")
     if args.gn is not None:
         pres = grig.g_n_presentation(args.gn)
     elif args.pres:

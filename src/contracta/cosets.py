@@ -4,6 +4,11 @@ The enumerator is HLT-style: scan every relator at every live coset, define
 new cosets to fill gaps, process coincidences through a union-find merge.
 Row filling keeps the scan order deterministic, so a given input always
 produces the same table.
+
+A generator x with a relator `x x` (or `x^-1 x^-1`) is an involution and
+gets one self-inverse working column for x and x^-1, so G_n's rows (four
+involutions) are half as long.  The finished table is expanded back to two
+columns per generator before it is renumbered and checked.
 """
 
 from __future__ import annotations
@@ -17,6 +22,19 @@ DEFAULT_MAX_COSETS = 2**22
 
 def _col(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+
+def _layout(pres):
+    """The working column of each `_col` column, and the inverse of each
+    working column: an involution's x and x^-1 share one self-inverse
+    column, every other generator has two."""
+    folded = {abs(r[0]) for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    layout, inv = [], []
+    for g in range(1, len(pres.gens) + 1):
+        x = len(inv)
+        layout += [x, x] if g in folded else [x, x + 1]
+        inv += [x] if g in folded else [x + 1, x]
+    return layout, inv
 
 
 @dataclass
@@ -50,13 +68,16 @@ class _Enumerator:
 
     Coset k's row starts at offset `(k + 1) * ncols`, so coset 0 sits at
     offset `ncols` and an entry of 0 means undefined.  Entries hold row
-    offsets.  The union-find `p` holds dead cosets only, mapping each to the
-    coset it merged into; a live coset's offset is not in `p`.  One list of
-    ints, not one list per coset, keeps the garbage collector off the table.
+    offsets.  `inv[col]` is the column of the inverse letter, `col` itself
+    for an involution.  The union-find `p` holds dead cosets only, mapping
+    each to the coset it merged into; a live coset's offset is not in `p`.
+    One list of ints, not one list per coset, keeps the garbage collector off
+    the table.
     """
 
-    def __init__(self, ngens, max_cosets):
-        self.ncols = 2 * ngens
+    def __init__(self, inv, max_cosets):
+        self.inv = inv
+        self.ncols = len(inv)
         self.blank = [0] * self.ncols
         self.t = self.blank * 2  # an unused row at offset 0, then coset 0
         self.end = (max_cosets + 1) * self.ncols  # table length at the budget
@@ -82,7 +103,7 @@ class _Enumerator:
             raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
         t += self.blank
         t[a + col] = b
-        t[b + (col ^ 1)] = a
+        t[b + self.inv[col]] = a
         return b
 
     def merge(self, a, b):
@@ -98,13 +119,12 @@ class _Enumerator:
         t, queue, rep = self.t, self.queue, self.rep
         while queue:
             dead = queue.pop()
-            for col in range(self.ncols):
+            for col, inv in enumerate(self.inv):
                 c = t[dead + col]
                 if not c:
                     continue
                 # clear the mirrored pointer back at the dead coset, then
                 # replay the edge between current representatives
-                inv = col ^ 1
                 if t[c + inv] == dead:
                     t[c + inv] = 0
                 mu, nu = rep(dead), rep(c)
@@ -119,7 +139,7 @@ class _Enumerator:
     def scan_and_fill(self, a, cols, inv):
         """Scan a relator (columns `cols`, inverse columns `inv`) at coset
         offset a, filling gaps."""
-        t = self.t
+        t, end = self.t, self.end
         f, i = a, 0
         b, j = a, len(cols) - 1
         while True:
@@ -145,7 +165,14 @@ class _Enumerator:
                 t[f + cols[i]] = b
                 t[b + inv[i]] = f
                 return
-            f = self.define(f, cols[i])
+            # define f's image, as `define` does: the hot path, so inline
+            x = len(t)
+            if x >= end:
+                raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
+            t += self.blank
+            t[f + cols[i]] = x
+            t[x + inv[i]] = f
+            f = x
             i += 1
 
 
@@ -158,11 +185,12 @@ def enumerate_cosets(
         raise ValueError("max_cosets must be positive")
     if not pres.gens:  # the trivial group: one coset, and no columns
         return CosetTable(pres.gens, [[]], tuple(subgroup_gens))
-    enum = _Enumerator(len(pres.gens), max_cosets)
+    layout, inv = _layout(pres)
+    enum = _Enumerator(inv, max_cosets)
     rel_cols = [tuple(_col(x) for x in r) for r in pres.relators]
     sub_cols = [tuple(_col(x) for x in w) for w in subgroup_gens if w]
-    rels = [(c, tuple(x ^ 1 for x in c)) for c in rel_cols]
-    subs = [(c, tuple(x ^ 1 for x in c)) for c in sub_cols]
+    rels = [_scan_columns(c, layout) for c in rel_cols]
+    subs = [_scan_columns(c, layout) for c in sub_cols]
     t, p, ncols = enum.t, enum.p, enum.ncols
 
     for cols, inv in subs:
@@ -182,9 +210,14 @@ def enumerate_cosets(
                     enum.define(a, col)
         a += ncols
 
-    table = _standardize(enum, pres, subgroup_gens)
+    table = _standardize(enum, layout, pres, subgroup_gens)
     _verify(table, rel_cols, sub_cols)
     return table
+
+
+def _scan_columns(cols, layout):
+    """A word's working columns and the inverse column of each letter."""
+    return tuple(layout[c] for c in cols), tuple(layout[c ^ 1] for c in cols)
 
 
 def _verify(table: CosetTable, rel_cols, sub_cols):
@@ -211,12 +244,13 @@ def _verify(table: CosetTable, rel_cols, sub_cols):
             raise ContractaError("subgroup generator moves coset 0")
 
 
-def _standardize(enum, pres, subgroup_gens):
-    """Renumber live cosets in BFS order from coset 0, column order."""
+def _standardize(enum, layout, pres, subgroup_gens):
+    """Renumber live cosets in BFS order from coset 0, column order, over
+    two columns per generator (`layout` maps them to working columns)."""
     t, ncols, rep = enum.t, enum.ncols, enum.rep
     live = [a for a in range(ncols, len(t), ncols) if a not in enum.p]
     # resolve all entries through the union-find first
-    resolved = {a: [rep(x) for x in t[a:a + ncols]] for a in live}
+    resolved = {a: [rep(t[a + c]) for c in layout] for a in live}
     if any(0 in row for row in resolved.values()):
         raise ContractaError("incomplete coset table")
     order = [ncols]

@@ -120,6 +120,20 @@ class TestPresentationCommands:
         assert code == 0
         assert "coset 0:" in out
 
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_tc_rejects_pres_and_gn_together(self, capsys, tmp_path, exists):
+        # the conflict is named before the file is read, so also when it is missing
+        pres = tmp_path / "gn0.pres"
+        if exists:
+            pres.write_text(run(capsys, "gn-pres", "--n", "0")[1])
+        argv = ["tc", "--pres", str(pres), "--gn", "0", "--subgroup", "k0"]
+        message = "tc takes --pres FILE or --gn N, not both"
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+        assert cli.main(["--json", *argv]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == message
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_tc_rejects_a_non_positive_budget(self, capsys, budget):
         argv = ["tc", "--gn", "0", "--subgroup", "xi0", "--max-cosets", budget]

@@ -1,3 +1,5 @@
+import functools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from contracta.cosets import (
     FreeProductSignature,
     _col,
     _Enumerator,
+    _layout,
     _standardize,
     _verify,
     enumerate_cosets,
@@ -100,9 +103,11 @@ class TestEnumeration:
 
     def test_undefined_entry_raises(self):
         # a hole left in a live row is an error, not a KeyError in renumbering
-        enum = _Enumerator(1, 4)
+        pres = Presentation(("x",), ())
+        layout, inv = _layout(pres)
+        enum = _Enumerator(inv, 4)
         with pytest.raises(ContractaError, match="incomplete coset table"):
-            _standardize(enum, Presentation(("x",), ()), [])
+            _standardize(enum, layout, pres, [])
 
     def test_one_pass_over_the_cosets(self, monkeypatch):
         # G_2/H_2 meets no coincidence, so one HLT pass scans each subgroup
@@ -143,6 +148,38 @@ class TestEnumeration:
         lines = text.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("coset 0: a->")
+
+
+class TestInvolutionColumns:
+    """A generator with relator `x x` or `x^-1 x^-1` gets one working column,
+    which is its own inverse; every other generator keeps two."""
+
+    def test_g_n_generators_fold(self, g0):
+        assert _layout(g0) == ([0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 2, 3])
+
+    def test_inverse_square_folds(self):
+        gens = ("x", "y")
+        pres = Presentation(gens, ((-1, -1), (2, 2, 2), (1, 2) * 5))
+        assert _layout(pres) == ([0, 0, 1, 2], [0, 2, 1])
+        # the same table as with `x x`, at the same definition count
+        assert enumerate_cosets(pres, [], max_cosets=66).table == enumerate_cosets(
+            _triangle(5), []
+        ).table
+        with pytest.raises(BudgetExceeded, match="coset budget 65 exhausted"):
+            enumerate_cosets(pres, [], max_cosets=65)
+
+    def test_odd_order_does_not_fold(self):
+        # folding x here would force x = x^-1, so x = 1: a one-coset table
+        # that still satisfies x^3, which only the index can catch
+        pres = Presentation(("x",), ((1, 1, 1),))
+        assert _layout(pres) == ([0, 1], [1, 0])
+        assert enumerate_cosets(pres, []).index == 3
+
+    def test_a_consequence_x_squared_does_not_fold(self):
+        # x^2 = 1 follows from x^4 and x^6, but is not a relator
+        pres = Presentation(("x",), ((1,) * 4, (1,) * 6))
+        assert _layout(pres) == ([0, 1], [1, 0])
+        assert enumerate_cosets(pres, []).index == 2
 
 
 class TestH1:
@@ -288,11 +325,38 @@ def _triangle(k):
     )
 
 
+@functools.cache
+def _reference(case):
+    pres, gens = TestFlatTableAgreesWithListOfLists.CASES[case]()
+    return reference_table(pres, gens, 2**22)
+
+
+def _random_word(rng, ngens, length):
+    word = []
+    while len(word) < length:
+        x = rng.choice([1, -1]) * rng.randint(1, ngens)
+        if not word or word[-1] != -x:
+            word.append(x)
+    return tuple(word)
+
+
+def _random_presentation(rng):
+    """1-3 generators, each an involution with probability 1/2 (written
+    `x x` or `x^-1 x^-1`), 1-3 random relators and 0-2 subgroup words."""
+    ngens = rng.randint(1, 3)
+    rels = [(g, g) for g in (rng.choice([k, -k]) for k in range(1, ngens + 1))
+            if rng.random() < 0.5]
+    rels += [_random_word(rng, ngens, rng.randint(2, 8)) for _ in range(rng.randint(1, 3))]
+    subs = [_random_word(rng, ngens, rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+    return Presentation(("x", "y", "z")[:ngens], tuple(rels)), subs
+
+
 class TestFlatTableAgreesWithListOfLists:
-    """The flat-table enumerator keeps the list-of-lists one's definitions,
-    so both produce the same standardized table and run out at the same
-    coset.  The reference repeats its HLT pass until a pass meets no
-    coincidence; the flat one makes a single pass."""
+    """The reference is the list-of-lists enumerator the flat table
+    replaced, with two columns for every generator.  It repeats its HLT pass
+    until a pass meets no coincidence; the flat one makes a single pass and
+    gives an involution one column, so it defines fewer cosets.  Both
+    produce the same standardized table."""
 
     CASES = {
         "g0_xi0": lambda: (grig.g_n_presentation(0), grig.XI0_GENS),
@@ -311,16 +375,38 @@ class TestFlatTableAgreesWithListOfLists:
     def test_same_table(self, case):
         pres, gens = self.CASES[case]()
         table = enumerate_cosets(pres, gens)
-        assert table.table == reference_table(pres, gens, 2**22)[0]
+        assert table.table == _reference(case)[0]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_defines_no_more_than_the_reference(self, case):
+        pres, gens = self.CASES[case]()
+        rows, defined = _reference(case)
+        assert enumerate_cosets(pres, gens, max_cosets=defined).table == rows
 
     @pytest.mark.parametrize("case", ["g0_b0", "triangle_5"])
     def test_same_budget_point(self, case):
-        # the budget admits exactly the cosets the list-of-lists one defines
+        # the budget admits exactly the cosets the folded table defines; the
+        # list-of-lists one defines 23 and 82
+        defined = {"g0_b0": 16, "triangle_5": 66}[case]
         pres, gens = self.CASES[case]()
-        rows, defined = reference_table(pres, gens, 2**22)
-        assert enumerate_cosets(pres, gens, max_cosets=defined).table == rows
+        assert enumerate_cosets(pres, gens, max_cosets=defined).table == _reference(case)[0]
         with pytest.raises(BudgetExceeded, match=f"coset budget {defined - 1} exhausted"):
             enumerate_cosets(pres, gens, max_cosets=defined - 1)
+
+    def test_random_presentations(self):
+        rng = random.Random(5)
+        nontrivial_folded = 0
+        for _ in range(300):
+            pres, gens = _random_presentation(rng)
+            try:
+                rows, _ = reference_table(pres, gens, 3000)
+            except BudgetExceeded:
+                continue
+            assert enumerate_cosets(pres, gens, max_cosets=3000).table == rows, pres
+            layout = _layout(pres)[0]
+            nontrivial_folded += len(rows) > 1 and len(set(layout)) < len(layout)
+        # the sample is not all trivial groups or all unfolded generators
+        assert nontrivial_folded >= 50
 
     def test_triangle_group_orders(self):
         # <x, y | x^2, y^3, (xy)^k> is A_4, S_4, A_5 for k = 3, 4, 5
@@ -357,7 +443,7 @@ class TestBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 128 * budget
+        assert peak <= 80 * budget
 
 
 class TestRank:
