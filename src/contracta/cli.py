@@ -40,8 +40,9 @@ def _group(args):
 
 
 def _budget(args) -> Budget:
+    states = getattr(args, "max_states", None)  # None unless given
     return Budget(
-        max_states=getattr(args, "max_states", DEFAULT_BUDGET.max_states),
+        max_states=DEFAULT_BUDGET.max_states if states is None else states,
         max_depth=getattr(args, "max_depth", DEFAULT_BUDGET.max_depth),
         max_word_length=getattr(args, "max_word_length", DEFAULT_BUDGET.max_word_length),
     )
@@ -64,9 +65,18 @@ def _require_recursion(group):
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _check_states_flag(args, g):
+    """An explicit --max-states needs a word problem that walks section
+    states: a recursion or `gomega` group's.  `wp` and `eq` check this after
+    deciding, so that on other groups a --max-word-length error comes first."""
+    if args.max_states is not None and g.recursion is None and not g.name.startswith("gomega:"):
+        raise ContractaError(f"--max-states counts section states, and {g.name} has none")
+
+
 def cmd_wp(args):
     g = _group(args)
     trivial = g.is_trivial(words.parse_word(args.word, g.gens))
+    _check_states_flag(args, g)
     _emit(args, {"word": args.word, "trivial": trivial},
           "trivial" if trivial else "nontrivial")
     return 0 if trivial else 1
@@ -75,6 +85,7 @@ def cmd_wp(args):
 def cmd_eq(args):
     g = _group(args)
     equal = g.equal(words.parse_word(args.word, g.gens), words.parse_word(args.other, g.gens))
+    _check_states_flag(args, g)
     _emit(args, {"equal": equal}, "equal" if equal else "different")
     return 0 if equal else 1
 
@@ -345,7 +356,7 @@ def _add_group_options(p):
 
 
 def _add_budget_options(p, depth=False):  # only the nucleus's closures count depth
-    p.add_argument("--max-states", type=int, default=DEFAULT_BUDGET.max_states)
+    p.add_argument("--max-states", type=int)  # the default is DEFAULT_BUDGET's
     if depth:
         p.add_argument("--max-depth", type=int, default=DEFAULT_BUDGET.max_depth)
     p.add_argument("--max-word-length", type=int, default=DEFAULT_BUDGET.max_word_length)

@@ -112,18 +112,24 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     root; `split(state)` gives (whether it does, the state's sections).  The
     walk charges `max_states` before it adds a state and counts no depth.
     `memo` holds decided states: a trivial answer records every state
-    reached, a nontrivial one its start, so a memo hit can turn a would-be
-    BudgetExceeded into an exact answer, and never the reverse."""
+    reached, a nontrivial one its start and the state found nontrivial,
+    which moves the root or has a section the memo marks nontrivial
+    (g = (g_0, g_1)σ is trivial only when σ = 1 and every g_x is).  So a
+    memo hit can turn a would-be BudgetExceeded into an exact answer, and
+    never the reverse."""
     memo = {} if memo is None else memo
     if start in memo:
         return memo[start]
     seen = {start}
     queue = deque(seen)
     while queue:
-        moved, sections = split(queue.popleft())
+        current = queue.popleft()
+        moved, sections = split(current)
         sections = tuple(sections)  # the cover split gives them lazily, for in_kernel
         if moved or any(memo.get(state) is False for state in sections):
             memo[start] = False
+            if current is not start:  # spares a second hash of a long start word
+                memo[current] = False
             return False
         for state in sections:
             if state not in seen and state not in memo:  # known states are trivial
@@ -271,7 +277,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
         reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}
-        new_cand |= {free_reduce(invert(w)) for w in new_cand}
+        new_cand |= {invert(w) for w in new_cand}  # the inverse of a reduced word is reduced
         # the seeds are closed under inversion, so auto is too: both sets are its states
         if {auto.classes[auto.index[w]] for w in new_cand} == {
             auto.classes[auto.index[w]] for w in cand

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
 from .errors import ParseError, SemanticError
-from .grig import A, B, C, D, reduce_word
+from .grig import _VTABLE, A, B, C, D, reduce_word
 from .words import Word
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
@@ -112,17 +112,29 @@ def _as_element(g) -> OmegaElement:
 def _split(symbol: int, word) -> tuple:
     """Both first-level sections of a C2 * V-reduced word at a shift whose
     first symbol is `symbol`, each in C2 * V normal form, and the parity of
-    its flips."""
-    outs = ([], [])
+    its flips.  Each letter goes straight onto its section's stack by
+    `reduce_word`'s rules: an equal top cancels, two V letters merge."""
+    here, there = [], []  # the sections at the current flip parity x: x and 1 - x
     flip = 0
     for s in word:
         if s == A:
             flip ^= 1
-        else:
-            outs[flip ^ 1].append(s)
-            if _A_PART[s][symbol]:
-                outs[flip].append(A)
-    return reduce_word(outs[0]), reduce_word(outs[1]), flip
+            here, there = there, here
+            continue
+        if not there or there[-1] == A:
+            there.append(s)
+        elif there[-1] == s:
+            there.pop()
+        else:  # `there` alternates, so this V letter meets one V letter
+            there[-1] = _VTABLE[(there[-1], s)]
+        if _A_PART[s][symbol]:
+            if here and here[-1] == A:
+                here.pop()
+            else:
+                here.append(A)
+    if flip:
+        here, there = there, here
+    return tuple(here), tuple(there), flip
 
 
 def omega_section(omega: OmegaSequence, g, vertex) -> OmegaElement:

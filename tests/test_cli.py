@@ -214,6 +214,23 @@ class TestFamilies:
                 "error: section word of length 7 exceeds cap 6\n"
             )
 
+    @pytest.mark.parametrize("group", ["bs:2:3", "met:2:3", "wreath:z", "w_n:1"])
+    def test_max_states_flag_is_an_error_on_metabelian_groups(self, capsys, group):
+        # these word problems walk no section states, so the flag would be ignored
+        message = f"--max-states counts section states, and {group} has none"
+        for args in (["wp", "--word", "s"], ["eq", "--word", "s", "--other", "s"]):
+            command = [args[0], "--group", group, *args[1:]]
+            assert cli.main(command) in (0, 1)
+            capsys.readouterr()
+            for states in ("3", "10000"):
+                assert cli.main([*command, "--max-states", states]) == 2
+                out = capsys.readouterr()
+                assert (out.out, out.err) == ("", f"error: {message}\n")
+                assert cli.main(["--json", *command, "--max-states", states]) == 2
+                assert json.loads(capsys.readouterr().out)["error"] == message
+            assert cli.main([*command, "--max-states", "0"]) == 2
+            assert capsys.readouterr().err == "error: budget limits must be positive\n"
+
     def test_dist(self, capsys):
         code, out = run(capsys, "dist", "--group-a", "grigorchuk@0",
                         "--group-b", "grigorchuk", "--radius", "8")

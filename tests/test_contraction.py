@@ -412,6 +412,13 @@ def _outcome(fn, *args):
         return None
 
 
+def _relators(nuc):
+    """The nonempty relators x y z^-1 of the nucleus products x y = z."""
+    e = nuc.elements
+    relators = [concat(e[i], e[j], invert(e[k])) for (i, j), k in nuc.products.items()]
+    return [r for r in relators if r]
+
+
 def _walk_cases(rec, rng):
     """Pairs (u, v): random pairs, which are mostly different, and u against
     u times a product of conjugated relators, which are equal.  The relators
@@ -419,12 +426,9 @@ def _walk_cases(rec, rng):
     n = len(rec.gens)
     cases = [(random_word(rng, n, 10), random_word(rng, n, 10)) for _ in range(12)]
     try:
-        nuc = nucleus(rec, SMALL)
+        relators = _relators(nucleus(rec, SMALL))
     except BudgetExceeded:
         return cases
-    e = nuc.elements
-    relators = [concat(e[i], e[j], invert(e[k])) for (i, j), k in nuc.products.items()]
-    relators = [r for r in relators if r]
     for _ in range(12 if relators else 0):
         u, product = random_word(rng, n, 8), ()
         for _ in range(rng.randint(1, 3)):
@@ -465,3 +469,60 @@ class TestWalkAgreement:
                         identity = tuple(range(rec.degree**5))
                         assert rec.level_permutation(concat(u, invert(v)), 5) == identity
         assert min(counts.values()) > 0, counts
+
+
+def _memo_words(rec, rng, count=2_000):
+    """`count` seeded words over `rec`'s letters: random ones, which are
+    mostly nontrivial, and random ones times a conjugate of a nucleus
+    relator x y z^-1 (x y = z), which walks through trivial states."""
+    n = len(rec.gens)
+    relators = _relators(nucleus(rec))
+    words = []
+    for _ in range(count):
+        u = random_word(rng, n, 10)
+        if relators and rng.random() < 0.5:
+            c = random_word(rng, n, 4)
+            u = concat(u, c, rng.choice(relators), invert(c))
+        words.append(u)
+    return words
+
+
+class TestWalkMemo:
+    """A nontrivial walk also marks the state it found nontrivial: one that
+    moves the root, or one with a section the memo marks nontrivial."""
+
+    # states and their sections; only "moves" moves the root, "idle" is trivial
+    GRAPH = {"start": ("mid",), "mid": ("moves", "idle"), "moves": (), "idle": ("idle",)}
+
+    def split(self, state):
+        return state == "moves", self.GRAPH[state]
+
+    def test_marks_the_state_that_moves_the_root(self):
+        memo = {}
+        assert not contraction.walk("start", self.split, memo=memo)
+        assert memo == {"start": False, "moves": False}
+
+    def test_marks_a_state_with_a_section_known_nontrivial(self):
+        memo = {"moves": False}
+        assert not contraction.walk("start", self.split, memo=memo)
+        assert memo == {"moves": False, "mid": False, "start": False}
+        assert contraction.walk("idle", self.split, memo=memo)
+        assert memo["idle"] is True
+
+    def test_marks_the_section_that_moves_the_root_on_grigorchuk(self, grig):
+        # b = (a, c): the walk from b stops at its section a
+        rec = grig.recursion
+        memo = {}
+        assert not is_trivial(rec, w(rec, "b"), memo=memo)
+        assert memo == {w(rec, "b"): False, w(rec, "a"): False}
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_a_shared_memo_answers_as_fresh_ones(self, name):
+        rec = catalog.load(name).recursion
+        rng = random.Random(name)
+        words = _memo_words(rec, rng)
+        memo = {}
+        shared = [is_trivial(rec, u, memo=memo) for u in words]
+        assert shared == [is_trivial(rec, u) for u in words]
+        assert 0 < sum(shared) < len(words)
+        assert False in memo.values() and True in memo.values()

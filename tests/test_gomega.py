@@ -18,6 +18,15 @@ def w(text):
     return parse_word(text, GENS)
 
 
+def random_normal_form(rng, max_len):
+    """A random alternating word of C2 * V of length up to `max_len`."""
+    start = rng.randint(0, 1)  # 0: the word starts with `a`
+    return tuple(
+        A if (i + start) % 2 == 0 else rng.choice((B, C, D))
+        for i in range(rng.randint(0, max_len))
+    )
+
+
 def random_omega(rng):
     pre = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
     per = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 4)))
@@ -404,12 +413,23 @@ class TestAgreement:
     """The one-pass split and the memoized oracles agree with the per-word
     references on the radius-9 ball of C2 * V."""
 
-    def test_split_is_phi_then_reduce(self, ball9):
+    def test_split_is_phi_then_reduce(self, ball9, rng):
         for symbol in (0, 1, 2):
             for u in ball9:
                 u0, u1, tau = phi_i_apply(symbol, u)
                 flip = 0 if tau == (0, 1) else 1
                 assert GO._split(symbol, u) == (reduce_word(u0), reduce_word(u1), flip)
+        # past the ball: normal forms of length up to 40, split by
+        # OmegaSequence.split at every canonical offset of each parameter
+        for text in AGREEMENT_OMEGAS:
+            om = OmegaSequence.parse(text)
+            for offset, (symbol, after) in enumerate(om.steps):
+                for _ in range(60):
+                    u = random_normal_form(rng, 40)
+                    u0, u1, tau = phi_i_apply(symbol, u)
+                    flip = 0 if tau == (0, 1) else 1
+                    sections = ((reduce_word(u0), after), (reduce_word(u1), after))
+                    assert om.split((u, offset)) == (flip, sections), (text, offset, u)
 
     def test_sections_match_the_reference(self, ball9):
         om = OmegaSequence.parse("1:02")
@@ -471,6 +491,28 @@ class TestAgreement:
             expected = reference_is_trivial(om, u)
             assert GO.omega_is_trivial(om, u) == expected
             assert GO.omega_is_trivial(om, u, _memo=memo) == expected
+
+
+class TestWalkMemo:
+    @pytest.mark.parametrize("text", [":012", "01:12", "2:0112"])
+    def test_a_shared_memo_answers_as_fresh_ones(self, text, ball9):
+        # random words, and random words times a conjugate of a trivial
+        # word of the radius-9 ball, which walks through trivial states
+        om = OmegaSequence.parse(text)
+        rng = random.Random(text)
+        relators = [u for u in ball9 if u and GO.omega_is_trivial(om, u)]
+        words = []
+        for _ in range(2_000):
+            u = random_word(rng, 4, 12)
+            if rng.random() < 0.5:
+                c = random_word(rng, 4, 4)
+                u += c + rng.choice(relators) + tuple(reversed(c))
+            words.append(u)
+        memo = {}
+        shared = [GO.omega_is_trivial(om, u, _memo=memo) for u in words]
+        assert shared == [GO.omega_is_trivial(om, u) for u in words]
+        assert 0 < sum(shared) < len(words)
+        assert False in memo.values() and True in memo.values()
 
 
 class TestBudget:
