@@ -45,7 +45,6 @@ class Group:
     gens: tuple
     is_trivial: object  # callable Word -> bool
     recursion: WreathRecursion = None
-    presentation: object = None
     facts: dict = field(default_factory=dict)
     invariant: object = None  # hashable prehash for ball deduplication
 
@@ -131,17 +130,15 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
             name,
             grig.GENS,
             lambda w: gomega.omega_is_trivial(omega, w, budget, memo),
-            facts={"omega": str(omega), "cover_shape": grig.CoverCongruence.shape},
+            facts={"cover_shape": grig.CoverCongruence.shape},
         )
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)
-        relator = (-2,) + (1,) * l + (2,) + (-1,) * m  # t^-1 s^l t s^-m
         return Group(
             name,
             metabelian.GENS,
             _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
-            presentation=rewriting.Presentation(metabelian.GENS, (relator,)),
             invariant=lambda w: _met_key(l, m, w),
         )
     if name.startswith("met:"):
@@ -161,19 +158,11 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
             invariant=lambda w: metabelian.wreath_eval(w, modulus),
         )
     if name.startswith("w_n:"):
-        n = int(name[len("w_n:") :])
-        datum = metabelian.WnDatum(n)
-        relators = tuple(
-            metabelian.commutator(
-                (1,), metabelian.conjugate((1,), (2,) * i)
-            )
-            for i in range(1, n + 1)
-        )
+        datum = metabelian.WnDatum(_integer(name[len("w_n:") :], "w_n:<n>", name))
         return Group(
             name,
             metabelian.GENS,
             _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
-            presentation=rewriting.Presentation(metabelian.GENS, relators),
             invariant=lambda w: metabelian.wreath_eval(w, 0),
         )
     raise SemanticError(f"unknown catalog name {name!r}")
@@ -199,6 +188,14 @@ def parse_lm(text: str):
         raise SemanticError(f"expected <l>:<m> with integers l and m, got {text!r}") from None
 
 
+def _integer(text: str, form: str, spec: str) -> int:
+    """The integer n of a spec of the form `form`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SemanticError(f"expected {form} with an integer n, got {spec!r}") from None
+
+
 def _wreath_modulus(spec: str) -> int:
     if spec == "z":
         return 0
@@ -220,7 +217,7 @@ def marked(spec: str) -> MarkedGroup:
     chain on `<name>`."""
     if "@" in spec:
         base, _, level = spec.rpartition("@")
-        return chain(base).member(int(level))
+        return chain(base).member(_integer(level, "<name>@<n>", spec))
     g = load(spec)
     congruence = grig.CoverCongruence()
     if g.facts.get("cover_shape") != congruence.shape:

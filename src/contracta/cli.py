@@ -312,9 +312,7 @@ def _st_word(text):
 def cmd_bs(args):
     l, m = catalog.parse_lm(args.params)
     w = _st_word(args.word)
-    if args.phi:
-        w = metabelian.bs_phi(w, args.phi, l)
-    reduced = metabelian.britton_reduce(metabelian.BsDatum(l, m), w)
+    reduced = metabelian.britton_reduce(metabelian.BsDatum(l, m, args.phi), w)
     trivial = reduced.is_trivial
     text = (
         "trivial"

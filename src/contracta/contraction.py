@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
-from .words import concat, free_reduce, invert, shortlex_key
+from .words import free_reduce, invert, shortlex_key
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class SectionAutomaton:
     total; state 0 is the empty word and carries self-loops.
     """
 
-    rec: object
     states: list  # representative words
     trans: list  # per state: tuple of successor ids, one per letter
     perms: list  # per state: root permutation
@@ -78,7 +77,7 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
         perm, sections = rec.split(states[i])
         perms.append(perm)
         trans.append(tuple(add(sec, depth + 1) for sec in sections))
-    auto = SectionAutomaton(rec, states, trans, perms, index)
+    auto = SectionAutomaton(states, trans, perms, index)
     auto.classes = _bisimulation_classes(auto)
     return auto
 
@@ -145,12 +144,17 @@ def in_kernel(start, split, n: int, memo, empty) -> bool:
     """Level-n kernel test: `start` fixes the first n levels and each of its
     level-n sections is trivial, which `empty(state)` decides.  `split` is
     `walk`'s; its sections are taken up to the first one outside.
-    `memo` is keyed by (state, level), so one memo serves every level."""
+    `memo` is keyed by (state, level), so one memo serves every level.
+    The identity lies in every kernel, so a state `empty` accepts ends the
+    descent at any level.  Any other state that fixes the root recurses a
+    level deeper, so callers turn a RecursionError into BudgetExceeded."""
     if n == 0:
         return empty(start)
     key = (start, n)
     result = memo.get(key)
     if result is None:
+        if empty(start):
+            return True
         moved, sections = split(start)
         result = not moved
         if result:
@@ -177,10 +181,6 @@ def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     word = free_reduce(g)
     _check_length(word, budget)
     return walk(word, split, budget, memo)
-
-
-def are_equal(rec, g, h, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
-    return is_trivial(rec, concat(g, invert(h)), budget, memo)
 
 
 @dataclass
@@ -268,7 +268,19 @@ def _products(cand, budget):
 
 def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
-    repeat until the candidate set stabilizes (as a set of group elements)."""
+    repeat until the candidate set stabilizes (as a set of group elements).
+    A nucleus that returns certifies that the recursion contracts; one that
+    does not stabilize within budget is BudgetExceeded, never a "no".
+
+    The fixed point shows that products of nucleus pairs contract into the
+    nucleus N.  Its last round seeds words for N and all their pairwise
+    products, and the nucleus tables are read off that round's closure.
+    Every cycle of that closure's quotient graph lies in its recurrent
+    classes, N, so a path outside N meets no class twice and enters N
+    within as many steps as there are classes outside N.  So no depth count
+    is needed: a depth-first walk of those paths could only fail on one,
+    and its count would depend on the walk's order, since a memoized state
+    skips it."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(NUCLEUS_ROUNDS):
         seeds = set(cand)
@@ -312,20 +324,3 @@ def _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent):
             raise BudgetExceeded(f"nucleus not closed under inverses at {e}")
     inverses = tuple(inverse_of[i] for i in range(len(elements)))
     return Nucleus(rec, elements, sections, nperms, inverses, identity, products)
-
-
-def is_contracting(rec, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True when the nucleus iteration reaches its fixed point within budget;
-    otherwise BudgetExceeded.  Never returns False.
-
-    The fixed point shows that products of nucleus pairs contract into the
-    nucleus N.  Its last round seeds words for N and all their pairwise
-    products, and the nucleus tables are read off that round's closure.
-    Every cycle of that closure's quotient graph lies in its recurrent
-    classes, N, so a path outside N meets no class twice and enters N
-    within as many steps as there are classes outside N.  A depth-first walk
-    of those paths could only fail on a depth count, which depends on the
-    walk's order, since a memoized state skips it.
-    """
-    nucleus(rec, budget)
-    return True

@@ -41,17 +41,10 @@ def _layout(pres):
 class CosetTable:
     gens: tuple
     table: list  # rows over 2*len(gens) columns, entries are coset ids
-    subgroup_gens: tuple
-    complete: bool = True
 
     @property
     def index(self) -> int:
         return len(self.table)
-
-    def permutation(self, gen_index: int):
-        """Action of a generator on cosets; rows must be complete."""
-        col = 2 * gen_index
-        return tuple(row[col] for row in self.table)
 
     def export_text(self) -> str:
         lines = []
@@ -184,7 +177,7 @@ def enumerate_cosets(
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     if not pres.gens:  # the trivial group: one coset, and no columns
-        return CosetTable(pres.gens, [[]], tuple(subgroup_gens))
+        return CosetTable(pres.gens, [[]])
     layout, inv = _layout(pres)
     enum = _Enumerator(inv, max_cosets)
     rel_cols = [tuple(_col(x) for x in r) for r in pres.relators]
@@ -210,7 +203,7 @@ def enumerate_cosets(
                     enum.define(a, col)
         a += ncols
 
-    table = _standardize(enum, layout, pres, subgroup_gens)
+    table = _standardize(enum, layout, pres)
     _verify(table, rel_cols, sub_cols)
     return table
 
@@ -244,7 +237,7 @@ def _verify(table: CosetTable, rel_cols, sub_cols):
             raise ContractaError("subgroup generator moves coset 0")
 
 
-def _standardize(enum, layout, pres, subgroup_gens):
+def _standardize(enum, layout, pres):
     """Renumber live cosets in BFS order from coset 0, column order, over
     two columns per generator (`layout` maps them to working columns)."""
     t, ncols, rep = enum.t, enum.ncols, enum.rep
@@ -267,7 +260,7 @@ def _standardize(enum, layout, pres, subgroup_gens):
         raise ContractaError("coset table is not transitive")
     renum = {a: i for i, a in enumerate(order)}
     table = [[renum[x] for x in resolved[a]] for a in order]
-    return CosetTable(pres.gens, table, tuple(subgroup_gens))
+    return CosetTable(pres.gens, table)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .words import Word, concat, format_word, free_reduce, invert, shortlex_key
 class PruneEntry:
     element: Word  # representative word in the base group's generators
     reason: str  # "identity" | "inverse of <gen>" | "product <u>.<v>"
-    replacement: Word  # equivalent word over the cover's generators
 
 
 @dataclass
@@ -135,7 +134,7 @@ def universal_cover(
 
     for i in range(n):
         if i == identity:
-            pruning.append(PruneEntry(nucleus.elements[i], "identity", ()))
+            pruning.append(PruneEntry(nucleus.elements[i], "identity"))
         elif i in inverse_partner_of:
             partner = inverse_partner_of[i]
             reason = (
@@ -143,15 +142,13 @@ def universal_cover(
                 if partner in names
                 else "inverse of a pruned element"
             )
-            pruning.append(PruneEntry(nucleus.elements[i], reason, element_words[i]))
+            pruning.append(PruneEntry(nucleus.elements[i], reason))
         elif i in expressions:
             u, v = expressions[i]
             factors = " . ".join(
                 format_word(nucleus.elements[m], rec.gens) for m in (u, v)
             )
-            pruning.append(
-                PruneEntry(nucleus.elements[i], f"product {factors}", element_words[i])
-            )
+            pruning.append(PruneEntry(nucleus.elements[i], f"product {factors}"))
 
     # relators: all trivial signed words of length <= 3 over the kept letters,
     # first letter positive, deduplicated up to rotation and inversion
@@ -203,7 +200,6 @@ def universal_cover(
 
 @dataclass
 class StandardCoverResult:
-    cover: CoverPresentation
     extra_relators: list  # E: words over cover generators, normal forms
     witnesses: dict  # (letter, nucleus index) -> cover word h with h_x = n_i
     exact: dict  # (letter, nucleus index) -> True when w(x, n) is trivial
@@ -298,9 +294,7 @@ def standard_cover(
                     f"element {nucleus.elements[i]} within radius {search_radius}"
                 )
     extra = [state for state, trivial in memo.items() if trivial and state]
-    return StandardCoverResult(
-        cover, sorted(extra, key=shortlex_key), witnesses, exact
-    )
+    return StandardCoverResult(sorted(extra, key=shortlex_key), witnesses, exact)
 
 
 def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget = DEFAULT_BUDGET):
@@ -335,7 +329,10 @@ def kernel_member(
         raise ValueError("level must be >= 0")
     memo = {} if _memo is None else _memo
     start = normal_form(sys, free_reduce(w))
-    return contraction.in_kernel(start, section_split(cover, sys), n, memo, not_)
+    try:
+        return contraction.in_kernel(start, section_split(cover, sys), n, memo, not_)
+    except RecursionError:
+        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
 
 
 def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
-from .errors import ParseError, SemanticError
+from .errors import BudgetExceeded, ParseError
 from .grig import _VTABLE, A, B, C, D, reduce_word
-from .words import Word
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
 _A_PART = {
@@ -80,34 +79,6 @@ class OmegaSequence:
         w0, w1, flip = _split(symbol, word)
         return flip, ((w0, offset), (w1, offset))
 
-    def shift(self) -> "OmegaSequence":
-        if self.preperiod:
-            return OmegaSequence(self.preperiod[1:], self.period)
-        return OmegaSequence((), self.period[1:] + self.period[:1])
-
-    @property
-    def is_eventually_constant(self) -> bool:
-        return len(set(self.period)) == 1
-
-    @property
-    def hits_all_three(self) -> bool:
-        return set(self.period) == {0, 1, 2}
-
-
-@dataclass(frozen=True)
-class OmegaElement:
-    """Word over a, b, c, d read relative to `offset` shifts of the parameter."""
-
-    word: Word
-    offset: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", reduce_word(self.word))
-
-
-def _as_element(g) -> OmegaElement:
-    return g if isinstance(g, OmegaElement) else OmegaElement(g)
-
 
 def _split(symbol: int, word) -> tuple:
     """Both first-level sections of a C2 * V-reduced word at a shift whose
@@ -137,20 +108,6 @@ def _split(symbol: int, word) -> tuple:
     return tuple(here), tuple(there), flip
 
 
-def omega_section(omega: OmegaSequence, g, vertex) -> OmegaElement:
-    """Section at a vertex; every tree level shifts the parameter once."""
-    elt = _as_element(g)
-    word, offset = elt.word, elt.offset
-    steps, canonical = omega.steps, _canonical_offset(omega, offset)
-    for x in vertex:
-        if x not in (0, 1):
-            raise SemanticError("vertices use the binary alphabet {0, 1}")
-        symbol, canonical = steps[canonical]
-        word = _split(symbol, word)[x]
-        offset += 1
-    return OmegaElement(word, offset)
-
-
 def _canonical_offset(omega: OmegaSequence, offset: int) -> int:
     pre = len(omega.preperiod)
     if offset <= pre:
@@ -162,24 +119,11 @@ def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _
     """`contraction.walk` over the states (word, canonical offset), moving the
     root at an odd flip count; `_memo` serves this parameter.  Only the start's
     length is checked: a letter puts at most one letter into each section."""
-    if isinstance(g, OmegaElement):
-        word, offset = g.word, _canonical_offset(omega, g.offset)
-    else:
-        word, offset = reduce_word(g), 0
+    word = reduce_word(g)
     _check_length(word, budget)
     if word.count(A) % 2:  # the first split moves the root
         return False
-    return walk((word, offset), omega.split, budget, _memo)
-
-
-def omega_are_equal(omega, g, h, budget: Budget = DEFAULT_BUDGET) -> bool:
-    ge, he = _as_element(g), _as_element(h)
-    if ge.offset != he.offset:
-        raise SemanticError("elements live at different shifts")
-    # all four generators are involutions: the inverse word is the reverse
-    return omega_is_trivial(
-        omega, OmegaElement(ge.word + tuple(reversed(he.word)), ge.offset), budget
-    )
+    return walk((word, 0), omega.split, budget, _memo)
 
 
 def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
@@ -189,7 +133,10 @@ def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
     if n < 0:
         raise ValueError("level must be >= 0")
     memo = {} if _memo is None else _memo
-    return in_kernel((reduce_word(w), 0), omega.split, n, memo, _is_identity)
+    try:
+        return in_kernel((reduce_word(w), 0), omega.split, n, memo, _is_identity)
+    except RecursionError:
+        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
 
 
 def _is_identity(state) -> bool:

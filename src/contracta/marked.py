@@ -154,11 +154,6 @@ class ConvergenceReport:
         vs = self.values
         return all(x <= y for x, y in zip(vs, vs[1:]))
 
-    @property
-    def strictly_increases(self) -> bool:
-        vs = self.values
-        return any(x < y for x, y in zip(vs, vs[1:]))
-
     def to_text(self) -> str:
         lines = [f"convergence to {self.limit_name} (radius {self.radius})"]
         lines.append(f"{'n':>4}  {'v':>6}  {'d':>12}")

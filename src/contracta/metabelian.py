@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import SemanticError
-from .words import Word, free_reduce
+from .words import free_reduce
 
 S, T = 1, 2
 GENS = ("s", "t")
@@ -77,12 +77,19 @@ def wreath_eval(word, modulus: int = 0) -> WreathElement:
 
 
 class BsDatum:
-    """BS(l, m) = <s, t | t^-1 s^l t = s^m>; base <s> = Z, K = lZ, L = mZ."""
+    """BS(l, m) = <s, t | t^-1 s^l t = s^m>; base <s> = Z, K = lZ, L = mZ.
 
-    def __init__(self, l: int, m: int):
+    At `level` n the letter s stands for the base element l^n: Britton
+    reduction of a word w then reduces its n-fold substitution image
+    s -> s^l, t -> t, without writing that image out."""
+
+    def __init__(self, l: int, m: int, level: int = 0):
+        if level < 0:
+            raise ValueError("iterations must be >= 0")
         if l < 1 or m < 1:
             raise SemanticError("parameters must be positive")
         self.l, self.m = l, m
+        self.s = l**level
 
     def base_identity(self):
         return 0
@@ -91,7 +98,7 @@ class BsDatum:
         return u + v
 
     def base_letter(self, letter):
-        return 1 if letter > 0 else -1
+        return self.s if letter > 0 else -self.s
 
     def is_base_identity(self, u):
         return u == 0
@@ -199,23 +206,9 @@ def _push_stable(datum, pieces, eps):
 # -- the shrinking endomorphism and its kernel tower ------------------------
 
 
-def bs_phi(word, iterations: int, l: int) -> Word:
-    """n-fold substitution s -> s^l, t -> t on a free word."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    factor = l**iterations
-    out = []
-    for x in free_reduce(word):
-        if abs(x) == S:
-            out.extend([S if x > 0 else -S] * factor)
-        else:
-            out.append(x)
-    return free_reduce(out)
-
-
 def bs_kernel_chain_member(l: int, m: int, word, n: int) -> bool:
     """True iff the n-fold substitution image dies in BS(l, m)."""
-    return britton_reduce(BsDatum(l, m), bs_phi(word, n, l)).is_trivial
+    return britton_reduce(BsDatum(l, m, n), word).is_trivial
 
 
 # -- Met(l, m): exact triangular matrices ------------------------------------
@@ -258,17 +251,3 @@ def met_eval(l: int, m: int, word) -> MetElement:
         else:
             raise SemanticError("matrix words use the letters s and t only")
     return MetElement(a, b)
-
-
-def commutator(u, v) -> Word:
-    """[u, v] = u v u^-1 v^-1."""
-    from .words import concat, invert
-
-    return concat(u, v, invert(u), invert(v))
-
-
-def conjugate(u, v) -> Word:
-    """u conjugated by v: v^-1 u v."""
-    from .words import concat, invert
-
-    return concat(invert(v), u, v)

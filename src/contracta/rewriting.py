@@ -114,11 +114,6 @@ class RewriteSystem:
     complete: bool
     _index: tuple = field(default=None, repr=False, compare=False)
 
-    @property
-    def core_rules(self):
-        """Rules other than single-letter aliases like a^-1 -> a."""
-        return [r for r in self.rules if len(r.lhs) > 1]
-
     def rewrite(self, w) -> Word:
         if self._index is None:
             self._index = _bucket(self.rules)
@@ -131,6 +126,9 @@ def normal_form(sys: RewriteSystem, w) -> Word:
     return sys.rewrite(w)
 
 
+MAX_PASSES = 200  # critical-pair passes before `complete` gives up
+
+
 def _orient(u, v):
     if u == v:
         return None
@@ -139,9 +137,7 @@ def _orient(u, v):
     return RewriteRule(v, u)
 
 
-def complete(
-    p: Presentation, max_rules: int = 2_000, max_passes: int = 200
-) -> RewriteSystem:
+def complete(p: Presentation, max_rules: int = 2_000) -> RewriteSystem:
     """Shortlex Knuth-Bendix.  Returns a system with `complete=True` when all
     critical pairs resolve; otherwise `complete=False` with the partial rules."""
     eqs = []
@@ -175,7 +171,7 @@ def complete(
             pending.append((r.lhs, r.rhs))
 
     pending = list(eqs)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         while pending:
             u, v = pending.pop()
             add_equation(u, v)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from contracta import catalog
+from contracta import catalog, contraction
+from contracta.words import concat, invert
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +33,8 @@ def random_word(rng, ngens, max_len):
 
 def random_vertex(rng, degree, max_len):
     return tuple(rng.randrange(degree) for _ in range(rng.randint(0, max_len)))
+
+
+def are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET, memo=None):
+    """Equality in the group of `rec`: g h^-1 is trivial."""
+    return contraction.is_trivial(rec, concat(g, invert(h)), budget, memo)

@@ -39,18 +39,16 @@ class TestLoad:
         wn = catalog.load("w_n:2")
         assert wn.rank == 2
 
-    def test_finitely_presented_families_carry_presentations(self):
-        bs = catalog.load("bs:2:3")
-        assert bs.presentation is not None
-        (relator,) = bs.presentation.relators
-        assert bs.is_trivial(relator)
-        wn = catalog.load("w_n:3")
-        assert len(wn.presentation.relators) == 3
-        for r in wn.presentation.relators:
-            assert wn.is_trivial(r)
-        # recursion groups and their limits are infinitely presented
-        assert catalog.load("grigorchuk").presentation is None
-        assert catalog.load("met:2:3").presentation is None
+    def test_non_integer_specs_are_named(self):
+        for spec, load in (
+            ("w_n:x", catalog.load),
+            ("grigorchuk@x", catalog.marked),
+            ("gomega::012@", catalog.marked),
+            ("bs:2:3@1.5", catalog.marked),
+        ):
+            with pytest.raises(SemanticError, match="with an integer n") as exc:
+                load(spec)
+            assert repr(spec) in str(exc.value)
 
     def test_gomega_matches_grigorchuk_oracle(self, grig, rng):
         from conftest import random_word

@@ -276,6 +276,41 @@ class TestFamilies:
             assert cli.main(argv) == 2
             assert "no chain family for 'met:2:3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (["dist", "--group-a", "gomega::012@3000", "--group-b", "gomega::012", "--radius", "8"],
+         0, "v = >= 8, d = 0\n"),
+        (["dist", "--group-a", "bs:2:3@3000", "--group-b", "met:2:3", "--radius", "4"],
+         0, "v = >= 4, d = 0\n"),
+        (["kernel-member", "--group", "grigorchuk", "--word", "1", "--level", "3000"],
+         0, "member\n"),
+        (["bs", "--params", "2:3", "--word", "t^-1 s t s t^-1 s^-1 t s^-1", "--phi", "3000"],
+         0, "trivial\n"),
+    ])
+    def test_deep_chain_levels_answer(self, capsys, argv, code, out):
+        assert run(capsys, *argv) == (code, out)
+
+    def test_a_chain_level_too_deep_to_walk_is_a_budget_error(self, capsys):
+        # d = (1, d) at gomega::0 fixes the root and never empties
+        argv = ["dist", "--group-a", "gomega::0@3000", "--group-b", "gomega::0", "--radius", "4"]
+        assert cli.main(argv) == 2
+        err = "level-3000 kernel test exceeds the recursion limit"
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert cli.main(["--json", *argv]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == err
+
+    def test_negative_phi_is_an_error(self, capsys):
+        assert cli.main(["bs", "--params", "2:3", "--word", "s", "--phi", "-1"]) == 2
+        assert capsys.readouterr().err == "error: iterations must be >= 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["wp", "--group", "w_n:x", "--word", "s"], "expected w_n:<n> with an integer n, got 'w_n:x'"),
+        (["dist", "--group-a", "grigorchuk@x", "--group-b", "grigorchuk", "--radius", "2"],
+         "expected <name>@<n> with an integer n, got 'grigorchuk@x'"),
+    ])
+    def test_non_integer_specs_are_named(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("params", ["2", "2:3:4", "2:x"])
     def test_params_share_the_catalog_parser(self, capsys, params):
         expected = f"expected <l>:<m> with integers l and m, got {params!r}"

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_word
+from conftest import are_equal, random_word
 from contracta import catalog, contraction, covers, rewriting
 from contracta.contraction import Budget, nucleus
 from contracta.covers import (
@@ -54,7 +54,7 @@ class TestUniversalCover:
         cover = universal_cover(nucleus(basilica.recursion), prune=True)
         assert cover.presentation.gens == ("a", "b")
         assert cover.presentation.relators == ()
-        # the pruned product element is recorded with its replacement word
+        # the pruned product element is recorded with the product it was dropped for
         reasons = [e.reason for e in cover.pruning]
         assert any(r.startswith("product") for r in reasons)
 
@@ -109,7 +109,7 @@ class TestUniversalCover:
                 for x in range(rec.degree):
                     lifted = cover.to_base(cover.recursion.section(letter, (x,)))
                     direct = rec.section(cover.gen_to_nucleus[gen], (x,))
-                    assert contraction.are_equal(rec, lifted, direct)
+                    assert are_equal(rec, lifted, direct)
                 assert cover.recursion.split(letter)[0] == rec.split(
                     cover.gen_to_nucleus[gen]
                 )[0]
@@ -242,9 +242,7 @@ def reference_standard_cover(cover, budget, search_radius, sys):
                 f"no self-replication witness for letter {x}, "
                 f"element {cover.nucleus.elements[i]} within radius {search_radius}"
             )
-    return covers.StandardCoverResult(
-        cover, sorted(extra, key=shortlex_key), witnesses, exact
-    )
+    return covers.StandardCoverResult(sorted(extra, key=shortlex_key), witnesses, exact)
 
 
 def reference_section_closure_words(rec, sys, w, budget):
@@ -434,6 +432,25 @@ class TestKernelChain:
         cover, sys_ = grig_cover
         for n in range(4):
             assert kernel_member(cover, sys_, (), n)
+
+    def test_deep_levels_answer_or_exceed_the_budget(self, grig_cover):
+        cover, sys_ = grig_cover
+        ad4 = parse_word("a d", cover.presentation.gens) * 4
+        assert kernel_member(cover, sys_, (), 3000)
+        assert kernel_member(cover, sys_, ad4, 3000)
+        assert not kernel_member(cover, sys_, parse_word("a b", cover.presentation.gens), 3000)
+        # d = (d, a) fixes the root, and the kernel test follows its first
+        # section, d again, down to the level
+        rec = parse_recursion(
+            "alphabet 2\ngen a = perm(1 0) sections(1, 1)\n"
+            "gen d = perm(0 1) sections(d, a)\n"
+        )
+        deep = universal_cover(nucleus(rec))
+        deep_sys = rewriting.complete(deep.presentation)
+        d = parse_word("d", deep.presentation.gens)
+        assert not kernel_member(deep, deep_sys, d, 50)
+        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
+            kernel_member(deep, deep_sys, d, 3000)
 
     def test_u1_profile(self, grig_cover):
         cover, sys_ = grig_cover

@@ -7,8 +7,8 @@ from conftest import random_word
 from contracta import catalog, contraction, grig
 from contracta import gomega as GO
 from contracta.contraction import Budget, DEFAULT_BUDGET
-from contracta.errors import BudgetExceeded, ParseError, SemanticError
-from contracta.gomega import OmegaElement, OmegaSequence
+from contracta.errors import BudgetExceeded, ParseError
+from contracta.gomega import OmegaSequence
 from contracta.grig import A, B, C, D, GENS, reduce_word
 from contracta.rewriting import normal_form
 from contracta.words import free_reduce, parse_word
@@ -25,6 +25,22 @@ def random_normal_form(rng, max_len):
         A if (i + start) % 2 == 0 else rng.choice((B, C, D))
         for i in range(rng.randint(0, max_len))
     )
+
+
+def shift(om):
+    """The parameter one symbol along, as each tree level sees it."""
+    if om.preperiod:
+        return OmegaSequence(om.preperiod[1:], om.period)
+    return OmegaSequence((), om.period[1:] + om.period[:1])
+
+
+def section(om, word, vertex, offset=0):
+    """The section state (normal form, canonical offset) of `word` at
+    `vertex`, read at `offset` shifts of the parameter, by `om.split`."""
+    state = (reduce_word(word), GO._canonical_offset(om, offset))
+    for x in vertex:
+        state = om.split(state)[1][x]
+    return state
 
 
 def random_omega(rng):
@@ -52,57 +68,41 @@ class TestSequence:
     def test_symbols_and_shift(self):
         om = OmegaSequence.parse("2:01")
         assert [om.symbol(k) for k in range(1, 6)] == [2, 0, 1, 0, 1]
-        shifted = om.shift()
+        shifted = shift(om)
         assert [shifted.symbol(k) for k in range(1, 5)] == [0, 1, 0, 1]
-        assert om.shift().shift().symbol(1) == 1
+        assert shift(shift(om)).symbol(1) == 1
 
     def test_shift_rotates_pure_period(self):
         om = OmegaSequence.parse(":012")
-        assert str(om.shift()) == ":120"
-
-    def test_classification_flags(self):
-        assert OmegaSequence.parse("01:2").is_eventually_constant
-        assert not OmegaSequence.parse(":012").is_eventually_constant
-        assert OmegaSequence.parse(":012").hits_all_three
-        assert not OmegaSequence.parse(":01").hits_all_three
+        assert str(shift(om)) == ":120"
 
 
 class TestSections:
     def test_first_symbol_zero_gives_flip_section(self):
-        om = OmegaSequence.parse(":0")
-        sec = GO.omega_section(om, OmegaElement((B,)), (0,))
-        assert sec.word == (A,) and sec.offset == 1
+        # the period has length 1, so every offset past 0 is canonically 0
+        assert section(OmegaSequence.parse(":0"), (B,), (0,)) == ((A,), 0)
 
     def test_first_symbol_two_gives_trivial_section(self):
-        om = OmegaSequence.parse(":2")
-        sec = GO.omega_section(om, OmegaElement((B,)), (0,))
-        assert sec.word == () and sec.offset == 1
+        assert section(OmegaSequence.parse(":2"), (B,), (0,)) == ((), 0)
 
     def test_identity_sections(self, rng):
         om = OmegaSequence.parse(":012")
         for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
-            sec = GO.omega_section(om, OmegaElement(()), v)
-            assert sec.word == ()
+            assert section(om, (), v)[0] == ()
 
     def test_right_half_keeps_the_letter(self):
-        om = OmegaSequence.parse(":012")
-        sec = GO.omega_section(om, OmegaElement((C,)), (1,))
-        assert sec.word == (C,) and sec.offset == 1
-
-    def test_vertex_letters_checked(self):
-        om = OmegaSequence.parse(":012")
-        with pytest.raises(SemanticError):
-            GO.omega_section(om, OmegaElement((B,)), (2,))
+        assert section(OmegaSequence.parse(":012"), (C,), (1,)) == ((C,), 1)
 
     def test_section_composition(self, rng):
+        # the split's section at v, then the per-letter reference's at x
         om = OmegaSequence.parse("1:02")
         for _ in range(50):
             word = tuple(rng.choice([A, B, C, D]) for _ in range(rng.randint(0, 8)))
             v = tuple(rng.randint(0, 1) for _ in range(2))
             x = tuple(rng.randint(0, 1) for _ in range(2))
-            joint = GO.omega_section(om, OmegaElement(word), v + x)
-            nested = GO.omega_section(om, GO.omega_section(om, OmegaElement(word), v), x)
-            assert joint == nested
+            inner, offset = section(om, word, v)
+            nested, offset = _reference_section(om, inner, x, offset)
+            assert section(om, word, v + x) == (nested, GO._canonical_offset(om, offset))
 
 
 class TestTriviality:
@@ -124,7 +124,7 @@ class TestTriviality:
         # coincide and the fourth dies, leaving two involutions whose product
         # has infinite order
         om = OmegaSequence.parse(":0")
-        assert GO.omega_are_equal(om, OmegaElement((B,)), OmegaElement((C,)))
+        assert GO.omega_is_trivial(om, (B, C))  # b c^-1 = b c: c is an involution
         for k in range(1, 9):
             assert not GO.omega_is_trivial(om, (A, B) * k)
         assert GO.omega_is_trivial(om, (A, B, B, A))
@@ -151,13 +151,10 @@ class TestTriviality:
         for _ in range(20):
             om = random_omega(rng)
             for X in (B, C, D):
-                conj = OmegaElement((A, X, A))
-                s0 = GO.omega_section(om, conj, (0,))
-                s1 = GO.omega_section(om, conj, (1,))
-                shifted = om.shift()
-                assert GO.omega_are_equal(shifted, s0, OmegaElement((X,), 1))
+                flip, (s0, s1) = om.split(((A, X, A), 0))
+                after = GO._canonical_offset(om, 1)
                 expected_flip = (A,) if rows[X][om.symbol(1)] else ()
-                assert GO.omega_are_equal(shifted, s1, OmegaElement(expected_flip, 1))
+                assert (flip, s0, s1) == (0, ((X,), after), (expected_flip, after))
 
 
 # The free-group map behind `gomega._split`, kept as its reference: the
@@ -271,6 +268,24 @@ class TestKernel:
                 assert GO.omega_is_trivial(om, u)
         assert hits > 0
 
+    def test_deep_levels_answer_or_exceed_the_budget(self):
+        # the identity lies in every kernel, and at :012 a nontrivial word
+        # meets a root move within a few levels, so both answer at any depth
+        om = OmegaSequence.parse(":012")
+        assert GO.omega_kernel_member(om, (), 3000)
+        assert GO.omega_kernel_member(om, w("a d") * 4, 3000)
+        assert not GO.omega_kernel_member(om, w("a b"), 3000)
+        # at :0, d = (1, d) never moves the root and never empties: it is
+        # in no kernel, and the test recurses as deep as the level
+        zero = OmegaSequence.parse(":0")
+        memo = {}
+        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
+            GO.omega_kernel_member(zero, (D,), 3000, memo)
+        # what the failed walk left in the memo is sound
+        assert not GO.omega_kernel_member(zero, (D,), 50, memo)
+        assert GO.omega_kernel_member(zero, (), 3000, memo)
+        assert GO.omega_kernel_member(zero, (D, D), 50, memo)
+
     def test_profiles_match_the_cover_chain(self, sys_, rng):
         # for the 3-periodic parameter the two level maps differ only by a
         # cyclic relabeling of the torsion letters, so the kernels coincide
@@ -290,8 +305,8 @@ class TestKernel:
             assert cover_profile == omega_profile
 
 
-# -- the per-word oracles that `_split` and the memos replaced, kept verbatim
-# as references: the BFS over OmegaElement sections, and the kernel chain on
+# -- the per-word oracles that `_split` and the memos replaced, kept as
+# references: the BFS over per-letter sections, and the kernel chain on
 # phi_i_apply with level 0 decided by Knuth-Bendix on the C2 * V cover
 
 
@@ -303,12 +318,11 @@ def _reference_letter_sections(omega, letter, offset):
     return apart, (letter,)
 
 
-def _reference_section(omega, g, vertex):
-    elt = g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
-    word, offset = elt.word, elt.offset
+def _reference_section(omega, g, vertex, offset=0):
+    """Section at a vertex, letter by letter, with its offset; every tree
+    level shifts the parameter once."""
+    word = reduce_word(g)
     for x in vertex:
-        if x not in (0, 1):
-            raise SemanticError("vertices use the binary alphabet {0, 1}")
         out = []
         pos = x
         for s in word:
@@ -317,12 +331,11 @@ def _reference_section(omega, g, vertex):
             if s == A:
                 pos ^= 1
         word, offset = reduce_word(out), offset + 1
-    return OmegaElement(word, offset)
+    return word, offset
 
 
-def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET):
-    elt = g if isinstance(g, OmegaElement) else OmegaElement(free_reduce(g))
-    start = (elt.word, GO._canonical_offset(omega, elt.offset))
+def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET, offset=0):
+    start = (reduce_word(g), GO._canonical_offset(omega, offset))
     seen = {start}
     queue = deque([start])
     while queue:
@@ -330,8 +343,8 @@ def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET):
         if sum(1 for x in word if x == A) % 2:
             return False
         for x in (0, 1):
-            nxt = _reference_section(omega, OmegaElement(word, offset), (x,))
-            state = (nxt.word, GO._canonical_offset(omega, nxt.offset))
+            nxt, after = _reference_section(omega, word, (x,), offset)
+            state = (nxt, GO._canonical_offset(omega, after))
             if state not in seen:
                 if len(seen) >= budget.max_states:
                     raise BudgetExceeded(
@@ -355,7 +368,7 @@ def reference_kernel_member(omega, w, n, sys, _memo=None):
         result = normal_form(sys, w) == ()
     else:
         w0, w1, tau = phi_i_apply(omega.symbol(1), w)
-        shifted = omega.shift()
+        shifted = shift(omega)
         result = tau == (0, 1) and all(
             reference_kernel_member(shifted, c, n - 1, sys, _memo) for c in (w0, w1)
         )
@@ -378,7 +391,7 @@ def past_preperiod(om):
 
 def shifted(om, k):
     for _ in range(k):
-        om = om.shift()
+        om = shift(om)
     return om
 
 
@@ -398,7 +411,7 @@ def references(ball9, sys_):
         past = past_preperiod(om)
         answers = []
         for offset, chain_om in ((0, om), (past, shifted(om, past))):
-            trivial = [reference_is_trivial(om, OmegaElement(u, offset)) for u in ball9]
+            trivial = [reference_is_trivial(om, u, offset=offset) for u in ball9]
             memos = {n: {} for n in LEVELS}
             kernel = {
                 n: [reference_kernel_member(chain_om, u, n, sys_, memos[n]) for u in ball9]
@@ -434,9 +447,10 @@ class TestAgreement:
     def test_sections_match_the_reference(self, ball9):
         om = OmegaSequence.parse("1:02")
         for u in ball9[::7]:
-            for g in (u, OmegaElement(u, past_preperiod(om))):
+            for offset in (0, past_preperiod(om)):
                 for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
-                    assert GO.omega_section(om, g, v) == _reference_section(om, g, v)
+                    word, after = _reference_section(om, u, v, offset)
+                    assert section(om, u, v, offset) == (word, GO._canonical_offset(om, after))
 
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
     def test_fresh_memo_per_word(self, text, ball9, references):
@@ -445,9 +459,8 @@ class TestAgreement:
         assert [GO.omega_is_trivial(om, u) for u in ball9] == trivial
         for n in LEVELS:
             assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
-        past = past_preperiod(om)
-        assert [GO.omega_is_trivial(om, OmegaElement(u, past)) for u in ball9] == trivial_past
-        start = GO._canonical_offset(om, past)
+        start = GO._canonical_offset(om, past_preperiod(om))
+        assert [contraction.walk((u, start), om.split) for u in ball9] == trivial_past
         for n in LEVELS:
             got = [
                 contraction.in_kernel((reduce_word(u), start), om.split, n, {}, is_identity)
@@ -481,7 +494,7 @@ class TestAgreement:
         assert not GO.omega_kernel_member(om, lift, 2, memo)
         assert not reference_kernel_member(om, lift, 2, sys_)
         assert GO.omega_kernel_member(om, ad4, 1, memo)
-        assert not GO.omega_kernel_member(om.shift(), ad4, 1)
+        assert not GO.omega_kernel_member(shift(om), ad4, 1)
 
     def test_inverse_letters_and_free_words(self, rng):
         om = OmegaSequence.parse("2:0121")

@@ -184,14 +184,13 @@ class TestConvergeReport:
     def test_constant_chain_reports_full_agreement(self):
         rows = converge_report([(n, Z1) for n in range(3)], Z1, 5)
         assert all(r.valuation.at_least for r in rows.rows)
-        assert rows.non_decreasing and not rows.strictly_increases
+        assert rows.non_decreasing and len(set(rows.values)) == 1
 
     def test_grig_cover_chain(self):
         chain = catalog.chain("grigorchuk")
         report = converge_report(members(chain, range(3)), chain.limit, 8)
         assert report.non_decreasing
-        assert report.strictly_increases
-        assert report.values[0] == 7
+        assert report.values[0] == 7 < report.values[-1]
 
     def test_two_symbol_parameter_chain(self):
         # the chain converges for every non-eventually-constant parameter,

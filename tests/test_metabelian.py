@@ -8,19 +8,40 @@ from contracta.metabelian import (
     BsDatum,
     GENS,
     WnDatum,
+    S,
     bs_kernel_chain_member,
-    bs_phi,
     britton_reduce,
-    commutator,
-    conjugate,
     met_eval,
     wreath_eval,
 )
-from contracta.words import concat, invert, parse_word
+from contracta.words import concat, free_reduce, invert, parse_word
 
 
 def w(text):
     return parse_word(text, GENS)
+
+
+def commutator(u, v):
+    """[u, v] = u v u^-1 v^-1."""
+    return concat(u, v, invert(u), invert(v))
+
+
+def conjugate(u, v):
+    """u conjugated by v: v^-1 u v."""
+    return concat(invert(v), u, v)
+
+
+def bs_phi(word, iterations, l):
+    """n-fold substitution s -> s^l, t -> t on a free word, written out: the
+    reference that the base element l^n of `BsDatum(l, m, n)` replaces."""
+    factor = l**iterations
+    out = []
+    for x in free_reduce(word):
+        if abs(x) == S:
+            out.extend([S if x > 0 else -S] * factor)
+        else:
+            out.append(x)
+    return free_reduce(out)
 
 
 NON_HOPF = commutator(conjugate(w("s"), w("t")), w("s"))
@@ -105,12 +126,28 @@ class TestPhi:
     def test_zero_iterations(self, rng):
         for _ in range(20):
             u = random_word(rng, 2, 8)
-            from contracta.words import free_reduce
-
             assert bs_phi(u, 0, 2) == free_reduce(u)
 
     def test_witness_dies_after_one_step(self):
         assert britton_reduce(BsDatum(2, 3), bs_phi(NON_HOPF, 1, 2)).is_trivial
+        assert britton_reduce(BsDatum(2, 3, 1), NON_HOPF).is_trivial
+
+    def test_scaled_letter_agrees_with_the_written_image(self, rng):
+        # the pinch-free form of w with s worth l^n is that of phi^n(w)
+        for l, m in ((2, 3), (3, 2), (1, 2), (2, 1), (3, 5)):
+            for n in range(4):
+                for _ in range(60):
+                    u = random_word(rng, 2, 12)
+                    written = britton_reduce(BsDatum(l, m), bs_phi(u, n, l))
+                    scaled = britton_reduce(BsDatum(l, m, n), u)
+                    assert scaled.pieces == written.pieces, (l, m, n, u)
+                    assert bs_kernel_chain_member(l, m, u, n) == written.is_trivial
+
+    def test_negative_iterations(self):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            BsDatum(2, 3, -1)
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            bs_kernel_chain_member(2, 3, w("s"), -1)
 
 
 class TestMet:
@@ -187,6 +224,11 @@ class TestKernelTower:
             for n in range(3):
                 if bs_kernel_chain_member(2, 3, u, n):
                     assert bs_kernel_chain_member(2, 3, u, n + 1)
+
+    def test_deep_levels_answer_at_once(self):
+        # s stands for 2^3000 in the base: no word of that length is built
+        assert bs_kernel_chain_member(2, 3, NON_HOPF, 3000)
+        assert not bs_kernel_chain_member(2, 3, w("t s t^-1"), 3000)
 
     def test_members_die_in_the_matrix_group(self, rng):
         hits = 0

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from conftest import random_vertex, random_word
+from conftest import are_equal, random_vertex, random_word
 from contracta import catalog
 from contracta.contraction import (
     Budget,
@@ -136,7 +136,7 @@ class TestSection:
                 v = random_vertex(rng, rec.degree, 3)
                 lhs = rec.section(concat(u, h), v)
                 rhs = concat(rec.section(u, v), rec.section(h, rec.act(u, v)))
-                assert contraction.are_equal(rec, lhs, rhs)
+                assert are_equal(rec, lhs, rhs)
 
     def test_inverse_sections(self, all_recursion_groups, rng):
         # (h^-1)_v = (h_{v tau_{h^-1}})^-1
@@ -323,7 +323,7 @@ def reference_section_closure(rec, seeds, budget):
         trans[i] = tuple(
             add(reference_section(rec, states[i], (x,)), depth + 1) for x in range(d)
         )
-    auto = SectionAutomaton(rec, states, trans, perms, index)
+    auto = SectionAutomaton(states, trans, perms, index)
     auto.classes = _bisimulation_classes(auto)
     return auto
 

@@ -62,7 +62,8 @@ class TestCompletion:
     def test_c2v_completes_with_ten_core_rules(self, c2v):
         pres, sys_ = c2v
         assert sys_.complete
-        assert len(sys_.core_rules) == 10
+        core_rules = [r for r in sys_.rules if len(r.lhs) > 1]  # no a^-1 -> a aliases
+        assert len(core_rules) == 10
         expected = {
             "a a": "1", "b b": "1", "c c": "1", "d d": "1",
             "b c": "d", "c b": "d", "b d": "c", "d b": "c",
@@ -72,7 +73,7 @@ class TestCompletion:
 
         got = {
             format_word(r.lhs, pres.gens): format_word(r.rhs, pres.gens)
-            for r in sys_.core_rules
+            for r in core_rules
         }
         assert got == expected
 
