@@ -124,14 +124,8 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
             return _recursion_entry(name)
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
-        omega = gomega.OmegaSequence.parse(name[len("gomega:") :])
-        memo = {}
-        return Group(
-            name,
-            grig.GENS,
-            lambda w: gomega.omega_is_trivial(omega, w, budget, memo),
-            facts={"cover_shape": grig.CoverCongruence.shape},
-        )
+        omega, memo = _omega(name), {}
+        return Group(name, grig.GENS, lambda w: gomega.omega_is_trivial(omega, w, budget, memo))
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)
@@ -196,6 +190,11 @@ def _integer(text: str, form: str, spec: str) -> int:
         raise SemanticError(f"expected {form} with an integer n, got {spec!r}") from None
 
 
+def _omega(name: str):
+    """The parameter of `gomega:<omega>`."""
+    return gomega.OmegaSequence.parse(name[len("gomega:") :])
+
+
 def _wreath_modulus(spec: str) -> int:
     if spec == "z":
         return 0
@@ -214,10 +213,20 @@ def _met_key(l, m, w):
 
 def marked(spec: str) -> MarkedGroup:
     """`<name>` marks the catalog group, `<name>@<n>` level n of the kernel
-    chain on `<name>`."""
+    chain on `<name>`.  A group that carries the C2 * V congruence is asked
+    only about its normal forms, so the `gomega` oracles take the word as
+    it is."""
     if "@" in spec:
         base, _, level = spec.rpartition("@")
         return chain(base).member(_integer(level, "<name>@<n>", spec))
+    if spec.startswith("gomega:"):
+        omega, memo = _omega(spec), {}
+        return MarkedGroup(
+            len(grig.GENS),
+            lambda w: gomega.normal_form_is_trivial(omega, w, DEFAULT_BUDGET, memo),
+            name=spec,
+            congruence=grig.CoverCongruence(),
+        )
     g = load(spec)
     congruence = grig.CoverCongruence()
     if g.facts.get("cover_shape") != congruence.shape:
@@ -245,27 +254,32 @@ def chain(base: str) -> Chain:
     recursion, the splitting chain of gomega:<omega> on the C2 * V cover, or
     the bs:<l>:<m> tower, whose limit is met:<l>:<m>."""
     if base in RECURSION_NAMES:
+        limit = marked(base)
 
         def levels(n):
             cover, sys = cover_for(base)
             memo = {}
             rank = len(cover.presentation.gens)
-            return rank, lambda w: covers.kernel_member(cover, sys, w, n, memo)
+            if limit.congruence is None:
+                return rank, lambda w: covers.kernel_member(cover, sys, w, n, memo)
+            # a ball word is in C2 * V normal form, which is the cover's
+            return rank, covers.kernel_oracle(cover, sys, n, memo)
 
-        return Chain(base, marked(base), levels)
+        return Chain(base, limit, levels)
     if base.startswith("gomega:"):
-        omega = gomega.OmegaSequence.parse(base[len("gomega:") :])
+        omega = _omega(base)
 
         def levels(n):
             memo = {}
-            return len(grig.GENS), lambda w: gomega.omega_kernel_member(omega, w, n, memo)
+            return len(grig.GENS), lambda w: gomega.normal_form_kernel_member(omega, w, n, memo)
 
         return Chain(base, marked(base), levels)
     if base.startswith("bs:"):
         l, m = parse_lm(base[len("bs:") :])
-        return Chain(
-            base,
-            marked(f"met:{l}:{m}"),
-            lambda n: (2, lambda w: metabelian.bs_kernel_chain_member(l, m, w, n)),
-        )
+
+        def levels(n):
+            datum = metabelian.BsDatum(l, m, n)
+            return 2, lambda w: metabelian.britton_reduce(datum, w).is_trivial
+
+        return Chain(base, marked(f"met:{l}:{m}"), levels)
     raise SemanticError(f"no chain family for {base!r}")

@@ -146,8 +146,17 @@ def in_kernel(start, split, n: int, memo, empty) -> bool:
     `walk`'s; its sections are taken up to the first one outside.
     `memo` is keyed by (state, level), so one memo serves every level.
     The identity lies in every kernel, so a state `empty` accepts ends the
-    descent at any level.  Any other state that fixes the root recurses a
-    level deeper, so callers turn a RecursionError into BudgetExceeded."""
+    descent at any level.  Any other state that fixes the root descends a
+    level deeper, one frame per level; a descent past the interpreter's
+    recursion limit is BudgetExceeded.  The memo keeps only finished
+    answers, so it stays sound after that error."""
+    try:
+        return _descend(start, split, n, memo, empty)
+    except RecursionError:
+        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
+
+
+def _descend(start, split, n, memo, empty) -> bool:
     if n == 0:
         return empty(start)
     key = (start, n)
@@ -159,7 +168,7 @@ def in_kernel(start, split, n: int, memo, empty) -> bool:
         result = not moved
         if result:
             for state in sections:  # a loop, not all(): this is the chains' hot path
-                if not in_kernel(state, split, n - 1, memo, empty):
+                if not _descend(state, split, n - 1, memo, empty):
                     result = False
                     break
         memo[key] = result

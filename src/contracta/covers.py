@@ -323,16 +323,19 @@ def kernel_member(
 ) -> bool:
     """Membership in the level-n kernel: the level-n iterate of w has trivial
     permutation and all its sections rewrite to the empty word."""
+    memo = {} if _memo is None else _memo
+    return kernel_oracle(cover, sys, n, memo)(normal_form(sys, free_reduce(w)))
+
+
+def kernel_oracle(cover: CoverPresentation, sys: RewriteSystem, n: int, memo):
+    """`kernel_member` on words already in rewriting normal form: `in_kernel`
+    from the word itself, over `section_split`, with `memo` caching answers."""
     if not sys.complete:
         raise BudgetExceeded("kernel membership needs a complete rewrite system")
     if n < 0:
         raise ValueError("level must be >= 0")
-    memo = {} if _memo is None else _memo
-    start = normal_form(sys, free_reduce(w))
-    try:
-        return contraction.in_kernel(start, section_split(cover, sys), n, memo, not_)
-    except RecursionError:
-        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
+    split = section_split(cover, sys)
+    return lambda word: contraction.in_kernel(word, split, n, memo, not_)
 
 
 def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):

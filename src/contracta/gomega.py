@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
-from .errors import BudgetExceeded, ParseError
+from .errors import ParseError
 from .grig import _VTABLE, A, B, C, D, reduce_word
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
@@ -116,27 +116,36 @@ def _canonical_offset(omega: OmegaSequence, offset: int) -> int:
 
 
 def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _memo=None) -> bool:
-    """`contraction.walk` over the states (word, canonical offset), moving the
-    root at an odd flip count; `_memo` serves this parameter.  Only the start's
-    length is checked: a letter puts at most one letter into each section."""
-    word = reduce_word(g)
+    """`normal_form_is_trivial` of the C2 * V normal form of g."""
+    return normal_form_is_trivial(omega, reduce_word(g), budget, _memo)
+
+
+def normal_form_is_trivial(
+    omega: OmegaSequence, word, budget: Budget = DEFAULT_BUDGET, memo=None
+) -> bool:
+    """Triviality of a word in C2 * V normal form: `contraction.walk` over the
+    states (word, canonical offset), moving the root at an odd flip count;
+    `memo` serves this parameter.  Only the start's length is checked: a
+    letter puts at most one letter into each section."""
     _check_length(word, budget)
     if word.count(A) % 2:  # the first split moves the root
         return False
-    return walk((word, 0), omega.split, budget, _memo)
+    return walk((word, 0), omega.split, budget, memo)
 
 
 def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
-    """Membership in the level-n kernel of the symbol-wise splitting chain,
-    whose level 0 is C2 * V: `in_kernel` over `omega.split`, with `_memo`
-    caching answers for this parameter."""
+    """`normal_form_kernel_member` of the C2 * V normal form of w."""
+    return normal_form_kernel_member(omega, reduce_word(w), n, _memo)
+
+
+def normal_form_kernel_member(omega: OmegaSequence, word, n: int, memo=None) -> bool:
+    """Membership of a word in C2 * V normal form in the level-n kernel of
+    the symbol-wise splitting chain, whose level 0 is C2 * V: `in_kernel`
+    over `omega.split`, with `memo` caching answers for this parameter."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    memo = {} if _memo is None else _memo
-    try:
-        return in_kernel((reduce_word(w), 0), omega.split, n, memo, _is_identity)
-    except RecursionError:
-        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
+    memo = {} if memo is None else memo
+    return in_kernel((word, 0), omega.split, n, memo, _is_identity)
 
 
 def _is_identity(state) -> bool:

@@ -171,10 +171,10 @@ class CoverCongruence:
     def normal_form(self, word) -> Word:
         return reduce_word(word)
 
-    def ball(self, radius: int):
+    def ball(self, radius: int, cap=None):
         """The alternating irreducible words of length <= radius, shortest
-        first, generated lazily."""
-        return length_order(_ALTERNATING, radius)
+        first, one length at a time, within `length_order`'s `cap`."""
+        return length_order(_ALTERNATING, radius, cap)
 
 
 def h_n_generators(n: int):

@@ -16,6 +16,7 @@ from .errors import BudgetExceeded
 from .words import Word
 
 DEFAULT_BALL_CAP = 5_000_000
+KEPT_WORDS = 1 << 16  # the longest list of words `length_order` keeps
 
 
 @dataclass
@@ -24,35 +25,57 @@ class MarkedGroup:
     oracle: object  # callable Word -> bool (kernel membership)
     name: str = ""
     # optional congruence sound for the kernel: a length-nonincreasing normal
-    # form whose `ball(radius)` yields its irreducible words shortest first
+    # form whose `ball(radius, cap)` yields its irreducible words shortest
+    # first.  The oracle of a group that carries one is asked only about
+    # those normal forms.
     congruence: object = None
 
     def contains(self, word) -> bool:
         return self.oracle(word)
 
 
-def length_order(follow, radius: int):
-    """Words of length <= radius, shortest first, generated lazily: the first
-    letter ranges over `follow[None]`, each next one over `follow[previous]`."""
+def length_order(follow, radius: int, cap=None):
+    """Words of length <= radius, shortest first: the first letter ranges over
+    `follow[None]`, each next one over `follow[previous]`.  Each length is
+    built when its first word is asked for, from the longest length kept as
+    a list.  A length is kept when it is not the last and has at most
+    KEPT_WORDS words, so memory stays bounded at any radius.  A ball of more
+    than `cap` words is BudgetExceeded, raised before the length that passes
+    the cap is built."""
+    total = 0
+    kept, depth = [()], 0  # the longest length kept as a list, and that length
+    for r, size in zip(range(radius + 1), _level_sizes(follow)):
+        total += size
+        if cap is not None and total > cap:
+            raise BudgetExceeded(f"marked-group scan passed the ball cap of {cap} words")
+        level = kept
+        for _ in range(depth, r):
+            level = (w + (s,) for w in level for s in follow[w[-1] if w else None])
+        if depth < r < radius and size <= KEPT_WORDS:
+            level = kept = list(level)
+            depth = r
+        yield from level
 
-    def extend(w, last, depth):
-        for s in follow[last]:
-            if depth == 1:
-                yield w + (s,)
-            else:
-                yield from extend(w + (s,), s, depth - 1)
 
-    yield ()
-    for r in range(1, radius + 1):
-        yield from extend((), None, r)
+def _level_sizes(follow):
+    """The number of words of each length 0, 1, 2, ... in `length_order`,
+    counted by last letter."""
+    ends = {None: 1}
+    while True:
+        yield sum(ends.values())
+        grown = {}
+        for last, count in ends.items():
+            for s in follow[last]:
+                grown[s] = grown.get(s, 0) + count
+        ends = grown
 
 
-def _free_words(k: int, radius: int):
+def _free_words(k: int, radius: int, cap=None):
     """Freely reduced words of length <= radius in rank k, shortest first."""
     letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
     follow = {s: [t for t in letters if t != -s] for s in letters}
     follow[None] = letters
-    return length_order(follow, radius)
+    return length_order(follow, radius, cap)
 
 
 def free_ball(k: int, n: int, cap: int = DEFAULT_BALL_CAP):
@@ -97,40 +120,50 @@ def scan(members, limit: MarkedGroup, radius: int):
     """Valuation of each member against `limit`, in one pass over the ball.
 
     Words come shortest first, so a member leaves the scan at its first
-    disagreement with the limit, and the limit is asked once per word.  When
-    every group carries the same congruence the words are its irreducible
-    ones, else the free ball.  More than DEFAULT_BALL_CAP words is
-    BudgetExceeded.
+    disagreement with the limit, and the limit is asked once per word.  A
+    group that carries a congruence is asked only about its normal forms:
+    when every group carries the same congruence the words are its
+    irreducible ones, else the free ball, normalized for each such group.
+    A ball of more than DEFAULT_BALL_CAP words is BudgetExceeded, raised
+    before the length that passes the cap.
     """
     if any(g.rank != limit.rank for g in members):
         raise ValueError("marked groups must have equal ranks")
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if not members:
+        return []
     congruence = limit.congruence
-    if congruence is None or any(g.congruence != congruence for g in members):
-        words = _free_words(limit.rank, radius)
+    if congruence is not None and all(g.congruence == congruence for g in members):
+        words = congruence.ball(radius, DEFAULT_BALL_CAP)
+        limit_asks, asks = limit.contains, [g.contains for g in members]
     else:
-        words = congruence.ball(radius)
+        words = _free_words(limit.rank, radius, DEFAULT_BALL_CAP)
+        limit_asks, asks = _on_normal_forms(limit), [_on_normal_forms(g) for g in members]
     first = [None] * len(members)  # length of each member's first disagreement
-    live = list(enumerate(members))
-    for count, w in enumerate(words, 1):
-        if not live:
-            break
-        if count > DEFAULT_BALL_CAP:
-            raise BudgetExceeded(
-                f"marked-group scan passed the ball cap of {DEFAULT_BALL_CAP} words"
-            )
+    live = list(enumerate(asks))
+    for w in words:
         if not w:
             continue
-        inside = limit.contains(w)
-        for i, g in live:
-            if g.contains(w) != inside:
+        inside = limit_asks(w)
+        for i, asks_member in live:
+            if asks_member(w) != inside:
                 first[i] = len(w)
-        live = [(i, g) for i, g in live if first[i] is None]
+        live = [(i, a) for i, a in live if first[i] is None]
+        if not live:  # before the next word, which may build the next length
+            break
     return [
         Valuation(radius, True, radius) if f is None else Valuation(f - 1, False, radius)
         for f in first
     ]
+
+
+def _on_normal_forms(group: MarkedGroup):
+    """`group.contains` for any free-group word."""
+    if group.congruence is None:
+        return group.contains
+    normal_form = group.congruence.normal_form
+    return lambda w: group.contains(normal_form(w))
 
 
 @dataclass

@@ -81,7 +81,8 @@ class BsDatum:
 
     At `level` n the letter s stands for the base element l^n: Britton
     reduction of a word w then reduces its n-fold substitution image
-    s -> s^l, t -> t, without writing that image out."""
+    s -> s^l, t -> t, without writing that image out, and w lies in level n
+    of the kernel chain on BS(l, m) iff the reduced form is trivial."""
 
     def __init__(self, l: int, m: int, level: int = 0):
         if level < 0:
@@ -204,11 +205,6 @@ def _push_stable(datum, pieces, eps):
 
 
 # -- the shrinking endomorphism and its kernel tower ------------------------
-
-
-def bs_kernel_chain_member(l: int, m: int, word, n: int) -> bool:
-    """True iff the n-fold substitution image dies in BS(l, m)."""
-    return britton_reduce(BsDatum(l, m, n), word).is_trivial
 
 
 # -- Met(l, m): exact triangular matrices ------------------------------------

@@ -156,7 +156,7 @@ def test_criterion_7_non_hopf_witness():
     witness = parse_word("t^-1 s t s t^-1 s^-1 t s^-1", metabelian.GENS)
     datum = metabelian.BsDatum(2, 3)
     assert not metabelian.britton_reduce(datum, witness).is_trivial
-    assert metabelian.bs_kernel_chain_member(2, 3, witness, 1)
+    assert metabelian.britton_reduce(metabelian.BsDatum(2, 3, 1), witness).is_trivial
     assert metabelian.met_eval(2, 3, witness).is_identity
     report(7, "witness nontrivial by pinch-free form, dies after one "
               "substitution, matrix image is the identity")

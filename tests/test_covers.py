@@ -13,6 +13,7 @@ from contracta.covers import (
     universal_cover,
 )
 from contracta.errors import BudgetExceeded
+from contracta.grig import CoverCongruence
 from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import (
     concat,
@@ -504,3 +505,29 @@ class TestKernelChain:
         assert rewriting.normal_form(sys_, word) != ()
         assert contraction.is_trivial(basilica.recursion, word)
         assert kernel_chain_profile(cover, sys_, word, 6) == 1
+
+
+class TestNormalFormChain:
+    """The `grigorchuk` chain members start `in_kernel` at the ball word
+    itself, with no free reduction or rewriting."""
+
+    def test_alternating_words_are_cover_normal_forms(self, grig_cover):
+        # a word is irreducible when no rule's left side occurs in it, and
+        # each subword of an alternating word is alternating: with no left
+        # side longer than 10 letters, the radius-10 ball covers every length
+        cover, sys_ = grig_cover
+        assert max(len(rule.lhs) for rule in sys_.rules) <= 10
+        for u in CoverCongruence().ball(10):
+            assert rewriting.normal_form(sys_, u) == u
+
+    def test_members_agree_with_kernel_member(self, grig_cover):
+        cover, sys_ = grig_cover
+        chain = catalog.chain("grigorchuk")
+        assert chain.limit.congruence is not None
+        ball8 = list(CoverCongruence().ball(8))
+        for n in range(5):
+            member = chain.member(n)
+            expected = [kernel_member(cover, sys_, u, n) for u in ball8]
+            assert [member.contains(u) for u in ball8] == expected
+            assert any(expected) and not all(expected)
+

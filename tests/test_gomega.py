@@ -506,6 +506,39 @@ class TestAgreement:
             assert GO.omega_is_trivial(om, u, _memo=memo) == expected
 
 
+def seeded_omega(seed):
+    """A parameter drawn from `seed`: up to two preperiod symbols and a
+    period of three to five."""
+    rng = random.Random(seed)
+    pre = "".join(str(rng.randrange(3)) for _ in range(rng.randint(0, 2)))
+    return pre + ":" + "".join(str(rng.randrange(3)) for _ in range(rng.randint(3, 5)))
+
+
+class TestNormalFormOracles:
+    """The marked limit and chain members of `gomega` ask the normal-form
+    cores, and answer as the raw-word oracles on every alternating word."""
+
+    @pytest.mark.parametrize("text", [":012", seeded_omega(0), seeded_omega(6)])
+    def test_agree_with_the_raw_word_oracles(self, text):
+        om = OmegaSequence.parse(text)
+        ball8 = list(grig.CoverCongruence().ball(8))
+        limit = catalog.marked(f"gomega:{text}")
+        expected = [GO.omega_is_trivial(om, u) for u in ball8]
+        assert [limit.contains(u) for u in ball8] == expected
+        assert any(expected[1:])  # the empty word aside
+        for n in LEVELS:
+            member = catalog.marked(f"gomega:{text}@{n}")
+            expected = [GO.omega_kernel_member(om, u, n) for u in ball8]
+            assert [member.contains(u) for u in ball8] == expected
+
+    def test_deep_member_exceeds_the_budget(self):
+        # at :0, d = (1, d) never moves the root and never empties
+        member = catalog.marked("gomega::0@3000")
+        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
+            member.contains((D,))
+        assert member.contains(()) and not member.contains((A, B))
+
+
 class TestWalkMemo:
     @pytest.mark.parametrize("text", [":012", "01:12", "2:0112"])
     def test_a_shared_memo_answers_as_fresh_ones(self, text, ball9):

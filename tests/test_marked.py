@@ -4,7 +4,9 @@ import math
 import pytest
 
 from contracta import catalog, grig, marked
+from contracta.covers import kernel_member
 from contracta.errors import BudgetExceeded
+from contracta.gomega import OmegaSequence, omega_kernel_member
 from contracta.marked import (
     MarkedGroup,
     Valuation,
@@ -28,18 +30,80 @@ def members(chain, levels):
     return [(n, chain.member(n)) for n in levels]
 
 
-def plain(group, memo):
-    """`group` without its congruence, so that a scan runs over the free
-    ball; its oracle is memoized in `memo` on C2 * V normal forms, which
-    keeps the reference scan affordable."""
+def raw(oracle, rank=4):
+    """A congruence-less group on `oracle`, a raw-word oracle, so that a scan
+    feeds it free-ball words.  Its answers are memoized on C2 * V normal
+    forms, which keeps the reference scan affordable; the oracle still
+    reduces the first raw word of each class itself."""
+    memo = {}
 
-    def oracle(w):
+    def contains(w):
         key = grig.reduce_word(w)
         if key not in memo:
-            memo[key] = group.contains(w)
+            memo[key] = oracle(w)
         return memo[key]
 
-    return MarkedGroup(group.rank, oracle, name=group.name)
+    return MarkedGroup(rank, contains)
+
+
+def raw_chain_member(spec):
+    """Level n of a chain through the raw-word oracle that `kernel-member`
+    and the library call: `covers.kernel_member` or `omega_kernel_member`."""
+    base, _, level = spec.rpartition("@")
+    n, memo = int(level), {}
+    if base.startswith("gomega:"):
+        omega = OmegaSequence.parse(base[len("gomega:") :])
+        return raw(lambda w: omega_kernel_member(omega, w, n, memo))
+    cover, sys_ = catalog.cover_for(base)
+    return raw(lambda w: kernel_member(cover, sys_, w, n, memo))
+
+
+def reference_length_order(follow, radius):
+    """`marked.length_order` as it was: one generator frame per letter."""
+
+    def extend(w, last, depth):
+        for s in follow[last]:
+            if depth == 1:
+                yield w + (s,)
+            else:
+                yield from extend(w + (s,), s, depth - 1)
+
+    yield ()
+    for r in range(1, radius + 1):
+        yield from extend((), None, r)
+
+
+def free_follow(k):
+    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    follow = {s: [t for t in letters if t != -s] for s in letters}
+    follow[None] = letters
+    return follow
+
+
+class TestLengthOrder:
+    @pytest.mark.parametrize("kept", [marked.KEPT_WORDS, 5, 1])
+    def test_same_words_in_the_same_order_as_the_reference(self, kept, monkeypatch):
+        # at the default every length of these balls but the last is kept
+        # as a list; smaller bounds build the longer lengths from a shorter
+        # kept one
+        monkeypatch.setattr(marked, "KEPT_WORDS", kept)
+        for follow, radius in ((grig._ALTERNATING, 10), (free_follow(2), 6), (free_follow(3), 6)):
+            expected = list(reference_length_order(follow, radius))
+            assert list(marked.length_order(follow, radius)) == expected
+            assert list(marked.length_order(follow, radius, cap=len(expected))) == expected
+            with pytest.raises(BudgetExceeded, match=f"ball cap of {len(expected) - 1} words"):
+                list(marked.length_order(follow, radius, cap=len(expected) - 1))
+
+    def test_cap_is_checked_before_a_length_is_built(self, monkeypatch):
+        # rank 2 has 1 + 4 + 12 words through length 2.  The groups first
+        # disagree at the first word of length 2, the 6th word of the ball,
+        # but the cap of 10 falls inside length 2, so the scan stops before it
+        monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 10)
+        long = MarkedGroup(2, lambda w: len(w) >= 2)
+        none = MarkedGroup(2, lambda w: False)
+        assert valuation(long, none, 1).value == 1
+        with pytest.raises(BudgetExceeded, match="ball cap of 10 words"):
+            valuation(long, none, 2)
 
 
 class TestFreeBall:
@@ -101,25 +165,30 @@ class TestValuation:
         assert (v0.value, v0.at_least) == (7, False)
 
     def test_congruence_path_matches_plain_scan(self):
+        # the fast side walks the alternating ball with the normal-form
+        # oracles; the slow side walks the free ball with the raw-word ones
         lim = catalog.marked("grigorchuk")
-        plain_lim = plain(lim, {})
-        chains = [
-            catalog.marked(spec)
-            for spec in ("grigorchuk@0", "grigorchuk@1", "gomega::012@0", "gomega::012@1")
-        ]
+        raw_lim = raw(catalog.load("grigorchuk").is_trivial)
+        specs = ("grigorchuk@0", "grigorchuk@1", "gomega::012@0", "gomega::012@1")
+        chains = [catalog.marked(spec) for spec in specs]
         assert all(g.congruence == lim.congruence is not None for g in chains)
-        plains = [plain(group, {}) for group in chains]
+        raws = [raw_chain_member(spec) for spec in specs]
         for radius in (3, 5):
-            for group, slow_group in zip(chains, plains):
-                slow = valuation(slow_group, plain_lim, radius)
+            for group, slow_group in zip(chains, raws):
+                slow = valuation(slow_group, raw_lim, radius)
                 fast = valuation(group, lim, radius)
                 assert (slow.value, slow.at_least) == (fast.value, fast.at_least)
-        # and one genuinely finite value from both paths
-        g0 = catalog.marked("grigorchuk@0")
-        om_lim = catalog.marked("gomega::012")
-        slow = valuation(plain(g0, {}), plain(om_lim, {}), 8)
-        fast = valuation(g0, om_lim, 8)
-        assert (slow.value, slow.at_least) == (fast.value, fast.at_least) == (7, False)
+        # and one genuinely finite value from both paths.  The free ball of
+        # radius 8 passes the ball cap, so the slow scan stops before length
+        # 8, having agreed through 7; (ad)^4 is a length-8 disagreement
+        fast = valuation(catalog.marked("grigorchuk@0"), catalog.marked("gomega::012"), 8)
+        assert (fast.value, fast.at_least) == (7, False)
+        g0, om = raw_chain_member("grigorchuk@0"), raw(catalog.load("gomega::012").is_trivial)
+        assert ball_size(4, 8) > marked.DEFAULT_BALL_CAP
+        with pytest.raises(BudgetExceeded, match="ball cap"):
+            valuation(g0, om, 8)
+        ad4 = (grig.A, grig.D) * 4
+        assert not g0.contains(ad4) and om.contains(ad4)
 
     def test_ultrametric_inequality(self):
         pool = [catalog.marked(f"bs:2:3@{n}") for n in range(3)] + [catalog.marked("met:2:3")]
@@ -166,6 +235,26 @@ class TestScan:
         assert valuation(TRIVIAL1, Z1, 50).value == 0
         with pytest.raises(BudgetExceeded, match="ball cap of 10 words"):
             valuation(Z1, Z1, 50)
+
+    def test_mixed_scan_hands_normal_forms_to_the_congruence_group(self):
+        # a congruence-less raw-word group against the level-1 gomega
+        # member: the scan walks the free ball and normalizes each word for
+        # the member, whose oracle takes only C2 * V normal forms
+        asked = []
+        member = catalog.marked("gomega::012@1")
+        oracle = member.oracle
+        member.oracle = lambda w: asked.append(w) or oracle(w)
+        limit = MarkedGroup(4, catalog.load("gomega::012").is_trivial)
+        v = valuation(member, limit, 5)
+        assert (v.value, v.at_least) == (5, True)
+        assert asked and all(grig.reduce_word(w) == w for w in asked)
+        assert max(map(len, asked)) == 5
+        # and the member as the limit, against a raw-word chain member
+        om = OmegaSequence.parse(":012")
+        raw_member = MarkedGroup(4, lambda w: omega_kernel_member(om, w, 0))
+        mixed = valuation(raw_member, catalog.marked("gomega::012@1"), 5)
+        same = valuation(catalog.marked("gomega::012@0"), catalog.marked("gomega::012@1"), 5)
+        assert (mixed.value, mixed.at_least) == (same.value, same.at_least)
 
     def test_no_members_scan_nothing(self):
         assert scan([], MarkedGroup(1, None), 5) == []
