@@ -117,28 +117,29 @@ def cmd_nucleus(args):
     return 0
 
 
+def _cover(args):
+    """The universal cover on the group's nucleus, and the budget it was built in."""
+    rec = _require_recursion(_group(args))
+    budget = _budget(args)
+    nuc = contraction.nucleus(rec, budget)
+    return covers.universal_cover(nuc, prune=args.prune), budget
+
+
 def cmd_cover(args):
-    g = _group(args)
-    rec = _require_recursion(g)
-    nuc = contraction.nucleus(rec, _budget(args))
-    cov = covers.universal_cover(nuc, prune=args.prune, budget=_budget(args))
+    cov, _ = _cover(args)
     gens = cov.presentation.gens
     rels = [words.format_word(r, gens) for r in cov.presentation.relators]
     lines = ["gens " + " ".join(gens)] + [f"rel {r}" for r in rels]
+    base_gens = cov.nucleus.rec.gens
     for entry in cov.pruning:
-        lines.append(
-            f"# dropped {words.format_word(entry.element, rec.gens)}: {entry.reason}"
-        )
+        lines.append(f"# dropped {words.format_word(entry.element, base_gens)}: {entry.reason}")
     _emit(args, {"gens": list(gens), "relators": rels}, "\n".join(lines))
     return 0
 
 
 def cmd_standard_cover(args):
-    g = _group(args)
-    rec = _require_recursion(g)
-    nuc = contraction.nucleus(rec, _budget(args))
-    cov = covers.universal_cover(nuc, prune=args.prune, budget=_budget(args))
-    result = covers.standard_cover(cov, budget=_budget(args), search_radius=args.radius)
+    cov, budget = _cover(args)
+    result = covers.standard_cover(cov, budget=budget, search_radius=args.radius)
     gens = cov.presentation.gens
     extra = [words.format_word(w, gens) for w in result.extra_relators]
     if result.already_self_replicating:

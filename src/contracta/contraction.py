@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import BudgetExceeded
 from .words import free_reduce, invert, shortlex_key
@@ -68,8 +69,9 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
         return i
 
     add((), 0)
-    for s in seeds:
-        add(free_reduce(s), 0)
+    for s in seeds:  # seeds may come lazily: a seed past a limit fails before the rest
+        if s not in index:
+            add(free_reduce(s), 0)
     while queue:  # first in, first out: state i is the i-th one split
         i, depth = queue.popleft()
         if depth > budget.max_depth:
@@ -253,28 +255,6 @@ def _product(u, v):
     return u[: len(u) - k] + v[k:]
 
 
-def _products(cand, budget):
-    """The distinct products u·v over ordered pairs of `cand` that are not in
-    `cand`, in order of first occurrence: the seeds that join `cand` in a
-    closure.  Raises BudgetExceeded as soon as a product is longer than
-    `max_word_length`, or `cand`, its products and the identity make more than
-    `max_states` words: `section_closure` rejects exactly those seeds, so this
-    fails where the closure would, without first forming every pair."""
-    seen = set(cand)
-    seen.add(())
-    out = []
-    for u in cand:
-        for v in cand:
-            w = _product(u, v)
-            _check_length(w, budget)
-            if w not in seen:
-                seen.add(w)
-                if len(seen) > budget.max_states:
-                    raise BudgetExceeded(f"section closure exceeds {budget.max_states} states")
-                out.append(w)
-    return out
-
-
 def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
     repeat until the candidate set stabilizes (as a set of group elements).
@@ -292,9 +272,8 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     skips it."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(NUCLEUS_ROUNDS):
-        seeds = set(cand)
-        seeds.update(_products(cand, budget))
-        auto = section_closure(rec, seeds, budget)
+        products = (_product(u, v) for u in cand for v in cand)
+        auto = section_closure(rec, chain(cand, products), budget)
         reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}

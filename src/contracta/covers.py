@@ -11,7 +11,7 @@ approximating the covered group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 from operator import not_
 
 from . import contraction, rewriting
@@ -46,23 +46,6 @@ class CoverPresentation:
         return out
 
 
-def _fresh_names(nucleus, kept, base_gens):
-    names = {}
-    counter = 0
-    for pos, idx in enumerate(kept):
-        rep = nucleus.elements[idx]
-        if len(rep) == 1 and rep[0] > 0:
-            names[idx] = base_gens[rep[0] - 1]
-        else:
-            while True:
-                cand = f"s{counter}"
-                counter += 1
-                if cand not in base_gens and cand not in names.values():
-                    break
-            names[idx] = cand
-    return names
-
-
 def universal_cover(
     nucleus: Nucleus, prune: bool = False, budget: Budget = DEFAULT_BUDGET
 ) -> CoverPresentation:
@@ -74,81 +57,68 @@ def universal_cover(
     n = len(nucleus)
     identity = nucleus.identity
 
-    kept = []
-    inverse_partner_of = {}
-    for i in range(n):
-        if i == identity:
-            continue
-        j = nucleus.inverses[i]
-        if j != i and j < i:
-            inverse_partner_of[i] = j
-            continue
-        kept.append(i)
+    # one of each inverse pair, the one listed first, and never the identity
+    kept = [i for i in range(n) if i != identity and nucleus.inverses[i] >= i]
 
-    pruning = []
     expressions = {}
-    if prune:
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(kept, key=lambda i: shortlex_key(nucleus.elements[i]), reverse=True):
-                available = []
-                for m in kept:
-                    if m == k:
-                        continue
+    while prune:
+        for k in sorted(kept, key=lambda i: shortlex_key(nucleus.elements[i]), reverse=True):
+            available = []
+            for m in kept:
+                if m != k:
                     available.append(m)
                     if nucleus.inverses[m] != m:
                         available.append(nucleus.inverses[m])
-                expr = next(
-                    (
-                        (i, j)
-                        for i, j in product(available, repeat=2)
-                        if nucleus.products.get((i, j)) == k
-                    ),
-                    None,
-                )
-                if expr is not None:
-                    kept.remove(k)
-                    expressions[k] = expr
-                    changed = True
-                    break
+            expr = next(
+                (e for e in product(available, repeat=2) if nucleus.products.get(e) == k),
+                None,
+            )
+            if expr is not None:
+                kept.remove(k)
+                expressions[k] = expr
+                break  # kept changed: look again, from the longest element
+        else:
+            break
 
-    names = _fresh_names(nucleus, kept, rec.gens)
+    # a generator letter keeps its name; a fresh s<k> can only meet a base name
+    names, fresh = {}, (f"s{k}" for k in count())
+    for idx in kept:
+        rep = nucleus.elements[idx]
+        if len(rep) == 1 and rep[0] > 0:
+            names[idx] = rec.gens[rep[0] - 1]
+        else:
+            names[idx] = next(name for name in fresh if name not in rec.gens)
     gens = tuple(names[idx] for idx in kept)
     letter = {idx: pos + 1 for pos, idx in enumerate(kept)}
 
-    def element_word(idx, _seen=()):
+    def element_word(idx):
+        # an expression names kept elements or their inverses, whose partners
+        # are kept letters or expressions, so the recursion ends
         if idx in letter:
             return (letter[idx],)
         if idx == identity:
             return ()
         if idx in expressions:
             i, j = expressions[idx]
-            return concat(element_word(idx=i), element_word(idx=j))
-        partner = nucleus.inverses[idx]
-        if idx in _seen:
-            raise BudgetExceeded("cyclic pruning record")
-        return invert(element_word(partner, _seen + (idx,)))
+            return concat(element_word(i), element_word(j))
+        return invert(element_word(nucleus.inverses[idx]))
 
     element_words = tuple(element_word(i) for i in range(n))
 
-    for i in range(n):
+    pruning = []
+    for i, element in enumerate(nucleus.elements):
+        partner = nucleus.inverses[i]
         if i == identity:
-            pruning.append(PruneEntry(nucleus.elements[i], "identity"))
-        elif i in inverse_partner_of:
-            partner = inverse_partner_of[i]
-            reason = (
-                f"inverse of {names[partner]}"
-                if partner in names
-                else "inverse of a pruned element"
-            )
-            pruning.append(PruneEntry(nucleus.elements[i], reason))
+            reason = "identity"
+        elif partner < i:
+            name = names.get(partner)
+            reason = f"inverse of {name}" if name else "inverse of a pruned element"
         elif i in expressions:
-            u, v = expressions[i]
-            factors = " . ".join(
-                format_word(nucleus.elements[m], rec.gens) for m in (u, v)
-            )
-            pruning.append(PruneEntry(nucleus.elements[i], f"product {factors}"))
+            factors = (format_word(nucleus.elements[m], rec.gens) for m in expressions[i])
+            reason = "product " + " . ".join(factors)
+        else:
+            continue
+        pruning.append(PruneEntry(element, reason))
 
     # relators: all trivial signed words of length <= 3 over the kept letters,
     # first letter positive, deduplicated up to rotation and inversion
@@ -232,11 +202,10 @@ def standard_cover(
     nucleus = cover.nucleus
     d = rec.degree
 
-    targets = {
-        (x, i): normal_form(sys, cover.element_words[i])
-        for x in range(d)
-        for i in range(len(nucleus))
-    }
+    # distinct nucleus elements are distinct in G, onto which the cover maps,
+    # so their normal forms are too: one lookup finds a section's element
+    target = {normal_form(sys, w): i for i, w in enumerate(cover.element_words)}
+    pairs = d * len(nucleus)
     witnesses, exact = {}, {}
 
     # BFS over cover elements by rewriting normal form, shortlex order
@@ -251,14 +220,11 @@ def standard_cover(
             for x in range(d):
                 if tau[x] != x:
                     continue
-                sec = normal_form(sys, sections[x])
-                for i in range(len(nucleus)):
-                    if (x, i) in witnesses:
-                        continue
-                    if sec == targets[(x, i)]:
-                        witnesses[(x, i)] = h
-                        exact[(x, i)] = True
-        if len(witnesses) == len(targets):
+                i = target.get(normal_form(sys, sections[x]))
+                if i is not None and (x, i) not in witnesses:
+                    witnesses[(x, i)] = h
+                    exact[(x, i)] = True
+        if len(witnesses) == pairs:
             break  # `seen` feeds only the fallback, which has nothing to do
         nxt = []
         for h in frontier:
@@ -274,7 +240,8 @@ def standard_cover(
     # trivial walk picks a witness and marks the section closure of its
     # w(x, n) trivial in `memo`, so those states are the extra relators.
     memo = {}
-    missing = [key for key in targets if key not in witnesses]
+    missing = [(x, i) for x in range(d) for i in range(len(nucleus))
+               if (x, i) not in witnesses]
     if missing:
         split = section_split(cover, sys, budget)
         elements = sorted(seen, key=shortlex_key)

@@ -165,7 +165,6 @@ class CoverCongruence:
     representatives alone.
     """
 
-    rank = 4
     shape = "C2 * V"  # the `cover_shape` fact of the groups it is sound for
 
     def normal_form(self, word) -> Word:

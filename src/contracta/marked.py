@@ -79,17 +79,11 @@ def _free_words(k: int, radius: int, cap=None):
 
 
 def free_ball(k: int, n: int, cap: int = DEFAULT_BALL_CAP):
-    """All freely reduced words of length <= n in rank k, BFS order."""
+    """All freely reduced words of length <= n in rank k, BFS order, within
+    `length_order`'s `cap`."""
     if k < 1 or n < 0:
         raise ValueError("need rank >= 1 and radius >= 0")
-    size = ball_size(k, n)
-    if size > cap:
-        raise BudgetExceeded(f"free ball has {size} words, cap is {cap}")
-    return list(_free_words(k, n))
-
-
-def ball_size(k: int, n: int) -> int:
-    return 1 + sum(2 * k * (2 * k - 1) ** (i - 1) for i in range(1, n + 1))
+    return list(_free_words(k, n, cap))
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,35 @@ class TestStructure:
         assert out.strip().splitlines()[1:] == ["1", "a", "b", "c", "d"]
 
     def test_cover(self, capsys):
-        code, out = run(capsys, "cover", "--group", "basilica", "--prune")
-        assert code == 0
-        assert "gens a b" in out
+        # the whole text, the pruning records included
+        for argv, want in [
+            (("basilica", "--prune"), [
+                "gens a b",
+                "# dropped 1: identity",
+                "# dropped a^-1: inverse of a",
+                "# dropped b^-1: inverse of b",
+                "# dropped a^-1 b: product a^-1 . b",
+                "# dropped b^-1 a: inverse of a pruned element",
+            ]),
+            (("basilica",), [
+                "gens a b s0",
+                "rel a s0 b^-1",
+                "# dropped 1: identity",
+                "# dropped a^-1: inverse of a",
+                "# dropped b^-1: inverse of b",
+                "# dropped b^-1 a: inverse of s0",
+            ]),
+            (("hanoi3", "--prune"), [
+                "gens a b c",
+                "rel a a",
+                "rel b b",
+                "rel c c",
+                "# dropped 1: identity",
+            ]),
+        ]:
+            code, out = run(capsys, "cover", "--group", *argv)
+            assert code == 0
+            assert out == "\n".join(want) + "\n", argv
 
     def test_standard_cover(self, capsys):
         code, out = run(capsys, "standard-cover", "--group", "gupta_sidki")

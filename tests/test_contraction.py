@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -7,7 +8,7 @@ from contracta import catalog, contraction
 from contracta.contraction import (
     Budget,
     Nucleus,
-    _products,
+    _product,
     _quotient,
     _recurrent_classes,
     is_trivial,
@@ -34,6 +35,10 @@ LEVEL_FLIP = parse_recursion("alphabet 2\ngen a = perm(1 0) sections(a, a)\n")
 
 # the free-abelian odometer: contracting with three-element nucleus
 ODOMETER = parse_recursion("alphabet 2\ngen a = perm(1 0) sections(1, a)\n")
+
+# x swaps the root, y fixes it, both with trivial sections: a section closure
+# holds exactly its seeds and the identity
+TRIVIAL_SECTIONS = WreathRecursion(2, ("x", "y"), (((), ()), ((), ())), ((1, 0), (0, 1)))
 
 
 def test_budget_limits_must_be_positive():
@@ -204,28 +209,45 @@ class TestNucleus:
             nucleus(EXPANDING, Budget(max_states=500))
 
     def test_product_seed_checks_match_the_closure_at_the_limits(self):
-        # with trivial sections a closure holds exactly its seeds and the
-        # identity, so the seed checks must fail where section_closure does
-        rec = WreathRecursion(2, ("x", "y"), (((), ()), ((), ())), ((1, 0), (0, 1)))
+        # a round's lazily formed products, candidates first, must fail
+        # where the whole seed set does, with the same message
+        rec = TRIVIAL_SECTIONS
 
-        def fails(fn, budget):
+        def outcome(fn, budget):
             try:
                 fn(budget)
-            except BudgetExceeded:
-                return True
-            return False
+            except BudgetExceeded as exc:
+                return str(exc)
+            return None
 
-        # the second set's longest products are x y y x^-1 and its inverse,
-        # formed with a cancellation
-        for cand in ([(), (1,), (-1,), (2,), (1, 2), (-2, -1)], [(), (1, 2, -1), (1, -2, -1)]):
+        # the first set is the nucleus's first round on rec; the second
+        # set's longest products are x y y x^-1 and its inverse, formed with
+        # a cancellation
+        generators = {(), (1,), (-1,), (2,), (-2,)}
+        for cand in (generators, [(), (1, 2, -1), (1, -2, -1)]):
             seeds = {*cand, *(concat(u, v) for u in cand for v in cand)}
             longest = max(map(len, seeds))
+            outcomes = set()
             for states in (len(seeds) - 1, len(seeds)):
                 for length in (longest - 1, longest):
                     budget = Budget(max_states=states, max_word_length=length)
-                    assert fails(lambda b: _products(cand, b), budget) == fails(
-                        lambda b: section_closure(rec, seeds, b), budget
-                    ), (cand, budget)
+                    lazy = chain(cand, (_product(u, v) for u in cand for v in cand))
+                    want = outcome(lambda b: section_closure(rec, seeds, b), budget)
+                    got = outcome(lambda b: section_closure(rec, lazy, b), budget)
+                    assert got == want, (cand, budget)
+                    if cand is generators:
+                        # the first round fails, or the nucleus returns
+                        assert outcome(lambda b: nucleus(rec, b), budget) == want, budget
+                    outcomes.add(want)
+            assert len(outcomes) == 3, outcomes  # a state error, a length error, none
+
+    def test_candidates_are_seeded_before_their_products(self):
+        # the first round's five candidates pass a limit of four states
+        # before any product of length 2 passes a length limit of 1
+        with pytest.raises(BudgetExceeded, match="^section closure exceeds 4 states$"):
+            nucleus(TRIVIAL_SECTIONS, Budget(max_states=4, max_word_length=1))
+        with pytest.raises(BudgetExceeded, match="^section word of length 2 exceeds cap 1$"):
+            nucleus(TRIVIAL_SECTIONS, Budget(max_states=5, max_word_length=1))
 
 
 def reference_nucleus(rec, budget=contraction.DEFAULT_BUDGET):
@@ -233,8 +255,8 @@ def reference_nucleus(rec, budget=contraction.DEFAULT_BUDGET):
     round; only the call to the table builder differs."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(contraction.NUCLEUS_ROUNDS):
-        seeds = set(cand)
-        seeds.update(_products(cand, budget))
+        # lazy, so that a product past a limit fails before the rest are formed
+        seeds = chain(cand, (concat(u, v) for u in cand for v in cand))
         auto = section_closure(rec, seeds, budget)
         reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
@@ -261,7 +283,8 @@ def reference_build_nucleus(rec, reps, trans, perms, recurrent, budget):
     nperms = tuple(perms[c] for c in order)
     identity = elements.index(())  # the shortlex-least word represents its class
 
-    auto = section_closure(rec, [*elements, *_products(elements, budget)], budget)
+    seeds = [*elements, *(concat(u, v) for u in elements for v in elements)]
+    auto = section_closure(rec, seeds, budget)
     at = {auto.classes[auto.index[free_reduce(e)]]: i for i, e in enumerate(elements)}
     products = {}
     for i, u in enumerate(elements):

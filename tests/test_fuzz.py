@@ -15,7 +15,6 @@ from contracta.errors import BudgetExceeded
 from contracta.recursion import WreathRecursion
 from contracta.contraction import (
     Nucleus,
-    _products,
     _quotient,
     _recurrent_classes,
     section_closure,
@@ -291,7 +290,9 @@ def reference_is_contracting(rec, budget):
     nucleus fixed point: a depth-first walk of the nucleus tables'
     closure, which was kept on the nucleus then and is rebuilt here."""
     nuc = contraction.nucleus(rec, budget)
-    auto = section_closure(rec, [*nuc.elements, *_products(nuc.elements, budget)], budget)
+    elements = nuc.elements
+    seeds = [*elements, *(concat(u, v) for u in elements for v in elements)]
+    auto = section_closure(rec, seeds, budget)
     nucleus_classes = {auto.classes[auto.index[free_reduce(e)]] for e in nuc.elements}
     # depth until every path from a state stays inside nucleus classes
     depth = {}

@@ -10,12 +10,16 @@ from contracta.gomega import OmegaSequence, omega_kernel_member
 from contracta.marked import (
     MarkedGroup,
     Valuation,
-    ball_size,
     converge_report,
     free_ball,
     scan,
     valuation,
 )
+
+
+def ball_size(k: int, n: int) -> int:
+    """The closed form for the number of reduced words of length <= n in rank k."""
+    return 1 + sum(2 * k * (2 * k - 1) ** (i - 1) for i in range(1, n + 1))
 
 
 def exponent_sum(word):
@@ -127,6 +131,11 @@ class TestFreeBall:
     def test_cap(self):
         with pytest.raises(BudgetExceeded):
             free_ball(4, 9, cap=10_000)
+        # a ball of exactly `cap` words is within it
+        size = ball_size(3, 4)
+        assert len(free_ball(3, 4, cap=size)) == size
+        with pytest.raises(BudgetExceeded, match=f"ball cap of {size - 1} words"):
+            free_ball(3, 4, cap=size - 1)
 
 
 class TestValuation:
