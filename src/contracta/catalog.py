@@ -99,7 +99,7 @@ def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BU
 
 
 @functools.cache
-def _recursion_entry(name: str, budget: Budget = DEFAULT_BUDGET):
+def _recursion_entry(name: str, budget: Budget):
     text = read_definition(name)
     group = recursion_group(parse_recursion(text), name, budget)
     group.facts = parse_facts(text)
@@ -108,7 +108,7 @@ def _recursion_entry(name: str, budget: Budget = DEFAULT_BUDGET):
 
 @functools.cache
 def cover_for(name: str):
-    entry = _recursion_entry(name)
+    entry = _recursion_entry(name, DEFAULT_BUDGET)
     nuc = contraction.nucleus(entry.recursion)
     cover = covers.universal_cover(nuc, prune=entry.facts.get("cover_prune", False))
     sys = rewriting.complete(cover.presentation)
@@ -120,8 +120,6 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
     states and word length for recursion and gomega groups, in word length
     for the others."""
     if name in RECURSION_NAMES:
-        if budget == DEFAULT_BUDGET:  # the cache entry `cover_for` shares
-            return _recursion_entry(name)
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega, memo = _omega(name), {}

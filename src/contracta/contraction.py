@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import BudgetExceeded
-from .words import free_reduce, invert, shortlex_key
+from .words import concat, free_reduce, invert, shortlex_key
 
 
 @dataclass(frozen=True)
@@ -247,14 +247,6 @@ def _recurrent_classes(trans):
     return set(range(len(trans))).difference(peeled)
 
 
-def _product(u, v):
-    """concat(u, v) for freely reduced u and v, where only the junction cancels."""
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[-1 - k] == -v[k]:
-        k += 1
-    return u[: len(u) - k] + v[k:]
-
-
 def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     """Fixed-point iteration: closure of pairwise products, recurrent trim,
     repeat until the candidate set stabilizes (as a set of group elements).
@@ -272,7 +264,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     skips it."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(NUCLEUS_ROUNDS):
-        products = (_product(u, v) for u in cand for v in cand)
+        products = (concat(u, v) for u in cand for v in cand)
         auto = section_closure(rec, chain(cand, products), budget)
         reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
@@ -303,7 +295,7 @@ def _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent):
     products = {}
     for i, u in enumerate(factors):
         for j, v in enumerate(factors):
-            k = pos.get(auto.classes[auto.index[_product(u, v)]])
+            k = pos.get(auto.classes[auto.index[concat(u, v)]])
             if k is not None:
                 products[(i, j)] = k
     inverse_of = {i: j for (i, j), k in products.items() if k == identity}

@@ -53,22 +53,13 @@ class OmegaSequence:
     def __str__(self):
         return "".join(map(str, self.preperiod)) + ":" + "".join(map(str, self.period))
 
-    def symbol(self, k: int) -> int:
-        """The k-th symbol, 1-indexed."""
-        if k < 1:
-            raise ValueError("symbols are 1-indexed")
-        if k <= len(self.preperiod):
-            return self.preperiod[k - 1]
-        return self.period[(k - 1 - len(self.preperiod)) % len(self.period)]
-
     @cached_property
     def steps(self) -> tuple:
-        """Entry k is (symbol(k + 1), canonical offset k + 1), for each
-        canonical offset k: one split's symbol and the offset it moves to."""
-        return tuple(
-            (self.symbol(k + 1), _canonical_offset(self, k + 1))
-            for k in range(len(self.preperiod) + len(self.period))
-        )
+        """Entry k is the symbol that a split at canonical offset k reads,
+        and the canonical offset it moves to: k + 1, or the start of the
+        period again after the period's last symbol."""
+        seq = self.preperiod + self.period
+        return tuple(zip(seq, (*range(1, len(seq)), len(self.preperiod))))
 
     def split(self, state) -> tuple:
         """The split of a state (C2 * V-reduced word, canonical offset) that
@@ -106,13 +97,6 @@ def _split(symbol: int, word) -> tuple:
     if flip:
         here, there = there, here
     return tuple(here), tuple(there), flip
-
-
-def _canonical_offset(omega: OmegaSequence, offset: int) -> int:
-    pre = len(omega.preperiod)
-    if offset <= pre:
-        return offset
-    return pre + (offset - pre) % len(omega.period)
 
 
 def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _memo=None) -> bool:

@@ -22,6 +22,7 @@ A, B, C, D = 1, 2, 3, 4
 _VTABLE = {(B, C): D, (C, B): D, (B, D): C, (D, B): C, (C, D): B, (D, C): B}
 
 MAX_RELATOR_LENGTH = 2**16
+MAX_GENERATOR_LETTERS = 2**21  # h_n_generators: n = 8 has 1,696,256
 
 
 def reduce_word(word) -> Word:
@@ -180,12 +181,20 @@ def h_n_generators(n: int):
     """Generator words for the level-n half-tree subgroup chain.
 
     Level 0 is the rank-3 free kernel (t, v, w); level n doubles the list via
-    g -> a sigma(g) a and g -> sigma(g).
+    g -> a sigma(g) a and g -> sigma(g).  The words are positive, so nothing
+    cancels, and each level's letter count is known before it is built: one
+    past MAX_GENERATOR_LETTERS is refused.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     gens = list(K0_GENS)
-    for _ in range(n):
+    for level in range(1, n + 1):
+        size = 2 * sum(len(g) + 2 * g.count(A) + 1 for g in gens)  # sigma(a) = aca
+        if size > MAX_GENERATOR_LETTERS:
+            raise SemanticError(
+                f"level-{level} subgroup generators have {size} letters, "
+                f"more than {MAX_GENERATOR_LETTERS}"
+            )
         imgs = [sigma_apply(g) for g in gens]
         gens = [free_reduce((A,) + g + (A,)) for g in imgs] + imgs
     return gens

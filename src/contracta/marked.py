@@ -78,14 +78,6 @@ def _free_words(k: int, radius: int, cap=None):
     return length_order(follow, radius, cap)
 
 
-def free_ball(k: int, n: int, cap: int = DEFAULT_BALL_CAP):
-    """All freely reduced words of length <= n in rank k, BFS order, within
-    `length_order`'s `cap`."""
-    if k < 1 or n < 0:
-        raise ValueError("need rank >= 1 and radius >= 0")
-    return list(_free_words(k, n, cap))
-
-
 @dataclass(frozen=True)
 class Valuation:
     """Largest agreement radius; `at_least` means agreement held through the

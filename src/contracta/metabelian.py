@@ -23,54 +23,35 @@ GENS = ("s", "t")
 
 @dataclass(frozen=True)
 class WreathElement:
-    """Finitely supported map Z -> A plus a shift; A = Z (modulus 0) or Z/h."""
+    """Finitely supported map Z -> A plus a shift; A = Z or Z/h."""
 
     values: tuple  # sorted ((position, value), ...), values nonzero
     shift: int
-    modulus: int = 0
 
     @property
     def is_identity(self) -> bool:
         return not self.values and self.shift == 0
 
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if self.modulus != other.modulus:
-            raise SemanticError("mixed base groups")
-        acc = dict(self.values)
-        for pos, val in other.values:
-            acc[pos + self.shift] = acc.get(pos + self.shift, 0) + val
-        return _wreath(acc, self.shift + other.shift, self.modulus)
-
-
-def _wreath(mapping, shift, modulus):
-    vals = []
-    for pos in sorted(mapping):
-        v = mapping[pos] % modulus if modulus else mapping[pos]
-        if v:
-            vals.append((pos, v))
-    return WreathElement(tuple(vals), shift, modulus)
-
-
-def wreath_identity(modulus: int = 0) -> WreathElement:
-    return WreathElement((), 0, modulus)
-
 
 def wreath_eval(word, modulus: int = 0) -> WreathElement:
-    """Image of a free word in s, t under s -> delta_0, t -> unit shift.
+    """Image of a free word in s, t under s -> delta_0, t -> unit shift, with
+    A = Z for modulus 0 and A = Z/h for modulus h: each s^+-1 adds +-1 at the
+    current shift, and the values are reduced mod h once, at the end.
 
     Triviality of the result decides the word problem in the wreath product.
     """
     if modulus == 1 or modulus < 0:
         raise SemanticError("base modulus must be 0 (infinite) or >= 2")
-    out = wreath_identity(modulus)
+    acc, shift = {}, 0
     for x in free_reduce(word):
         if abs(x) == S:
-            out = out * WreathElement(((0, 1 if x > 0 else -1),), 0, modulus)
+            acc[shift] = acc.get(shift, 0) + (1 if x > 0 else -1)
         elif abs(x) == T:
-            out = out * WreathElement((), 1 if x > 0 else -1, modulus)
+            shift += 1 if x > 0 else -1
         else:
             raise SemanticError("wreath words use the letters s and t only")
-    return out
+    values = ((pos, v % modulus if modulus else v) for pos, v in sorted(acc.items()))
+    return WreathElement(tuple((pos, v) for pos, v in values if v), shift)
 
 
 # -- HNN data and Britton reduction -----------------------------------------
@@ -204,9 +185,6 @@ def _push_stable(datum, pieces, eps):
     pieces.append(datum.base_identity())
 
 
-# -- the shrinking endomorphism and its kernel tower ------------------------
-
-
 # -- Met(l, m): exact triangular matrices ------------------------------------
 
 
@@ -216,9 +194,6 @@ class MetElement:
 
     a: Fraction
     b: Fraction
-
-    def __mul__(self, other):
-        return MetElement(self.a * other.a, self.a * other.b + self.b)
 
     @property
     def is_identity(self):

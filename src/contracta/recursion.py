@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import words
 from .errors import BudgetExceeded, ParseError, SemanticError
-from .words import Word, free_reduce, invert
+from .words import Word, invert
 
 DEFAULT_LEVEL_CAP = 2**20
 
@@ -98,60 +98,44 @@ class WreathRecursion:
             out.append(image)
         return tuple(out)
 
-    def level_permutation(self, word, n: int, cap: int = DEFAULT_LEVEL_CAP):
-        """Permutation of X^n in lexicographic order (first letter is most
-        significant); entry i is the index of the image of vertex i.
-
-        Assembled recursively from section permutations, memoized on the
-        (section word, level) pairs, which repeat heavily."""
-        d = self.degree
-        if d**n > cap:
-            raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
-        memo = {}
-
-        def perm_of(w, k):
-            if k == 0:
-                return (0,)
-            key = (w, k)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            tau, sections = self.split(w)
-            block = d ** (k - 1)
-            out = [0] * (d**k)
-            for x, sec in enumerate(sections):
-                sub = perm_of(sec, k - 1)
-                base, image_base = x * block, tau[x] * block
-                for j, pj in enumerate(sub):
-                    out[base + j] = image_base + pj
-            result = tuple(out)
-            memo[key] = result
-            return result
-
-        return perm_of(free_reduce(word), n)
-
-    def level_action(self, n: int, cap: int = DEFAULT_LEVEL_CAP):
-        """The map word -> level_permutation(word, n), for many words.  The
-        action on X^n is a homomorphism, so a word's permutation is its
-        letters' ones composed, right to left, one `itemgetter` call per
-        letter.  The letters' permutations are computed on the first call."""
-        d = self.degree
+    def level_action(self, n: int):
+        """The map word -> its permutation of X^n in lexicographic order (first
+        letter most significant; entry i is the index of the image of vertex
+        i).  The action on X^n is a homomorphism, so a word's permutation is
+        its letters' ones composed, right to left, one `itemgetter` call per
+        letter.  A letter's level-k permutation is its root permutation
+        blocked over its sections' level-(k-1) ones, composed the same way.
+        The letters' permutations are computed on the first call."""
+        d, cap = self.degree, DEFAULT_LEVEL_CAP
         if d**n > cap:
             raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
         if n < 1:
             raise ValueError("level_action needs a level of at least 1")
+        letters = [s for g in range(1, len(self.gens) + 1) for s in (g, -g)]
         identity = tuple(range(d**n))
-        apply_letter = {}  # s -> (P -> permutation of s followed by P)
+        apply_letter = {}  # s -> (P -> permutation of s followed by P), at level n
 
-        def permutation(word):
-            if not apply_letter:
-                for g in range(1, len(self.gens) + 1):
-                    for s in (g, -g):
-                        apply_letter[s] = itemgetter(*self.level_permutation((s,), n))
-            p = identity
+        def compose(word, p):
             for s in reversed(word):
                 p = apply_letter[s](p)
             return p
+
+        def permutation(word):
+            if not apply_letter:
+                for s in letters:  # level 1: the root permutations
+                    apply_letter[s] = itemgetter(*self._letters[s][0])
+                for k in range(1, n):  # level k + 1 from level k
+                    block = tuple(range(d**k))
+                    perms = {}
+                    for s in letters:
+                        images, secs = self._letters[s]
+                        perms[s] = tuple(
+                            images[x] * len(block) + j
+                            for x in range(d)
+                            for j in compose(secs[x], block)
+                        )
+                    apply_letter.update((s, itemgetter(*p)) for s, p in perms.items())
+            return compose(word, identity)
 
         return permutation
 

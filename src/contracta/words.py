@@ -30,15 +30,12 @@ def invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-def concat(*ws) -> Word:
-    out = []
-    for w in ws:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+def concat(u, v) -> Word:
+    """The product of freely reduced u and v, where only the junction cancels."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def parse_word(text: str, gens) -> Word:

@@ -35,6 +35,12 @@ def random_vertex(rng, degree, max_len):
     return tuple(rng.randrange(degree) for _ in range(rng.randint(0, max_len)))
 
 
+def level_permutation(rec, word, n):
+    """The permutation of X^n by `word`, from `rec.level_action(n)`; X^0 is
+    one vertex."""
+    return rec.level_action(n)(word) if n else (0,)
+
+
 def are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET, memo=None):
     """Equality in the group of `rec`: g h^-1 is trivial."""
     return contraction.is_trivial(rec, concat(g, invert(h)), budget, memo)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import are_equal
+from conftest import are_equal, level_permutation
 from contracta import catalog, contraction, covers, gomega, grig, growth
 from contracta import marked, metabelian, rewriting
 from contracta.contraction import nucleus
@@ -211,9 +211,9 @@ class TestCriterion8PropertySuites:
             assert rec.section(u, v + t) == rec.section(outer, t)
             # vertex vt goes to (v u)(t u_v), at index i_v d^m + i_t
             iv, it = (sum(x * d**k for k, x in enumerate(reversed(p))) for p in (v, t))
-            image = rec.level_permutation(u, n)[iv] * d**m
-            image += rec.level_permutation(outer, m)[it]
-            assert rec.level_permutation(u, m + n)[iv * d**m + it] == image
+            image = level_permutation(rec, u, n)[iv] * d**m
+            image += level_permutation(rec, outer, m)[it]
+            assert level_permutation(rec, u, m + n)[iv * d**m + it] == image
         report(8.3, f"two-stage iteration composition, {CASES} cases")
 
     def test_nucleus_closure(self, groups):
@@ -296,9 +296,8 @@ class TestCriterion8PropertySuites:
             depth = 6 if rec.degree == 2 else 4
             u = random_letters(rng, len(rec.gens), 12)
             v = random_letters(rng, len(rec.gens), 12)
-            perm_equal = rec.level_permutation(u, depth) == rec.level_permutation(
-                v, depth
-            )
+            act = rec.level_action(depth)
+            perm_equal = act(u) == act(v)
             assert perm_equal == are_equal(rec, u, v)
         report(8.8, f"bisimulation vs level-permutation dedup, {CASES} cases")
 

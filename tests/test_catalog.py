@@ -15,6 +15,16 @@ class TestLoad:
             assert g.recursion is not None
             assert g.rank == len(g.gens)
 
+    def test_one_entry_per_budget(self):
+        # `load`, with the default budget named or not, and `cover_for` read
+        # one cache entry; another budget gets one of its own
+        g = catalog.load("hanoi3")
+        misses = catalog._recursion_entry.cache_info().misses
+        catalog.cover_for.__wrapped__("hanoi3")
+        assert catalog.load("hanoi3", contraction.Budget()) is g
+        assert catalog._recursion_entry.cache_info().misses == misses
+        assert catalog.load("hanoi3", contraction.Budget(max_states=50)) is not g
+
     def test_unknown_name(self):
         with pytest.raises(SemanticError):
             catalog.load("no_such_group")
@@ -63,7 +73,7 @@ class TestLoad:
             "alphabet 2\ngen a = perm(1 0) sections(1, 1)\n#! nucleus_size: 2\n"
         )
         monkeypatch.setenv("CONTRACTA_CATALOG", str(tmp_path))
-        g = catalog._recursion_entry.__wrapped__("tiny")
+        g = catalog._recursion_entry.__wrapped__("tiny", catalog.DEFAULT_BUDGET)
         assert g.facts["nucleus_size"] == 2
         assert g.gens == ("a",)
 

@@ -191,6 +191,8 @@ class TestPresentationCommands:
         assert code == 0 and out.strip() == "a c a c a c a c a c a c a c a c"
         code, out = run(capsys, "hn-gens", "--n", "1")
         assert code == 0 and len(out.strip().splitlines()) == 6
+        code, out = run(capsys, "hn-gens", "--n", "40")
+        assert code == 2 and out == ""
 
 
 class TestFamilies:

@@ -3,12 +3,11 @@ from itertools import chain
 
 import pytest
 
-from conftest import are_equal, random_word
+from conftest import are_equal, level_permutation, random_word
 from contracta import catalog, contraction
 from contracta.contraction import (
     Budget,
     Nucleus,
-    _product,
     _quotient,
     _recurrent_classes,
     is_trivial,
@@ -82,9 +81,8 @@ class TestEquality:
         rec = grig.recursion
         assert not are_equal(rec, w(rec, "a b"), w(rec, "b a"))
         # independent check: the level-2 permutations already differ
-        assert rec.level_permutation(w(rec, "a b"), 2) != rec.level_permutation(
-            w(rec, "b a"), 2
-        )
+        act = rec.level_action(2)
+        assert act(w(rec, "a b")) != act(w(rec, "b a"))
 
     def test_congruence_on_random_words(self, all_recursion_groups, rng):
         for g in all_recursion_groups:
@@ -100,7 +98,7 @@ class TestEquality:
         rec = grig.recursion
         relator = w(rec, "b c d")
         for n in range(1, 7):
-            assert rec.level_permutation(relator, n) == tuple(range(2**n))
+            assert level_permutation(rec, relator, n) == tuple(range(2**n))
 
     def test_level_flip_square_is_trivial(self):
         # a = (a, a) with a root swap flips every level; its square is trivial
@@ -147,7 +145,7 @@ class TestWordProblem:
             for _ in range(40):
                 u = random_word(rng, len(rec.gens), 12)
                 by_action = all(
-                    rec.level_permutation(u, n) == tuple(range(rec.degree**n))
+                    level_permutation(rec, u, n) == tuple(range(rec.degree**n))
                     for n in range(1, 7)
                 )
                 assert is_trivial(rec, u) == by_action
@@ -231,7 +229,7 @@ class TestNucleus:
             for states in (len(seeds) - 1, len(seeds)):
                 for length in (longest - 1, longest):
                     budget = Budget(max_states=states, max_word_length=length)
-                    lazy = chain(cand, (_product(u, v) for u in cand for v in cand))
+                    lazy = chain(cand, (concat(u, v) for u in cand for v in cand))
                     want = outcome(lambda b: section_closure(rec, seeds, b), budget)
                     got = outcome(lambda b: section_closure(rec, lazy, b), budget)
                     assert got == want, (cand, budget)
@@ -432,7 +430,7 @@ def _outcome(fn, *args):
 def _relators(nuc):
     """The nonempty relators x y z^-1 of the nucleus products x y = z."""
     e = nuc.elements
-    relators = [concat(e[i], e[j], invert(e[k])) for (i, j), k in nuc.products.items()]
+    relators = [free_reduce(e[i] + e[j] + invert(e[k])) for (i, j), k in nuc.products.items()]
     return [r for r in relators if r]
 
 
@@ -450,7 +448,7 @@ def _walk_cases(rec, rng):
         u, product = random_word(rng, n, 8), ()
         for _ in range(rng.randint(1, 3)):
             c = random_word(rng, n, 4)
-            product = concat(product, c, rng.choice(relators), invert(c))
+            product = free_reduce(product + c + rng.choice(relators) + invert(c))
         cases.append((u, concat(u, product)))
     return cases
 
@@ -484,7 +482,7 @@ class TestWalkAgreement:
                     if got:  # then it acts trivially on every level
                         u, v = cases[i]
                         identity = tuple(range(rec.degree**5))
-                        assert rec.level_permutation(concat(u, invert(v)), 5) == identity
+                        assert level_permutation(rec, concat(u, invert(v)), 5) == identity
         assert min(counts.values()) > 0, counts
 
 
@@ -499,7 +497,7 @@ def _memo_words(rec, rng, count=2_000):
         u = random_word(rng, n, 10)
         if relators and rng.random() < 0.5:
             c = random_word(rng, n, 4)
-            u = concat(u, c, rng.choice(relators), invert(c))
+            u = free_reduce(u + c + rng.choice(relators) + invert(c))
         words.append(u)
     return words
 

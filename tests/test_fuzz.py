@@ -8,7 +8,7 @@ or raise BudgetExceeded, and independent oracles must agree.
 import random
 from collections import deque
 
-from conftest import are_equal
+from conftest import are_equal, level_permutation
 from contracta import contraction
 from contracta.contraction import Budget
 from contracta.errors import BudgetExceeded
@@ -62,14 +62,14 @@ def test_triviality_matches_level_action_on_random_recursions():
             if verdict:
                 # a trivial element must act trivially on every level
                 assert all(
-                    rec.level_permutation(word, n) == tuple(range(rec.degree**n))
+                    level_permutation(rec, word, n) == tuple(range(rec.degree**n))
                     for n in range(1, 6)
                 ), (rec, word)
             else:
                 # a nontrivial element must move some vertex; all sampled
                 # cases witness this within the probed depth
                 assert any(
-                    rec.level_permutation(word, n) != tuple(range(rec.degree**n))
+                    level_permutation(rec, word, n) != tuple(range(rec.degree**n))
                     for n in range(1, depth + 1)
                 ), (rec, word)
             checked += 1

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -34,10 +35,28 @@ def shift(om):
     return OmegaSequence((), om.period[1:] + om.period[:1])
 
 
+def symbol(om, k):
+    """The k-th symbol, 1-indexed: `OmegaSequence.symbol` as it was."""
+    if k < 1:
+        raise ValueError("symbols are 1-indexed")
+    if k <= len(om.preperiod):
+        return om.preperiod[k - 1]
+    return om.period[(k - 1 - len(om.preperiod)) % len(om.period)]
+
+
+def canonical_offset(om, offset):
+    """`gomega._canonical_offset` as it was: an offset past the preperiod,
+    taken modulo the period."""
+    pre = len(om.preperiod)
+    if offset <= pre:
+        return offset
+    return pre + (offset - pre) % len(om.period)
+
+
 def section(om, word, vertex, offset=0):
     """The section state (normal form, canonical offset) of `word` at
     `vertex`, read at `offset` shifts of the parameter, by `om.split`."""
-    state = (reduce_word(word), GO._canonical_offset(om, offset))
+    state = (reduce_word(word), canonical_offset(om, offset))
     for x in vertex:
         state = om.split(state)[1][x]
     return state
@@ -67,10 +86,21 @@ class TestSequence:
 
     def test_symbols_and_shift(self):
         om = OmegaSequence.parse("2:01")
-        assert [om.symbol(k) for k in range(1, 6)] == [2, 0, 1, 0, 1]
+        assert [symbol(om, k) for k in range(1, 6)] == [2, 0, 1, 0, 1]
         shifted = shift(om)
-        assert [shifted.symbol(k) for k in range(1, 5)] == [0, 1, 0, 1]
-        assert shift(shift(om)).symbol(1) == 1
+        assert [symbol(shifted, k) for k in range(1, 5)] == [0, 1, 0, 1]
+        assert symbol(shift(shift(om)), 1) == 1
+
+    def test_steps_match_the_symbols_and_canonical_offsets(self):
+        # all 4,800 parameters with a preperiod of at most 3 symbols and a
+        # period of at most 4
+        for pre in range(4):
+            for per in range(1, 5):
+                for seq in product((0, 1, 2), repeat=pre + per):
+                    om = OmegaSequence(seq[:pre], seq[pre:])
+                    assert om.steps == tuple(
+                        (symbol(om, k + 1), canonical_offset(om, k + 1)) for k in range(pre + per)
+                    ), om
 
     def test_shift_rotates_pure_period(self):
         om = OmegaSequence.parse(":012")
@@ -102,7 +132,7 @@ class TestSections:
             x = tuple(rng.randint(0, 1) for _ in range(2))
             inner, offset = section(om, word, v)
             nested, offset = _reference_section(om, inner, x, offset)
-            assert section(om, word, v + x) == (nested, GO._canonical_offset(om, offset))
+            assert section(om, word, v + x) == (nested, canonical_offset(om, offset))
 
 
 class TestTriviality:
@@ -152,8 +182,8 @@ class TestTriviality:
             om = random_omega(rng)
             for X in (B, C, D):
                 flip, (s0, s1) = om.split(((A, X, A), 0))
-                after = GO._canonical_offset(om, 1)
-                expected_flip = (A,) if rows[X][om.symbol(1)] else ()
+                after = canonical_offset(om, 1)
+                expected_flip = (A,) if rows[X][symbol(om, 1)] else ()
                 assert (flip, s0, s1) == (0, ((X,), after), (expected_flip, after))
 
 
@@ -313,7 +343,7 @@ class TestKernel:
 def _reference_letter_sections(omega, letter, offset):
     if letter == A:
         return (), ()
-    first = omega.symbol(offset + 1)
+    first = symbol(omega, offset + 1)
     apart = (A,) if GO._A_PART[letter][first] else ()
     return apart, (letter,)
 
@@ -335,7 +365,7 @@ def _reference_section(omega, g, vertex, offset=0):
 
 
 def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET, offset=0):
-    start = (reduce_word(g), GO._canonical_offset(omega, offset))
+    start = (reduce_word(g), canonical_offset(omega, offset))
     seen = {start}
     queue = deque([start])
     while queue:
@@ -344,7 +374,7 @@ def reference_is_trivial(omega, g, budget=DEFAULT_BUDGET, offset=0):
             return False
         for x in (0, 1):
             nxt, after = _reference_section(omega, word, (x,), offset)
-            state = (nxt, GO._canonical_offset(omega, after))
+            state = (nxt, canonical_offset(omega, after))
             if state not in seen:
                 if len(seen) >= budget.max_states:
                     raise BudgetExceeded(
@@ -367,7 +397,7 @@ def reference_kernel_member(omega, w, n, sys, _memo=None):
     if n == 0:
         result = normal_form(sys, w) == ()
     else:
-        w0, w1, tau = phi_i_apply(omega.symbol(1), w)
+        w0, w1, tau = phi_i_apply(symbol(omega, 1), w)
         shifted = shift(omega)
         result = tau == (0, 1) and all(
             reference_kernel_member(shifted, c, n - 1, sys, _memo) for c in (w0, w1)
@@ -450,7 +480,7 @@ class TestAgreement:
             for offset in (0, past_preperiod(om)):
                 for v in [(0,), (1,), (0, 1), (1, 1, 0)]:
                     word, after = _reference_section(om, u, v, offset)
-                    assert section(om, u, v, offset) == (word, GO._canonical_offset(om, after))
+                    assert section(om, u, v, offset) == (word, canonical_offset(om, after))
 
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
     def test_fresh_memo_per_word(self, text, ball9, references):
@@ -459,7 +489,7 @@ class TestAgreement:
         assert [GO.omega_is_trivial(om, u) for u in ball9] == trivial
         for n in LEVELS:
             assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
-        start = GO._canonical_offset(om, past_preperiod(om))
+        start = canonical_offset(om, past_preperiod(om))
         assert [contraction.walk((u, start), om.split) for u in ball9] == trivial_past
         for n in LEVELS:
             got = [

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import are_equal, random_word
+from conftest import are_equal, level_permutation, random_word
 from contracta import contraction
 from contracta import grig as G
 from contracta.cosets import enumerate_cosets
@@ -251,15 +251,27 @@ class TestHn:
         assert len(gens) == 6
         t, v, w_ = G.K0_GENS
         expected = [
-            concat((G.A,), G.sigma_apply(g), (G.A,)) for g in (t, v, w_)
+            free_reduce((G.A,) + G.sigma_apply(g) + (G.A,)) for g in (t, v, w_)
         ] + [G.sigma_apply(g) for g in (t, v, w_)]
         assert gens == expected
+
+    def test_letter_bound_is_checked_before_a_level_is_built(self, monkeypatch):
+        sizes = [sum(map(len, G.h_n_generators(n))) for n in range(4)]
+        assert sizes == [20, 86, 368, 1544]  # each level about 4 times the last
+        monkeypatch.setattr(G, "MAX_GENERATOR_LETTERS", sizes[3])
+        assert sum(map(len, G.h_n_generators(3))) == sizes[3]
+        monkeypatch.setattr(G, "MAX_GENERATOR_LETTERS", sizes[3] - 1)
+        images, sigma_apply = [], G.sigma_apply
+        monkeypatch.setattr(G, "sigma_apply", lambda g: images.append(g) or sigma_apply(g))
+        with pytest.raises(SemanticError, match="^level-3 subgroup generators have 1544 letters, more than 1543$"):
+            G.h_n_generators(3)
+        assert len(images) == 3 + 6  # levels 1 and 2 only
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_generators_stabilize_level_one(self, grig, n):
         rec = grig.recursion
         for g in G.h_n_generators(n):
-            assert rec.level_permutation(g, 1) == (0, 1)
+            assert level_permutation(rec, g, 1) == (0, 1)
 
     def test_index_chain(self):
         p0 = G.g_n_presentation(0)

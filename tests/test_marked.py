@@ -11,7 +11,6 @@ from contracta.marked import (
     MarkedGroup,
     Valuation,
     converge_report,
-    free_ball,
     scan,
     valuation,
 )
@@ -82,6 +81,12 @@ def free_follow(k):
     follow = {s: [t for t in letters if t != -s] for s in letters}
     follow[None] = letters
     return follow
+
+
+def free_ball(k, n, cap=marked.DEFAULT_BALL_CAP):
+    """All freely reduced words of length <= n in rank k, shortest first,
+    within `length_order`'s `cap`."""
+    return list(marked.length_order(free_follow(k), n, cap))
 
 
 class TestLengthOrder:

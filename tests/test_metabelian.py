@@ -7,6 +7,7 @@ from contracta.errors import SemanticError
 from contracta.metabelian import (
     BsDatum,
     GENS,
+    MetElement,
     WnDatum,
     S,
     britton_reduce,
@@ -22,12 +23,12 @@ def w(text):
 
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1."""
-    return concat(u, v, invert(u), invert(v))
+    return free_reduce(u + v + invert(u) + invert(v))
 
 
 def conjugate(u, v):
     """u conjugated by v: v^-1 u v."""
-    return concat(invert(v), u, v)
+    return free_reduce(invert(v) + u + v)
 
 
 def bs_phi(word, iterations, l):
@@ -41,6 +42,35 @@ def bs_phi(word, iterations, l):
         else:
             out.append(x)
     return free_reduce(out)
+
+
+def wreath_product(x, y, modulus):
+    """`WreathElement.__mul__` as it was, on (values, shift) pairs: y's
+    values moved by x's shift and added to x's, reduced mod h (modulus h,
+    0 for Z) and the zeros dropped; the shifts add."""
+    (x_values, x_shift), (y_values, y_shift) = x, y
+    acc = dict(x_values)
+    for pos, val in y_values:
+        acc[pos + x_shift] = acc.get(pos + x_shift, 0) + val
+    values = []
+    for pos in sorted(acc):
+        v = acc[pos] % modulus if modulus else acc[pos]
+        if v:
+            values.append((pos, v))
+    return tuple(values), x_shift + y_shift
+
+
+def reference_wreath_eval(word, modulus=0):
+    """`wreath_eval` as it was: the product of one element per letter."""
+    out = ((), 0)
+    for x in free_reduce(word):
+        sign = 1 if x > 0 else -1
+        out = wreath_product(out, (((0, sign),), 0) if abs(x) == S else ((), sign), modulus)
+    return out
+
+
+def pair(element):
+    return element.values, element.shift
 
 
 NON_HOPF = commutator(conjugate(w("s"), w("t")), w("s"))
@@ -64,9 +94,17 @@ class TestWreath:
             for _ in range(100):
                 u = random_word(rng, 2, 8)
                 v = random_word(rng, 2, 8)
-                assert wreath_eval(concat(u, v), modulus) == wreath_eval(
-                    u, modulus
-                ) * wreath_eval(v, modulus)
+                assert pair(wreath_eval(concat(u, v), modulus)) == wreath_product(
+                    pair(wreath_eval(u, modulus)), pair(wreath_eval(v, modulus)), modulus
+                )
+
+    def test_agrees_with_the_element_product(self, rng):
+        # one pass with a single reduction mod h against the product of one
+        # element per letter, reduced after each
+        for modulus in (0, 2, 3, 5):
+            for _ in range(2_000):
+                u = random_word(rng, 2, 16)
+                assert pair(wreath_eval(u, modulus)) == reference_wreath_eval(u, modulus), u
 
     def test_inverses(self, rng):
         for _ in range(50):
@@ -163,9 +201,8 @@ class TestMet:
         for _ in range(100):
             u = random_word(rng, 2, 8)
             v = random_word(rng, 2, 8)
-            assert met_eval(2, 3, concat(u, v)) == met_eval(2, 3, u) * met_eval(
-                2, 3, v
-            )
+            x, y = met_eval(2, 3, u), met_eval(2, 3, v)
+            assert met_eval(2, 3, concat(u, v)) == MetElement(x.a * y.a, x.a * y.b + x.b)
 
     def test_matches_fraction_matrix_products(self, rng):
         for l, m in ((2, 3), (1, 2), (3, 1), (3, 5), (4, 7)):

@@ -1,10 +1,11 @@
 import random
 from collections import deque
+from operator import itemgetter
 
 import pytest
 
-from conftest import are_equal, random_vertex, random_word
-from contracta import catalog
+from conftest import are_equal, level_permutation, random_vertex, random_word
+from contracta import catalog, recursion
 from contracta.contraction import (
     Budget,
     SectionAutomaton,
@@ -13,8 +14,6 @@ from contracta.contraction import (
 )
 from contracta.errors import BudgetExceeded, ParseError, SemanticError
 from contracta.recursion import (
-    DEFAULT_LEVEL_CAP,
-    WreathRecursion,
     parse_recursion,
     perm_identity,
     perm_inverse,
@@ -154,18 +153,18 @@ class TestLevels:
     def test_level_permutation_of_flip(self, grig):
         rec = grig.recursion
         # swaps the 0- and 1-subtrees: 00<->10, 01<->11
-        assert rec.level_permutation(w(rec, "a"), 2) == (2, 3, 0, 1)
+        assert level_permutation(rec, w(rec, "a"), 2) == (2, 3, 0, 1)
 
     def test_level_permutation_of_identity(self, grig):
-        assert grig.recursion.level_permutation((), 3) == tuple(range(8))
+        assert level_permutation(grig.recursion, (), 3) == tuple(range(8))
 
     def test_b_has_trivial_root_permutation(self, grig):
         rec = grig.recursion
-        assert rec.level_permutation(w(rec, "b"), 1) == (0, 1)
+        assert level_permutation(rec, w(rec, "b"), 1) == (0, 1)
 
     def test_level_cap(self, grig):
-        with pytest.raises(BudgetExceeded):
-            grig.recursion.level_permutation((), 30, cap=2**20)
+        with pytest.raises(BudgetExceeded, match="^level 30 has 1073741824 vertices, cap is 1048576$"):
+            grig.recursion.level_action(30)
 
     def test_vertex_letters_out_of_range(self, grig):
         rec = grig.recursion
@@ -183,13 +182,61 @@ class TestLevels:
             for _ in range(10):
                 u = random_word(rng, len(rec.gens), 8)
                 n = rng.randint(0, 3)
-                perm = rec.level_permutation(u, n)
+                perm = level_permutation(rec, u, n)
                 for i, v in enumerate(product(range(d), repeat=n)):
                     img = rec.act(u, v)
                     idx = 0
                     for x_ in img:
                         idx = idx * d + x_
                     assert perm[i] == idx
+
+
+def reference_level_permutation(rec, word, n):
+    """`WreathRecursion.level_permutation` as it was, less its level cap: a
+    word's permutation of X^n assembled recursively from its sections'
+    permutations, memoized on the (section word, level) pairs."""
+    d = rec.degree
+    memo = {}
+
+    def perm_of(w, k):
+        if k == 0:
+            return (0,)
+        key = (w, k)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        tau, sections = rec.split(w)
+        block = d ** (k - 1)
+        out = [0] * (d**k)
+        for x, sec in enumerate(sections):
+            sub = perm_of(sec, k - 1)
+            base, image_base = x * block, tau[x] * block
+            for j, pj in enumerate(sub):
+                out[base + j] = image_base + pj
+        result = tuple(out)
+        memo[key] = result
+        return result
+
+    return perm_of(free_reduce(word), n)
+
+
+class TestLevelAction:
+    """`level_action`, whose letters' permutations are composed one level at
+    a time, agrees with the recursive reference it replaced (and with `act`,
+    vertex by vertex: `TestLevels`)."""
+
+    def test_agrees_with_the_recursive_reference(self, rng):
+        checked = 0
+        for rec in kernel_recursions():
+            n_gens = len(rec.gens)
+            samples = [(), *((s,) for s in range(-n_gens, n_gens + 1) if s)]
+            samples += [random_word(rng, n_gens, 10) for _ in range(8)]  # often not reduced
+            for n in range(1, 5):
+                act = rec.level_action(n)
+                for word in samples:
+                    assert act(word) == reference_level_permutation(rec, word, n), (rec, word, n)
+                    checked += 1
+        assert checked > 3_000
 
 
 class TestIterate:
@@ -200,18 +247,17 @@ class TestIterate:
         rec = grig.recursion
         word = w(rec, "a b")
         assert rec.section(word, ()) == word
-        assert rec.level_permutation(word, 0) == (0,)
 
     def test_ad4_level_one(self, grig):
         rec = grig.recursion
         word = w(rec, "a d") * 4
         assert [rec.section(word, (x,)) for x in (0, 1)] == [w(rec, "b b")] * 2
-        assert rec.level_permutation(word, 1) == (0, 1)
+        assert level_permutation(rec, word, 1) == (0, 1)
 
     def test_basilica_generator(self, basilica):
         rec = basilica.recursion
         assert [rec.section(w(rec, "a"), (x,)) for x in (0, 1)] == [w(rec, "b"), ()]
-        assert rec.level_permutation(w(rec, "a"), 1) == (1, 0)
+        assert level_permutation(rec, w(rec, "a"), 1) == (1, 0)
 
     def test_composition_law(self, all_recursion_groups, rng):
         # the level-(m+n) iterate is the level-m iterate of each section of
@@ -224,10 +270,10 @@ class TestIterate:
             for _ in range(10):
                 u = random_word(rng, len(rec.gens), 8)
                 m, n = rng.randint(0, 2), rng.randint(0, 2)
-                outer = rec.level_permutation(u, n)
-                direct = rec.level_permutation(u, m + n)
+                outer = level_permutation(rec, u, n)
+                direct = level_permutation(rec, u, m + n)
                 for iv, v in enumerate(product(range(d), repeat=n)):
-                    inner = rec.level_permutation(rec.section(u, v), m)
+                    inner = level_permutation(rec, rec.section(u, v), m)
                     for it, t in enumerate(product(range(d), repeat=m)):
                         assert rec.section(u, v + t) == rec.section(rec.section(u, v), t)
                         assert direct[iv * d**m + it] == outer[iv] * d**m + inner[it]
@@ -359,7 +405,7 @@ class TestOnePassKernel:
             samples = [(), (1, -1), (-1, 1, 1)]
             samples += [random_word(rng, len(rec.gens), 10) for _ in range(25)]
             for word in samples:
-                assert g.invariant(word) == rec.level_permutation(word, depth)
+                assert g.invariant(word) == reference_level_permutation(rec, word, depth)
 
     def test_level_action_checks_its_level(self, grig):
         rec = grig.recursion
@@ -370,19 +416,21 @@ class TestOnePassKernel:
 
     def test_invariant_tables_wait_for_the_first_call(self, monkeypatch):
         rec = parse_recursion(GRIG_TEXT)
-        calls = []
-        original = WreathRecursion.level_permutation
+        tables = []
 
-        def counted(self, word, n, cap=DEFAULT_LEVEL_CAP):
-            calls.append(word)
-            return original(self, word, n, cap)
+        def counted(*images):
+            tables.append(images)
+            return itemgetter(*images)
 
-        monkeypatch.setattr(WreathRecursion, "level_permutation", counted)
+        monkeypatch.setattr(recursion, "itemgetter", counted)
         g = catalog.recursion_group(rec, "grig")
-        assert calls == []
+        assert tables == []
         g.invariant((1, 2))
+        # one table per letter a, b, c, d and inverse at each of the 6 levels
+        assert len(tables) == 8 * 6
+        assert sorted(map(len, tables)) == sorted(2**k for k in range(1, 7) for _ in range(8))
         g.invariant((3,))
-        assert sorted(calls) == [(-4,), (-3,), (-2,), (-1,), (1,), (2,), (3,), (4,)]
+        assert len(tables) == 8 * 6
 
     def test_closure_matches_the_per_vertex_closure(self, rng):
         budget = Budget(max_states=300, max_depth=32, max_word_length=96)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from contracta.errors import ParseError
@@ -26,6 +28,22 @@ def test_invert_roundtrip():
     w = (1, -2, 3, 3)
     assert free_reduce(concat(w, invert(w))) == ()
     assert invert(invert(w)) == w
+
+
+def test_concat_is_free_reduce_of_the_join_on_reduced_words():
+    # v often starts with the inverse of a tail of u, so that long stretches
+    # cancel at the junction
+    rng = random.Random(20240511)
+    letters = (1, -1, 2, -2, 3, -3)
+    cancelled = 0
+    for _ in range(5_000):
+        u, tail = (
+            free_reduce(rng.choice(letters) for _ in range(rng.randint(0, 10))) for _ in range(2)
+        )
+        v = free_reduce(invert(u)[: rng.randint(0, len(u))] + tail)
+        assert concat(u, v) == free_reduce(u + v), (u, v)
+        cancelled += len(concat(u, v)) < len(u) + len(v)
+    assert cancelled > 1_000
 
 
 def test_parse_and_format():
