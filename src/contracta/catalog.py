@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import contraction, covers, gomega, grig, metabelian, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, _check_length
 from .errors import SemanticError
 from .marked import MarkedGroup
+from .record import Record
 from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
 from .words import concat, invert
 
@@ -39,14 +40,15 @@ RECURSION_NAMES = (
 )
 
 
-@dataclass
-class Group:
-    name: str
-    gens: tuple
-    is_trivial: object  # callable Word -> bool
-    recursion: WreathRecursion = None
-    facts: dict = field(default_factory=dict)
-    invariant: object = None  # hashable prehash for ball deduplication
+class Group(Record):
+    __slots__ = ("name", "gens", "is_trivial", "recursion", "facts", "invariant")
+
+    def __init__(self, name: str, gens: tuple, is_trivial, recursion: WreathRecursion = None,
+                 facts: dict = None, invariant=None):
+        self.name, self.gens, self.recursion = name, gens, recursion
+        self.is_trivial = is_trivial  # callable Word -> bool
+        self.facts = {} if facts is None else facts
+        self.invariant = invariant  # hashable prehash for ball deduplication
 
     @property
     def rank(self):
@@ -232,8 +234,7 @@ def marked(spec: str) -> MarkedGroup:
     return MarkedGroup(g.rank, g.is_trivial, name=spec, congruence=congruence)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """A kernel chain and the limit it converges to in the space of marked
     groups.  Every member is a quotient of the limit's cover, so the limit's
     congruence is sound for all of them."""

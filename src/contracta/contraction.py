@@ -13,41 +13,43 @@ BudgetExceeded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import BudgetExceeded
+from .record import Record
 from .words import concat, free_reduce, invert, shortlex_key
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_states: int = 10_000
-    max_depth: int = 64
-    max_word_length: int = 4_096
+class Budget(Record):
+    __slots__ = ("max_states", "max_depth", "max_word_length")
 
-    def __post_init__(self):
-        if min(self.max_states, self.max_depth, self.max_word_length) <= 0:
+    def __init__(self, max_states: int = 10_000, max_depth: int = 64,
+                 max_word_length: int = 4_096):
+        if min(max_states, max_depth, max_word_length) <= 0:
             raise ValueError("budget limits must be positive")
+        self.max_states, self.max_depth = max_states, max_depth
+        self.max_word_length = max_word_length
 
 
 DEFAULT_BUDGET = Budget()
 NUCLEUS_ROUNDS = 64  # the catalog recursions settle in one or two
 
 
-@dataclass
-class SectionAutomaton:
+class SectionAutomaton(Record):
     """Finite section closure of a set of words, with bisimulation classes.
 
     States are tagged by freely reduced representative words; transitions are
-    total; state 0 is the empty word and carries self-loops.
+    total; state 0 is the empty word and carries self-loops.  Per state,
+    `trans` holds a tuple of successor ids, one per letter, `perms` the root
+    permutation and `classes` the bisimulation class id; `index` maps each
+    representative word to its state.
     """
 
-    states: list  # representative words
-    trans: list  # per state: tuple of successor ids, one per letter
-    perms: list  # per state: root permutation
-    index: dict = field(repr=False)
-    classes: list = None  # bisimulation class id per state
+    __slots__ = ("states", "trans", "perms", "index", "classes")
+
+    def __init__(self, states: list, trans: list, perms: list, index: dict, classes: list = None):
+        self.states, self.trans, self.perms, self.index = states, trans, perms, index
+        self.classes = classes
 
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:
@@ -194,17 +196,21 @@ def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     return walk(word, split, budget, memo)
 
 
-@dataclass
-class Nucleus:
-    """The finite recurrent section core of a contracting recursion."""
+class Nucleus(Record):
+    """The finite recurrent section core of a contracting recursion.
 
-    rec: object
-    elements: tuple  # canonical representative words, shortlex-sorted
-    sections: tuple  # element x letter -> element index
-    perms: tuple
-    inverses: tuple  # element -> index of its inverse
-    identity: int
-    products: dict  # (i, j) -> k for the products that land in the nucleus
+    `elements` are canonical representative words, shortlex-sorted; the
+    tables map an element and a letter to its section's index (`sections`),
+    an element to its inverse's index (`inverses`), and a pair (i, j) to the
+    index of its product, for the products that land in the nucleus
+    (`products`)."""
+
+    __slots__ = ("rec", "elements", "sections", "perms", "inverses", "identity", "products")
+
+    def __init__(self, rec, elements: tuple, sections: tuple, perms: tuple,
+                 inverses: tuple, identity: int, products: dict):
+        self.rec, self.elements, self.sections, self.perms = rec, elements, sections, perms
+        self.inverses, self.identity, self.products = inverses, identity, products
 
     def __len__(self):
         return len(self.elements)

@@ -13,10 +13,10 @@ columns per generator before it is renumbered and checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ContractaError
+from .record import Record
 DEFAULT_MAX_COSETS = 2**22
 
 
@@ -37,10 +37,12 @@ def _layout(pres):
     return layout, inv
 
 
-@dataclass
-class CosetTable:
-    gens: tuple
-    table: list  # rows over 2*len(gens) columns, entries are coset ids
+class CosetTable(Record):
+    __slots__ = ("gens", "table")
+
+    def __init__(self, gens: tuple, table: list):
+        self.gens = gens
+        self.table = table  # rows over 2*len(gens) columns, entries are coset ids
 
     @property
     def index(self) -> int:
@@ -263,18 +265,17 @@ def _standardize(enum, layout, pres):
     return CosetTable(pres.gens, table)
 
 
-@dataclass(frozen=True)
-class FreeProductSignature:
+class FreeProductSignature(Record):
     """Free product of finite factors of the given orders with a free factor."""
 
-    factor_orders: tuple
-    free_rank: int = 0
+    __slots__ = ("factor_orders", "free_rank")
 
-    def __post_init__(self):
-        if any(m < 2 for m in self.factor_orders):
+    def __init__(self, factor_orders: tuple, free_rank: int = 0):
+        if any(m < 2 for m in factor_orders):
             raise ValueError("finite factor orders must be >= 2")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        self.factor_orders, self.free_rank = factor_orders, free_rank
 
     @property
     def euler_characteristic(self) -> Fraction:

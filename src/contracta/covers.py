@@ -10,32 +10,37 @@ approximating the covered group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, product
 from operator import not_
+from typing import NamedTuple
 
 from . import contraction, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, Nucleus
 from .errors import BudgetExceeded
+from .record import Record
 from .recursion import WreathRecursion, perm_identity
 from .rewriting import Presentation, RewriteSystem, normal_form
 from .words import Word, concat, format_word, free_reduce, invert, shortlex_key
 
 
-@dataclass
-class PruneEntry:
+class PruneEntry(NamedTuple):
     element: Word  # representative word in the base group's generators
     reason: str  # "identity" | "inverse of <gen>" | "product <u>.<v>"
 
 
-@dataclass
-class CoverPresentation:
-    nucleus: Nucleus
-    presentation: Presentation
-    gen_to_nucleus: dict  # cover generator name -> base-group word
-    recursion: WreathRecursion  # induced recursion on the cover generators
-    pruning: list  # PruneEntry records
-    element_words: tuple = field(default=())  # nucleus index -> cover word
+class CoverPresentation(Record):
+    """`gen_to_nucleus` maps a cover generator's name to its base-group word,
+    `recursion` is the induced recursion on the cover generators, `pruning`
+    holds PruneEntry records, and `element_words` maps a nucleus index to a
+    cover word."""
+
+    __slots__ = ("nucleus", "presentation", "gen_to_nucleus", "recursion", "pruning",
+                 "element_words")
+
+    def __init__(self, nucleus: Nucleus, presentation: Presentation, gen_to_nucleus: dict,
+                 recursion: WreathRecursion, pruning: list, element_words: tuple = ()):
+        self.nucleus, self.presentation, self.gen_to_nucleus = nucleus, presentation, gen_to_nucleus
+        self.recursion, self.pruning, self.element_words = recursion, pruning, element_words
 
     def to_base(self, word) -> Word:
         """Substitute nucleus representatives for cover letters."""
@@ -168,11 +173,13 @@ def universal_cover(
     )
 
 
-@dataclass
-class StandardCoverResult:
-    extra_relators: list  # E: words over cover generators, normal forms
-    witnesses: dict  # (letter, nucleus index) -> cover word h with h_x = n_i
-    exact: dict  # (letter, nucleus index) -> True when w(x, n) is trivial
+class StandardCoverResult(Record):
+    __slots__ = ("extra_relators", "witnesses", "exact")
+
+    def __init__(self, extra_relators: list, witnesses: dict, exact: dict):
+        self.extra_relators = extra_relators  # E: words over cover generators, normal forms
+        self.witnesses = witnesses  # (letter, nucleus index) -> cover word h with h_x = n_i
+        self.exact = exact  # (letter, nucleus index) -> True when w(x, n) is trivial
 
     @property
     def already_self_replicating(self) -> bool:

@@ -10,12 +10,12 @@ shift offset) is finite for eventually periodic parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
 from .errors import ParseError
 from .grig import _VTABLE, A, B, C, D, reduce_word
+from .record import Record
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
 _A_PART = {
@@ -25,19 +25,18 @@ _A_PART = {
 }
 
 
-@dataclass(frozen=True)
-class OmegaSequence:
+class OmegaSequence(Record):
     """Eventually periodic sequence over {0,1,2}: preperiod then cycle."""
 
-    preperiod: tuple
-    period: tuple
+    __slots__ = ("preperiod", "period", "__dict__")  # the dict holds `steps` once made
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple, period: tuple):
+        if not period:
             raise ValueError("period must be nonempty")
-        for s in self.preperiod + self.period:
+        for s in preperiod + period:
             if s not in (0, 1, 2):
                 raise ValueError("symbols must be 0, 1, or 2")
+        self.preperiod, self.period = preperiod, period
 
     @classmethod
     def parse(cls, text: str) -> "OmegaSequence":

@@ -10,10 +10,9 @@ finitely presented truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SemanticError
 from .marked import length_order
+from .record import Record
 from .rewriting import Presentation
 from .words import Word, free_reduce
 
@@ -156,16 +155,17 @@ def psi0_image(tokens) -> tuple:
 _ALTERNATING = {None: (A, B, C, D), A: (B, C, D), B: (A,), C: (A,), D: (A,)}
 
 
-@dataclass(frozen=True)
-class CoverCongruence:
+class CoverCongruence(Record):
     """The C2 * V congruence as a shared normalizer for marked-group scans.
 
     Sound for every quotient of the four-involution cover: membership in any
     such kernel is constant on congruence classes, and the normal form never
     increases word length, so kernel balls can be compared on the alternating
-    representatives alone.
+    representatives alone.  It has no fields, so any two instances are equal,
+    which is how `marked.scan` sees that its groups share it.
     """
 
+    __slots__ = ()
     shape = "C2 * V"  # the `cover_shape` fact of the groups it is sound for
 
     def normal_form(self, word) -> Word:

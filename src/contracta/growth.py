@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
+from .record import Record
 from .words import concat
 
 
-@dataclass
-class GrowthTable:
-    name: str
-    ngens: int
-    gamma: list  # gamma[n] = ball size at radius n
-    elapsed_ms: list
+class GrowthTable(Record):
+    __slots__ = ("name", "ngens", "gamma", "elapsed_ms")
+
+    def __init__(self, name: str, ngens: int, gamma: list, elapsed_ms: list):
+        self.name, self.ngens = name, ngens
+        self.gamma = gamma  # gamma[n] = ball size at radius n
+        self.elapsed_ms = elapsed_ms
 
     def to_csv(self) -> str:
         lines = ["n,gamma,elapsed_ms"]
@@ -75,8 +77,7 @@ def ball_sizes(
     return GrowthTable(name, ngens, gamma, elapsed)
 
 
-@dataclass
-class GrowthProbe:
+class GrowthProbe(NamedTuple):
     """Descriptive fit indicators; finite data cannot settle the trichotomy,
     so these are explicitly non-conclusive."""
 

@@ -10,25 +10,28 @@ kernel balls agree; full agreement through the examined radius is reported as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
+from .record import Record
 from .words import Word
 
 DEFAULT_BALL_CAP = 5_000_000
 KEPT_WORDS = 1 << 16  # the longest list of words `length_order` keeps
 
 
-@dataclass
-class MarkedGroup:
-    rank: int
-    oracle: object  # callable Word -> bool (kernel membership)
-    name: str = ""
-    # optional congruence sound for the kernel: a length-nonincreasing normal
-    # form whose `ball(radius, cap)` yields its irreducible words shortest
-    # first.  The oracle of a group that carries one is asked only about
-    # those normal forms.
-    congruence: object = None
+class MarkedGroup(Record):
+    __slots__ = ("rank", "oracle", "name", "congruence")
+
+    def __init__(self, rank: int, oracle, name: str = "", congruence=None):
+        self.rank = rank
+        self.oracle = oracle  # callable Word -> bool (kernel membership)
+        self.name = name
+        # optional congruence sound for the kernel: a length-nonincreasing
+        # normal form whose `ball(radius, cap)` yields its irreducible words
+        # shortest first.  The oracle of a group that carries one is asked
+        # only about those normal forms.
+        self.congruence = congruence
 
     def contains(self, word) -> bool:
         return self.oracle(word)
@@ -78,8 +81,7 @@ def _free_words(k: int, radius: int, cap=None):
     return length_order(follow, radius, cap)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Largest agreement radius; `at_least` means agreement held through the
     whole examined radius, so the true valuation is >= value."""
 
@@ -152,17 +154,16 @@ def _on_normal_forms(group: MarkedGroup):
     return lambda w: group.contains(normal_form(w))
 
 
-@dataclass
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     valuation: Valuation
 
 
-@dataclass
-class ConvergenceReport:
-    rows: list
-    radius: int
-    limit_name: str
+class ConvergenceReport(Record):
+    __slots__ = ("rows", "radius", "limit_name")
+
+    def __init__(self, rows: list, radius: int, limit_name: str):
+        self.rows, self.radius, self.limit_name = rows, radius, limit_name
 
     @property
     def values(self):

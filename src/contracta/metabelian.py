@@ -7,22 +7,23 @@ exact (integer exponent vectors, `fractions.Fraction` matrix entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
+from typing import NamedTuple
 
 from .errors import SemanticError
+from .record import Record
 from .words import free_reduce
 
 S, T = 1, 2
 GENS = ("s", "t")
+MAX_BASE_BITS = 2**24  # the largest n * log2(l) for which a BsDatum forms l^n
 
 
 # -- A wr Z ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     """Finitely supported map Z -> A plus a shift; A = Z or Z/h."""
 
     values: tuple  # sorted ((position, value), ...), values nonzero
@@ -63,13 +64,19 @@ class BsDatum:
     At `level` n the letter s stands for the base element l^n: Britton
     reduction of a word w then reduces its n-fold substitution image
     s -> s^l, t -> t, without writing that image out, and w lies in level n
-    of the kernel chain on BS(l, m) iff the reduced form is trivial."""
+    of the kernel chain on BS(l, m) iff the reduced form is trivial.  A level
+    with n * log2(l) past MAX_BASE_BITS is refused before l^n is formed."""
 
     def __init__(self, l: int, m: int, level: int = 0):
         if level < 0:
             raise ValueError("iterations must be >= 0")
         if l < 1 or m < 1:
             raise SemanticError("parameters must be positive")
+        if l > 1 and level > MAX_BASE_BITS / log2(l):  # exact for any int level
+            raise SemanticError(
+                f"level {level} of BS({l}, {m}) needs the base element {l}^{level}, "
+                f"past the cap of {MAX_BASE_BITS} bits"
+            )
         self.l, self.m = l, m
         self.s = l**level
 
@@ -128,12 +135,14 @@ class WnDatum:
         return u[1:] + (0,)
 
 
-@dataclass
-class BrittonWord:
+class BrittonWord(Record):
     """Alternating pinch-free form: base elements separated by t-powers."""
 
-    pieces: list  # [base, eps, base, eps, ..., base] with eps in {+1, -1}
-    datum: object  # BsDatum or WnDatum
+    __slots__ = ("pieces", "datum")
+
+    def __init__(self, pieces: list, datum):
+        self.pieces = pieces  # [base, eps, base, eps, ..., base] with eps in {+1, -1}
+        self.datum = datum  # BsDatum or WnDatum
 
     @property
     def stable_letter_count(self) -> int:
@@ -188,8 +197,7 @@ def _push_stable(datum, pieces, eps):
 # -- Met(l, m): exact triangular matrices ------------------------------------
 
 
-@dataclass(frozen=True)
-class MetElement:
+class MetElement(NamedTuple):
     """The matrix [[a, b], [0, 1]] of Met(l, m), with exact rational a, b."""
 
     a: Fraction

@@ -12,11 +12,11 @@ all of its first-level sections (`split`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import words
 from .errors import BudgetExceeded, ParseError, SemanticError
+from .record import Record
 from .words import Word, invert
 
 DEFAULT_LEVEL_CAP = 2**20
@@ -37,25 +37,22 @@ def perm_identity(d):
     return tuple(range(d))
 
 
-@dataclass(frozen=True)
-class WreathRecursion:
-    degree: int
-    gens: tuple
-    section_table: tuple  # per generator: d section words
-    perm_table: tuple  # per generator: image table of the root permutation
-    # signed letter s -> (root permutation, d section words), indexed by s
-    # itself: generator g sits at g, its inverse at -g, counted from the end
-    _letters: tuple = field(init=False, repr=False, compare=False)
+class WreathRecursion(Record):
+    __slots__ = ("degree", "gens", "section_table", "perm_table", "_letters")
 
-    def __post_init__(self):
-        d = self.degree
-        gens, inverses = [], []
-        for perm, secs in zip(self.perm_table, self.section_table):
+    def __init__(self, degree: int, gens: tuple, section_table: tuple, perm_table: tuple):
+        self.degree, self.gens = degree, gens
+        self.section_table = section_table  # per generator: d section words
+        self.perm_table = perm_table  # per generator: image table of the root permutation
+        letters, inverses = [], []
+        for perm, secs in zip(perm_table, section_table):
             inv = perm_inverse(perm)
-            gens.append((perm, secs))
+            letters.append((perm, secs))
             # (h^-1)_x = (h_{x tau_{h^-1}})^-1
-            inverses.append((inv, tuple(invert(secs[inv[x]]) for x in range(d))))
-        object.__setattr__(self, "_letters", (None, *gens, *reversed(inverses)))
+            inverses.append((inv, tuple(invert(secs[inv[x]]) for x in range(degree))))
+        # signed letter s -> (root permutation, d section words), indexed by s
+        # itself: generator g sits at g, its inverse at -g, counted from the end
+        self._letters = (None, *letters, *reversed(inverses))
 
     def _check_vertex_letter(self, x):
         if not 0 <= x < self.degree:

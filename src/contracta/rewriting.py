@@ -8,26 +8,24 @@ forms, hence the word problem for the presented group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import words
 from .errors import ParseError
+from .record import Record
 from .words import Word, free_reduce, shortlex_key
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     # shortlex ranks generators in list order, inverses right after their
     # generator
-    gens: tuple
-    relators: tuple
+    __slots__ = ("gens", "relators")
 
-    def __post_init__(self):
-        if len(set(self.gens)) != len(self.gens):
+    def __init__(self, gens: tuple, relators: tuple):
+        if len(set(gens)) != len(gens):
             raise ValueError("duplicate generators")
-        for r in self.relators:
+        for r in relators:
             if not r or free_reduce(r) != r:
                 raise ValueError("relators must be freely reduced and nonempty")
+        self.gens, self.relators = gens, relators
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -69,14 +67,13 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Word
-    rhs: Word
+class RewriteRule(Record):
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        if shortlex_key(self.lhs) <= shortlex_key(self.rhs):
+    def __init__(self, lhs: Word, rhs: Word):
+        if shortlex_key(lhs) <= shortlex_key(rhs):
             raise ValueError("rule must decrease shortlex order")
+        self.lhs, self.rhs = lhs, rhs
 
 
 def _bucket(rules):
@@ -107,12 +104,13 @@ def _apply_rules(rules, w, index=None) -> Word:
     return tuple(out)
 
 
-@dataclass
-class RewriteSystem:
-    gens: tuple
-    rules: list  # RewriteRule, shortlex-sorted by lhs
-    complete: bool
-    _index: tuple = field(default=None, repr=False, compare=False)
+class RewriteSystem(Record):
+    __slots__ = ("gens", "rules", "complete", "_index")
+
+    def __init__(self, gens: tuple, rules: list, complete: bool):
+        self.gens, self.complete = gens, complete
+        self.rules = rules  # RewriteRule, shortlex-sorted by lhs
+        self._index = None  # `_bucket(rules)`, made on the first rewrite
 
     def rewrite(self, w) -> Word:
         if self._index is None:
@@ -157,14 +155,13 @@ def complete(p: Presentation, max_rules: int = 2_000) -> RewriteSystem:
         rule = _orient(u, v)
         if rule is None:
             return
-        # interreduce: rules touched by the new lhs go back to the queue
-        stale = [
-            r
-            for r in rules
-            if _contains(r.lhs, rule.lhs) or _contains(r.rhs, rule.lhs)
-        ]
-        for r in stale:
-            rules.remove(r)
+        # interreduce: rules touched by the new lhs go back to the queue;
+        # one pass splits them off, with no comparison of rules
+        kept, stale = [], []
+        for r in rules:
+            touched = _contains(r.lhs, rule.lhs) or _contains(r.rhs, rule.lhs)
+            (stale if touched else kept).append(r)
+        rules[:] = kept
         rules.append(rule)
         index = _bucket(rules)
         for r in stale:

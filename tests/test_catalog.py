@@ -25,6 +25,12 @@ class TestLoad:
         assert catalog._recursion_entry.cache_info().misses == misses
         assert catalog.load("hanoi3", contraction.Budget(max_states=50)) is not g
 
+    def test_equal_budgets_share_one_entry(self):
+        small = catalog.load("hanoi3", contraction.Budget(max_states=50))
+        misses = catalog._recursion_entry.cache_info().misses
+        assert catalog.load("hanoi3", contraction.Budget(50, 64, 4_096)) is small
+        assert catalog._recursion_entry.cache_info().misses == misses
+
     def test_unknown_name(self):
         with pytest.raises(SemanticError):
             catalog.load("no_such_group")

@@ -326,6 +326,17 @@ class TestFamilies:
         assert cli.main(["--json", *argv]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == err
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--group-a", "bs:2:3@100000000", "--group-b", "met:2:3", "--radius", "4"],
+        ["bs", "--params", "2:3", "--word", "s", "--phi", "100000000"],
+    ])
+    def test_a_bs_level_past_the_bit_cap_is_an_error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: level 100000000 of BS(2, 3) needs the base element 2^100000000, "
+            "past the cap of 16777216 bits\n"
+        )
+
     def test_negative_phi_is_an_error(self, capsys):
         assert cli.main(["bs", "--params", "2:3", "--word", "s", "--phi", "-1"]) == 2
         assert capsys.readouterr().err == "error: iterations must be >= 0\n"
@@ -498,3 +509,22 @@ class TestJsonDeterminism:
         # without --json, stdout stays empty
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_startup_generates_no_code():
+    # `dataclasses` pulls in inspect, ast, dis and tokenize, and writes code
+    # for each class at import: a third of a CLI process's set-up.  -S keeps
+    # site hooks out; what importlib.resources loads by itself (inspect, on
+    # some Python versions) is not the package's doing
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import importlib.resources\n"
+        "shown = {'dataclasses', 'inspect'}; stdlib = shown & set(sys.modules)\n"
+        "import contracta.cli; from contracta import catalog; catalog.load('grigorchuk')\n"
+        "print(sorted((shown & set(sys.modules)) - stdlib))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -6,6 +6,7 @@ import pytest
 from conftest import are_equal, level_permutation, random_word
 from contracta import catalog, contraction
 from contracta.contraction import (
+    DEFAULT_BUDGET,
     Budget,
     Nucleus,
     _quotient,
@@ -45,6 +46,21 @@ def test_budget_limits_must_be_positive():
         Budget(max_states=0)
     with pytest.raises(ValueError):
         Budget(max_depth=-1)
+
+
+@pytest.mark.parametrize("limits", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, -5)])
+def test_each_budget_limit_is_checked(limits):
+    with pytest.raises(ValueError, match="budget limits must be positive"):
+        Budget(*limits)
+
+
+def test_equal_budgets_are_one_value():
+    # a budget is part of the catalog's cache key, so equal limits hash equal
+    named = Budget(max_states=300, max_depth=32, max_word_length=96)
+    assert Budget(300, 32, 96) == named and hash(Budget(300, 32, 96)) == hash(named)
+    assert Budget() == DEFAULT_BUDGET and hash(Budget()) == hash(DEFAULT_BUDGET)
+    assert Budget(max_depth=63) != DEFAULT_BUDGET and named != (300, 32, 96)
+    assert repr(named) == "Budget(max_states=300, max_depth=32, max_word_length=96)"
 
 
 class TestClosure:

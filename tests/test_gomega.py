@@ -106,6 +106,17 @@ class TestSequence:
         om = OmegaSequence.parse(":012")
         assert str(shift(om)) == ":120"
 
+    def test_steps_are_made_once(self):
+        om = OmegaSequence.parse("2:01")
+        steps = om.steps
+        assert om.steps is steps and steps == ((2, 1), (0, 2), (1, 1))
+
+    def test_equal_parameters_are_equal(self):
+        om = OmegaSequence.parse(":012")
+        om.steps  # a cached table takes no part in equality
+        assert om == OmegaSequence((), (0, 1, 2)) and hash(om) == hash(OmegaSequence((), (0, 1, 2)))
+        assert om != OmegaSequence.parse(":021") and om != OmegaSequence.parse("0:120")
+
 
 class TestSections:
     def test_first_symbol_zero_gives_flip_section(self):

@@ -270,6 +270,21 @@ class TestScan:
         same = valuation(catalog.marked("gomega::012@0"), catalog.marked("gomega::012@1"), 5)
         assert (mixed.value, mixed.at_least) == (same.value, same.at_least)
 
+    def test_separately_marked_groups_share_the_congruence_ball(self, monkeypatch):
+        # `dist` marks each side on its own: the two CoverCongruence objects
+        # are equal, so the scan walks the alternating ball, not the free one
+        member, limit = catalog.marked("grigorchuk@0"), catalog.marked("grigorchuk")
+        assert member.congruence is not limit.congruence
+        assert member.congruence == limit.congruence == grig.CoverCongruence()
+        assert hash(member.congruence) == hash(grig.CoverCongruence())
+
+        def free_ball(*args):
+            raise AssertionError("the scan walked the free ball")
+
+        monkeypatch.setattr(marked, "_free_words", free_ball)
+        assert valuation(member, limit, 8) == Valuation(7, False, 8)
+        assert valuation(catalog.marked("grigorchuk@1"), limit, 8) == Valuation(8, True, 8)
+
     def test_no_members_scan_nothing(self):
         assert scan([], MarkedGroup(1, None), 5) == []
 

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import random_word
 from contracta.errors import SemanticError
+from contracta import metabelian
 from contracta.metabelian import (
+    MAX_BASE_BITS,
     BsDatum,
     GENS,
     MetElement,
@@ -182,6 +184,23 @@ class TestPhi:
     def test_negative_iterations(self):
         with pytest.raises(ValueError, match="iterations must be >= 0"):
             BsDatum(2, 3, -1)
+
+    def test_a_level_past_the_bit_cap_is_refused_before_the_power(self):
+        class Base(int):
+            def __pow__(self, level):
+                raise AssertionError("l^n formed")
+
+        for level in (MAX_BASE_BITS + 1, 10**9, 10**400):
+            with pytest.raises(SemanticError, match=f"needs the base element 2\\^{level}, past"):
+                BsDatum(Base(2), 3, level)
+
+    def test_the_bit_cap_bounds_level_times_log2_l(self, monkeypatch):
+        monkeypatch.setattr(metabelian, "MAX_BASE_BITS", 10)
+        assert BsDatum(2, 3, 10).s == 1024 and BsDatum(3, 2, 6).s == 729
+        assert BsDatum(1, 2, 10**30).s == 1
+        for l, level in ((2, 11), (3, 7)):
+            with pytest.raises(SemanticError, match="past the cap of 10 bits"):
+                BsDatum(l, 2 * l + 1, level)
 
 
 class TestMet:

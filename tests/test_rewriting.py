@@ -56,6 +56,30 @@ def test_format_roundtrip(c2v):
 def test_rule_orientation_is_enforced():
     with pytest.raises(ValueError):
         RewriteRule((1,), (2, 2))
+    with pytest.raises(ValueError, match="rule must decrease shortlex order"):
+        RewriteRule((1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("gens, relators, message", [
+    (("a", "a"), (), "duplicate generators"),
+    (("a",), ((),), "relators must be freely reduced and nonempty"),
+    (("a", "b"), ((1, -1, 2),), "relators must be freely reduced and nonempty"),
+])
+def test_presentation_validation(gens, relators, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation(gens, relators)
+
+
+def test_presentations_and_rules_are_values():
+    gens = ("a", "b")
+    relators = (parse_word("a a", gens), parse_word("a b a^-1 b^-1", gens))
+    pres = Presentation(gens, relators)
+    again = Presentation(("a", "b"), tuple(list(relators)))
+    assert pres == again and hash(pres) == hash(again)
+    assert pres != Presentation(gens, relators[:1]) and pres != Presentation(("b", "a"), relators)
+    rule = RewriteRule((2, 1), (1,))
+    assert rule == RewriteRule((2, 1), (1,)) and hash(rule) == hash(RewriteRule((2, 1), (1,)))
+    assert rule != RewriteRule((2, 1), ()) and rule != ((2, 1), (1,))
 
 
 class TestCompletion:
