@@ -211,11 +211,17 @@ def _met_key(l, m, w):
 # -- marked groups and kernel chains -----------------------------------------
 
 
+@functools.cache
 def marked(spec: str) -> MarkedGroup:
     """`<name>` marks the catalog group, `<name>@<n>` level n of the kernel
     chain on `<name>`.  A group that carries the C2 * V congruence is asked
     only about its normal forms, so the `gomega` oracles take the word as
-    it is."""
+    it is.
+
+    There is one marked group per spec, with one oracle memo: a chain
+    member's `onto` is the very object that `marked` returns for the chain's
+    limit, so a scan of `<name>@<n>` against that limit asks the member only
+    about the words the limit finds trivial."""
     if "@" in spec:
         base, _, level = spec.rpartition("@")
         return chain(base).member(_integer(level, "<name>@<n>", spec))
@@ -237,7 +243,19 @@ def marked(spec: str) -> MarkedGroup:
 class Chain(NamedTuple):
     """A kernel chain and the limit it converges to in the space of marked
     groups.  Every member is a quotient of the limit's cover, so the limit's
-    congruence is sound for all of them."""
+    congruence is sound for all of them.
+
+    Every member maps onto the limit, generator to generator, so its kernel
+    K_n lies in the limit's, and a member's `onto` is the limit:
+    - a catalog recursion's cover chain: K_n consists of cover words that
+      fix n levels and whose level-n sections rewrite to 1.  Such a word
+      acts trivially, so it is trivial in the recursion group;
+    - gomega:<omega>: the level-n kernel of the C2 * V splitting chain
+      consists of words that act trivially on the tree of G_omega;
+    - bs:<l>:<m>: w lies in K_n iff phi^n(w) = 1 in BS(l, m), where
+      phi: s -> s^l, t -> t.  BS(l, m) maps onto Met(l, m), and on
+      Met(l, m) = Z[1/lm] x| Z phi multiplies the base by l, which is
+      injective.  So phi^n(w) = 1 in Met(l, m) forces w = 1 there."""
 
     base: str
     limit: MarkedGroup
@@ -245,7 +263,8 @@ class Chain(NamedTuple):
 
     def member(self, n: int) -> MarkedGroup:
         rank, oracle = self.levels(n)
-        return MarkedGroup(rank, oracle, name=f"{self.base}@{n}", congruence=self.limit.congruence)
+        return MarkedGroup(rank, oracle, name=f"{self.base}@{n}",
+                           congruence=self.limit.congruence, onto=self.limit)
 
 
 def chain(base: str) -> Chain:

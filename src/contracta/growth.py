@@ -9,7 +9,6 @@ and confirmed against bucket members with the exact equality oracle.
 from __future__ import annotations
 
 import math
-import time
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
@@ -18,17 +17,14 @@ from .words import concat
 
 
 class GrowthTable(Record):
-    __slots__ = ("name", "ngens", "gamma", "elapsed_ms")
+    __slots__ = ("name", "ngens", "gamma")
 
-    def __init__(self, name: str, ngens: int, gamma: list, elapsed_ms: list):
+    def __init__(self, name: str, ngens: int, gamma: list):
         self.name, self.ngens = name, ngens
         self.gamma = gamma  # gamma[n] = ball size at radius n
-        self.elapsed_ms = elapsed_ms
 
     def to_csv(self) -> str:
-        lines = ["n,gamma,elapsed_ms"]
-        for n, (g, ms) in enumerate(zip(self.gamma, self.elapsed_ms)):
-            lines.append(f"{n},{g},{ms:.3f}")
+        lines = ["n,gamma"] + [f"{n},{g}" for n, g in enumerate(self.gamma)]
         return "\n".join(lines) + "\n"
 
 
@@ -53,11 +49,9 @@ def ball_sizes(
     key0 = invariant(()) if invariant else ()
     classes[key0] = [()]
     gamma = [1]
-    elapsed = [0.0]
     frontier = [()]
     total = 1
     for _ in range(n_max):
-        t0 = time.perf_counter()
         new_reps = []
         for w in frontier:
             for s in letters:
@@ -73,8 +67,7 @@ def ball_sizes(
                     raise BudgetExceeded(f"ball exceeds {max_elements} elements")
         frontier = new_reps
         gamma.append(total)
-        elapsed.append((time.perf_counter() - t0) * 1000)
-    return GrowthTable(name, ngens, gamma, elapsed)
+    return GrowthTable(name, ngens, gamma)
 
 
 class GrowthProbe(NamedTuple):

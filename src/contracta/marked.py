@@ -21,9 +21,9 @@ KEPT_WORDS = 1 << 16  # the longest list of words `length_order` keeps
 
 
 class MarkedGroup(Record):
-    __slots__ = ("rank", "oracle", "name", "congruence")
+    __slots__ = ("rank", "oracle", "name", "congruence", "onto")
 
-    def __init__(self, rank: int, oracle, name: str = "", congruence=None):
+    def __init__(self, rank: int, oracle, name: str = "", congruence=None, onto=None):
         self.rank = rank
         self.oracle = oracle  # callable Word -> bool (kernel membership)
         self.name = name
@@ -32,6 +32,10 @@ class MarkedGroup(Record):
         # shortest first.  The oracle of a group that carries one is asked
         # only about those normal forms.
         self.congruence = congruence
+        # optional marked group that this one maps onto, generator to
+        # generator: this kernel lies in `onto`'s, so a word outside `onto`'s
+        # kernel is outside this one too
+        self.onto = onto
 
     def contains(self, word) -> bool:
         return self.oracle(word)
@@ -109,9 +113,12 @@ def scan(members, limit: MarkedGroup, radius: int):
 
     Words come shortest first, so a member leaves the scan at its first
     disagreement with the limit, and the limit is asked once per word.  A
-    group that carries a congruence is asked only about its normal forms:
-    when every group carries the same congruence the words are its
-    irreducible ones, else the free ball, normalized for each such group.
+    member whose `onto` is `limit` is asked only about the words the limit
+    finds trivial: its kernel lies in the limit's, so it agrees on every
+    other word without being asked.  A group that carries a congruence is
+    asked only about its normal forms: when every group carries the same
+    congruence the words are its irreducible ones, else the free ball,
+    normalized for each such group.
     A ball of more than DEFAULT_BALL_CAP words is BudgetExceeded, raised
     before the length that passes the cap.
     """
@@ -129,15 +136,15 @@ def scan(members, limit: MarkedGroup, radius: int):
         words = _free_words(limit.rank, radius, DEFAULT_BALL_CAP)
         limit_asks, asks = _on_normal_forms(limit), [_on_normal_forms(g) for g in members]
     first = [None] * len(members)  # length of each member's first disagreement
-    live = list(enumerate(asks))
+    live = [(i, a, g.onto is limit) for i, (g, a) in enumerate(zip(members, asks))]
     for w in words:
         if not w:
             continue
         inside = limit_asks(w)
-        for i, asks_member in live:
-            if asks_member(w) != inside:
+        for i, asks_member, onto_limit in live:
+            if (inside or not onto_limit) and asks_member(w) != inside:
                 first[i] = len(w)
-        live = [(i, a) for i, a in live if first[i] is None]
+        live = [(i, a, o) for i, a, o in live if first[i] is None]
         if not live:  # before the next word, which may build the next length
             break
     return [

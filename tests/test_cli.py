@@ -375,8 +375,12 @@ class TestFamilies:
         code, out = run(capsys, "growth", "--group", "gupta_sidki", "--n-max", "3")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "n,gamma,elapsed_ms"
+        assert lines[0] == "n,gamma"
         assert [int(l.split(",")[1]) for l in lines[1:]] == [1, 5, 13, 29]
+
+    def test_growth_prints_the_same_bytes_on_every_run(self, capsys):
+        argv = ("growth", "--group", "grigorchuk", "--n-max", "5", "--probe")
+        assert run(capsys, *argv) == run(capsys, *argv)
 
 
 def subcommand_names(parser=None):

@@ -71,9 +71,7 @@ class TestBallSizes:
     def test_csv_format(self):
         table = z_table(2)
         lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "n,gamma,elapsed_ms"
-        assert lines[1].startswith("0,1,")
-        assert len(lines) == 4
+        assert lines == ["n,gamma", "0,1", "1,3", "2,5"]
 
 
 class TestProbe:

@@ -226,7 +226,7 @@ class TestScan:
     def test_one_pass_report_matches_per_member_valuations(self, base, radius, levels):
         chain = catalog.chain(base)
         report = converge_report(members(chain, range(levels)), chain.limit, radius)
-        fresh = catalog.chain(base)  # new oracle memos for the reference
+        fresh = catalog.chain(base)  # new member oracle memos for the reference
         assert [row.valuation for row in report.rows] == [
             valuation(fresh.member(n), fresh.limit, radius) for n in range(levels)
         ]
@@ -250,14 +250,14 @@ class TestScan:
         with pytest.raises(BudgetExceeded, match="ball cap of 10 words"):
             valuation(Z1, Z1, 50)
 
-    def test_mixed_scan_hands_normal_forms_to_the_congruence_group(self):
+    def test_mixed_scan_hands_normal_forms_to_the_congruence_group(self, monkeypatch):
         # a congruence-less raw-word group against the level-1 gomega
         # member: the scan walks the free ball and normalizes each word for
         # the member, whose oracle takes only C2 * V normal forms
         asked = []
         member = catalog.marked("gomega::012@1")
         oracle = member.oracle
-        member.oracle = lambda w: asked.append(w) or oracle(w)
+        monkeypatch.setattr(member, "oracle", lambda w: asked.append(w) or oracle(w))
         limit = MarkedGroup(4, catalog.load("gomega::012").is_trivial)
         v = valuation(member, limit, 5)
         assert (v.value, v.at_least) == (5, True)
@@ -271,9 +271,11 @@ class TestScan:
         assert (mixed.value, mixed.at_least) == (same.value, same.at_least)
 
     def test_separately_marked_groups_share_the_congruence_ball(self, monkeypatch):
-        # `dist` marks each side on its own: the two CoverCongruence objects
-        # are equal, so the scan walks the alternating ball, not the free one
-        member, limit = catalog.marked("grigorchuk@0"), catalog.marked("grigorchuk")
+        # two sides marked on their own carry two CoverCongruence objects;
+        # they are equal, so the scan walks the alternating ball, not the free one
+        member, marked_limit = catalog.marked("grigorchuk@0"), catalog.marked("grigorchuk")
+        limit = MarkedGroup(marked_limit.rank, marked_limit.oracle, marked_limit.name,
+                            grig.CoverCongruence())
         assert member.congruence is not limit.congruence
         assert member.congruence == limit.congruence == grig.CoverCongruence()
         assert hash(member.congruence) == hash(grig.CoverCongruence())
@@ -287,6 +289,79 @@ class TestScan:
 
     def test_no_members_scan_nothing(self):
         assert scan([], MarkedGroup(1, None), 5) == []
+
+
+# one chain of each family, at a radius whose ball holds words the limit
+# finds trivial and keeps each family's test well under a second
+ONTO_CHAINS = [
+    ("grigorchuk", 8),
+    ("basilica", 8),
+    ("img_z2_plus_i", 5),
+    ("gupta_sidki", 6),
+    ("fabrykowski_gupta", 6),
+    ("hanoi3", 5),
+    ("gomega::012", 8),
+    ("gomega:0:1", 8),
+    ("bs:2:3", 8),
+    ("bs:3:2", 8),
+    ("bs:1:2", 8),
+]
+ONTO_LEVELS = range(4)
+
+
+def scan_ball(group, radius):
+    """The words a scan against `group` walks when every member carries its
+    congruence: its normal forms, or the free ball without one."""
+    if group.congruence is not None:
+        return list(group.congruence.ball(radius))
+    return free_ball(group.rank, radius)
+
+
+class TestOnto:
+    """A chain member maps onto the limit, so a scan asks it only about the
+    words the limit finds trivial."""
+
+    def test_a_member_maps_onto_the_marked_limit(self):
+        assert catalog.marked("grigorchuk") is catalog.marked("grigorchuk")
+        for spec, limit in [("grigorchuk@2", "grigorchuk"), ("gomega::012@0", "gomega::012"),
+                            ("bs:2:3@1", "met:2:3")]:
+            assert catalog.marked(spec).onto is catalog.marked(limit)
+            assert catalog.marked(limit).onto is None
+
+    @pytest.mark.parametrize("base, radius", ONTO_CHAINS)
+    def test_member_kernels_lie_in_the_limit_kernel(self, base, radius):
+        chain = catalog.chain(base)
+        outside = [w for w in scan_ball(chain.limit, radius) if not chain.limit.contains(w)]
+        for n in ONTO_LEVELS:
+            member = chain.member(n)
+            assert not any(member.contains(w) for w in outside), f"{base}@{n}"
+
+    @pytest.mark.parametrize("base, radius", ONTO_CHAINS)
+    def test_members_are_asked_only_about_the_words_the_limit_finds_trivial(self, base, radius):
+        chain = catalog.chain(base)
+        lim = chain.limit
+        trivial, asked = set(), set()
+
+        def limit_oracle(w):
+            inside = lim.oracle(w)
+            if inside:
+                trivial.add(w)
+            return inside
+
+        def asking(oracle):
+            return lambda w: asked.add(w) or oracle(w)
+
+        limit = MarkedGroup(lim.rank, limit_oracle, lim.name, lim.congruence)
+        counted = [
+            MarkedGroup(g.rank, asking(g.oracle), g.name, g.congruence, onto=limit)
+            for g in map(chain.member, ONTO_LEVELS)
+        ]
+        cleared = [
+            MarkedGroup(g.rank, g.oracle, g.name, g.congruence)
+            for g in map(chain.member, ONTO_LEVELS)
+        ]
+        assert scan(counted, limit, radius) == scan(cleared, lim, radius)
+        assert asked and asked <= trivial
 
 
 class TestValuationObject:
