@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog, contraction, covers, gomega, grig, growth, marked, metabelian
@@ -454,12 +455,23 @@ def main(argv=None) -> int:
     command = next((token for token in argv if token != "--json"), None)
     args = build_parser(command).parse_args(argv)
     try:
-        return args.handler(args)
-    except (ContractaError, ValueError, OSError) as e:
+        try:
+            code = args.handler(args)
+        except BrokenPipeError:
+            raise
+        except (ContractaError, ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            if args.json:
+                _emit(args, {"error": str(e)}, "")
+            code = 2
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+    except BrokenPipeError as e:
+        # the reader has gone: write nothing more to stdout, and point it at
+        # os.devnull for the interpreter's last flush (Python's `signal` docs)
         print(f"error: {e}", file=sys.stderr)
-        if args.json:
-            _emit(args, {"error": str(e)}, "")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    return code
 
 
 if __name__ == "__main__":

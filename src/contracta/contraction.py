@@ -270,8 +270,7 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
     skips it."""
     cand = {(), *((s,) for i in range(1, len(rec.gens) + 1) for s in (i, -i))}
     for _ in range(NUCLEUS_ROUNDS):
-        products = (concat(u, v) for u in cand for v in cand)
-        auto = section_closure(rec, chain(cand, products), budget)
+        auto = section_closure(rec, chain(cand, _pairwise_products(cand)), budget)
         reps, trans, perms = _quotient(auto)
         recurrent = _recurrent_classes(trans)
         new_cand = {reps[c] for c in recurrent} | {()}
@@ -283,6 +282,29 @@ def nucleus(rec, budget: Budget = DEFAULT_BUDGET) -> Nucleus:
             return _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent)
         cand = new_cand
     raise BudgetExceeded(f"nucleus iteration did not stabilize in {NUCLEUS_ROUNDS} rounds")
+
+
+def _pairwise_products(words):
+    """u·v for every u, then every v, in the freely reduced `words`: the
+    words, in order, of `concat(u, v) for u in words for v in words`.
+    `concat` cancels a letter per step; a junction that cancels nothing, or
+    the whole shorter factor (v = u^-1 w or u = w v^-1, giving w), is sliced
+    instead.  Half the pairs of a fuzz round's powers x^k cancel so."""
+    words = list(words)
+    own = dict(zip(words, words))  # a round's candidates are closed under inversion:
+    inverses = [own.get(w, w) for w in map(invert, words)]  # keep theirs, not copies
+    for u, u_inv in zip(words, inverses):
+        n = len(u)
+        last = -u[-1] if u else 0  # no letter is 0
+        for v, v_inv in zip(words, inverses):
+            if not v or v[0] != last:
+                yield u + v
+            elif v[:n] == u_inv:
+                yield v[n:]
+            elif u[n - len(v):] == v_inv:  # a shorter slice when v is the longer
+                yield u[: n - len(v)]
+            else:
+                yield concat(u, v)
 
 
 def _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent):
@@ -299,11 +321,10 @@ def _build_nucleus(rec, auto, cand, reps, trans, perms, recurrent):
     word_of = {auto.classes[auto.index[w]]: w for w in cand}
     factors = [word_of[c] for c in order]
     products = {}
-    for i, u in enumerate(factors):
-        for j, v in enumerate(factors):
-            k = pos.get(auto.classes[auto.index[concat(u, v)]])
-            if k is not None:
-                products[(i, j)] = k
+    for n, w in enumerate(_pairwise_products(factors)):
+        k = pos.get(auto.classes[auto.index[w]])
+        if k is not None:
+            products[divmod(n, len(factors))] = k
     inverse_of = {i: j for (i, j), k in products.items() if k == identity}
     for i, e in enumerate(elements):
         if i not in inverse_of:

@@ -134,7 +134,7 @@ class _Enumerator:
     def scan_and_fill(self, a, cols, inv):
         """Scan a relator (columns `cols`, inverse columns `inv`) at coset
         offset a, filling gaps."""
-        t, end = self.t, self.end
+        t, end, blank = self.t, self.end, self.blank
         f, i = a, 0
         b, j = a, len(cols) - 1
         while True:
@@ -160,15 +160,25 @@ class _Enumerator:
                 t[f + cols[i]] = b
                 t[b + inv[i]] = f
                 return
-            # define f's image, as `define` does: the hot path, so inline
-            x = len(t)
-            if x >= end:
-                raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
-            t += self.blank
-            t[f + cols[i]] = x
-            t[x + inv[i]] = f
-            f = x
-            i += 1
+            # define f's image, as `define` does: the hot path, so inline.
+            # The new coset's one entry points back at f, so neither scan can
+            # move after it unless the next letter undoes this one, or f was
+            # b and this letter is b's open one (`stop`).  Until then, or
+            # until one letter is left for the deduction, define the next
+            # image; a later letter equal to `stop` only costs a rescan.
+            stop = inv[j] if f == b else -1
+            while True:
+                x = len(t)
+                if x >= end:
+                    raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
+                t += blank
+                col = cols[i]
+                t[f + col] = x
+                t[x + inv[i]] = f
+                f = x
+                i += 1
+                if i == j or cols[i] == inv[i - 1] or col == stop:
+                    break
 
 
 def enumerate_cosets(

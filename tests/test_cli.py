@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -532,3 +533,30 @@ def test_startup_generates_no_code():
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+class TestClosedStdout:
+    """A reader that has gone (`| head`, `| true`) ends the command with exit
+    code 2 and one error line, whatever it was answering, and nothing more is
+    written to stdout.  The pipe's read end is closed before the command
+    starts, so every write fails, however soon it comes."""
+
+    BROKEN = "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--json", "nucleus", "--group", "grigorchuk"], BROKEN),
+        (["nucleus", "--group", "grigorchuk"], BROKEN),
+        (["wp", "--group", "grigorchuk", "--word", "a b"], BROKEN),  # a "no", exit 1 when read
+        # an error whose error document cannot be written either
+        (["--json", "wp", "--group", "nosuch", "--word", "a"],
+         "error: unknown catalog name 'nosuch'\n" + BROKEN),
+    ])
+    def test_a_closed_pipe_exits_two_without_a_traceback(self, capsys, monkeypatch, argv, err):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert cli.main(argv) == 2
+            stdout.write("the interpreter's last flush")
+        # closing flushed that line, which reached os.devnull, not the pipe
+        assert capsys.readouterr().err == err

@@ -352,6 +352,82 @@ class TestNucleusTables:
         assert min(counts.values()) > 0, counts
 
 
+def all_pairs_products(words):
+    """The all-pairs `concat` loop that `_pairwise_products` replaced."""
+    return (concat(u, v) for u in words for v in words)
+
+
+def _junction(u, v):
+    """How the junction of u v cancels: nothing, the whole of u or of v, or
+    part of both."""
+    cancelled = (len(u) + len(v) - len(concat(u, v))) // 2
+    if not cancelled:
+        return "none"
+    if cancelled < min(len(u), len(v)):
+        return "partial"
+    return "whole u" if cancelled == len(u) else "whole v"
+
+
+def _random_words(rng, count, max_len, closed):
+    words = {free_reduce(random_word(rng, 3, max_len)) for _ in range(count)}
+    return words | {invert(w) for w in words} if closed else words
+
+
+def _nucleus_outcome(rec, budget):
+    """Every table of the nucleus, or the text of its BudgetExceeded."""
+    try:
+        nuc = nucleus(rec, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return (nuc.elements, nuc.sections, nuc.perms, nuc.inverses, nuc.identity,
+            list(nuc.products.items()))
+
+
+class TestPairwiseProducts:
+    """`_pairwise_products` slices the junctions that cancel nothing or the
+    whole shorter factor; the words, and their order, are those of the
+    all-pairs `concat` loop."""
+
+    CANDIDATES = {
+        # a fuzz round's candidates x^k: each junction cancels nothing or the
+        # whole shorter factor, either one
+        "powers": lambda rng: {(s,) * k for k in range(9) for s in (1, -1)},
+        "powers without ()": lambda rng: {(s,) * k for k in range(1, 9) for s in (1, -1)},
+        "powers of x y": lambda rng: {w for k in range(5) for w in ((1, 2) * k, (-2, -1) * k)},
+        "random, closed under inversion": lambda rng: _random_words(rng, 60, 8, True) | {()},
+        "random, not closed": lambda rng: _random_words(rng, 60, 8, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CANDIDATES))
+    def test_same_words_in_the_same_order(self, case, rng):
+        words = self.CANDIDATES[case](rng)
+        assert list(contraction._pairwise_products(words)) == list(all_pairs_products(words))
+
+    def test_the_cases_meet_every_junction(self, rng):
+        kinds = {case: {_junction(u, v) for u in words for v in words}
+                 for case, words in ((c, make(rng)) for c, make in self.CANDIDATES.items())}
+        assert kinds["powers"] == {"none", "whole u", "whole v"}
+        assert kinds["random, not closed"] == {"none", "whole u", "whole v", "partial"}
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_catalog_nuclei_match_the_all_pairs_loop(self, name, monkeypatch):
+        rec = catalog.load(name).recursion
+        got = _nucleus_outcome(rec, DEFAULT_BUDGET)
+        monkeypatch.setattr(contraction, "_pairwise_products", all_pairs_products)
+        assert got == _nucleus_outcome(rec, DEFAULT_BUDGET)
+
+    def test_fuzz_nuclei_match_the_all_pairs_loop(self, monkeypatch):
+        # the 60 recursions of the seed-72 draw at the fuzz budget, each
+        # BudgetExceeded text included
+        draw = random.Random(72)
+        recs = [random_recursion(draw) for _ in range(60)]
+        got = [_nucleus_outcome(rec, SMALL) for rec in recs]
+        monkeypatch.setattr(contraction, "_pairwise_products", all_pairs_products)
+        assert got == [_nucleus_outcome(rec, SMALL) for rec in recs]
+        failures = [out for out in got if isinstance(out, str)]
+        assert 10 < len(failures) < 50, failures
+
+
 class TestContracting:
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
     def test_one_section_closure_per_round(self, name, monkeypatch):

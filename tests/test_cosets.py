@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from contracta import grig
+from contracta import cosets, grig
 from contracta.cosets import (
     FreeProductSignature,
     _col,
@@ -419,6 +419,107 @@ class TestFlatTableAgreesWithListOfLists:
         with pytest.raises(BudgetExceeded) as ref:
             reference_table(pres, gens, 2**12)
         assert str(flat.value) == str(ref.value) == "coset budget 4096 exhausted"
+
+
+def one_definition_per_pass(self, a, cols, inv):
+    """`_Enumerator.scan_and_fill` with one definition per pass of its loop:
+    both scans are retried after every definition."""
+    t, end = self.t, self.end
+    f, i = a, 0
+    b, j = a, len(cols) - 1
+    while True:
+        while i <= j and (x := t[f + cols[i]]):
+            f = x
+            i += 1
+        if i > j:
+            if f != b:
+                self.merge(f, b)
+                self.process_coincidences()
+            return
+        while j >= i and (x := t[b + inv[j]]):
+            b = x
+            j -= 1
+        if j < i:
+            self.merge(f, b)
+            self.process_coincidences()
+            return
+        if j == i:
+            t[f + cols[i]] = b
+            t[b + inv[i]] = f
+            return
+        x = len(t)
+        if x >= end:
+            raise BudgetExceeded(f"coset budget {self.max_cosets} exhausted")
+        t += self.blank
+        t[f + cols[i]] = x
+        t[x + inv[i]] = f
+        f = x
+        i += 1
+
+
+def _enumerate(monkeypatch, pres, gens, max_cosets, scan=None):
+    """The standardized rows or the BudgetExceeded text, and the working
+    table and union-find the enumerator ends with, under `scan` (by default
+    the enumerator's own)."""
+    made = []
+
+    class Recorded(_Enumerator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    if scan is not None:
+        Recorded.scan_and_fill = scan
+    with monkeypatch.context() as patch:
+        patch.setattr(cosets, "_Enumerator", Recorded)
+        try:
+            outcome = enumerate_cosets(pres, gens, max_cosets=max_cosets).table
+        except BudgetExceeded as exc:
+            outcome = str(exc)
+    (enum,) = made
+    return outcome, enum.t, enum.p
+
+
+class TestGapFillAgreesWithOneDefinitionPerPass:
+    """The gap fill defines in a tight loop until a scan could move; the
+    reference retries both scans after each definition.  Both must define
+    the same cosets in the same order, so the working table, the union-find
+    and the outcome (rows, or the BudgetExceeded text) are equal."""
+
+    def _agree(self, monkeypatch, pres, gens, max_cosets):
+        got = _enumerate(monkeypatch, pres, gens, max_cosets)
+        assert got == _enumerate(monkeypatch, pres, gens, max_cosets,
+                                 one_definition_per_pass), (pres, gens, max_cosets)
+        return got[0]
+
+    @pytest.mark.parametrize("n,sub", [(0, "xi0"), (0, "b0"), (0, "k0"), (0, "1"),
+                                       (1, "h1"), (1, "1"), (2, "h2"), (2, "h1")])
+    def test_g_n_subgroups(self, monkeypatch, n, sub):
+        pres = grig.g_n_presentation(n)
+        if sub.startswith("h"):
+            gens = grig.h_n_generators(int(sub[1:]))
+        else:
+            gens = {"xi0": grig.XI0_GENS, "b0": grig.B0_GENS, "k0": grig.K0_GENS, "1": []}[sub]
+        for budget in (2**6, 2**10, 2**14):
+            self._agree(monkeypatch, pres, gens, budget)
+
+    def test_both_exits_of_the_tight_loop(self, monkeypatch):
+        # S_3 twice: in `x y x x x y` an x undoes the x before it, x being an
+        # involution; `y y x y x y^-1`, scanned first, starts at a fresh coset
+        # with f == b, and its first definition fills b's open letter y
+        gens = ("x", "y")
+        for rels in (["x x", "y y y", "x y x x x y"], ["y y x y x y^-1", "x x", "y y y"]):
+            pres = Presentation(gens, tuple(parse_word(r, gens) for r in rels))
+            assert len(self._agree(monkeypatch, pres, [], 2**10)) == 6
+
+    def test_random_presentations(self, monkeypatch):
+        rng = random.Random(6)
+        outcomes = {"rows": 0, "budget": 0}
+        for _ in range(300):
+            pres, gens = _random_presentation(rng)
+            outcome = self._agree(monkeypatch, pres, gens, rng.choice([4, 16, 64, 256]))
+            outcomes["budget" if isinstance(outcome, str) else "rows"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
 
 
 class TestBudget:
