@@ -271,12 +271,12 @@ def chain(base: str) -> Chain:
     """The kernel chain on `base`: the universal-cover chain of a catalog
     recursion, the splitting chain of gomega:<omega> on the C2 * V cover, or
     the bs:<l>:<m> tower, whose limit is met:<l>:<m>."""
+    memo = {}  # least levels by state, one memo for every member
     if base in RECURSION_NAMES:
         limit = marked(base)
 
         def levels(n):
             cover, sys = cover_for(base)
-            memo = {}
             rank = len(cover.presentation.gens)
             if limit.congruence is None:
                 return rank, lambda w: covers.kernel_member(cover, sys, w, n, memo)
@@ -288,7 +288,6 @@ def chain(base: str) -> Chain:
         omega = _omega(base)
 
         def levels(n):
-            memo = {}
             return len(grig.GENS), lambda w: gomega.normal_form_kernel_member(omega, w, n, memo)
 
         return Chain(base, marked(base), levels)

@@ -1,9 +1,9 @@
 """The word problem by a section walk; section-closure automata and nuclei.
 
 A word is trivial iff no section state reachable from it moves the first
-level (`walk`), and lies in the level-n kernel iff it fixes the first n
-levels and its level-n sections are trivial (`in_kernel`); both take a
-tree family's split.  A nucleus is a fixed-point iteration with one section
+level (`walk`), and lies in the level-n kernel iff its least level, which
+one walk finds for every n, is at most n (`least_level`); both take a tree
+family's split.  A nucleus is a fixed-point iteration with one section
 closure per round, whose states are classed by bisimulation (same root
 permutation, pairwise bisimilar sections); the last round's closure also
 gives its tables.  Both are exact within budget; blow-ups surface as
@@ -33,6 +33,7 @@ class Budget(Record):
 
 DEFAULT_BUDGET = Budget()
 NUCLEUS_ROUNDS = 64  # the catalog recursions settle in one or two
+INF = float("inf")  # the least level of a state in no kernel
 
 
 class SectionAutomaton(Record):
@@ -53,7 +54,8 @@ class SectionAutomaton(Record):
 
 
 def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutomaton:
-    """Smallest section-closed automaton containing the seeds (plus identity)."""
+    """Smallest section-closed automaton containing the seeds, freely reduced
+    words, and the identity."""
     states, trans, perms = [], [], []
     index = {}
     queue = deque()
@@ -72,8 +74,7 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
 
     add((), 0)
     for s in seeds:  # seeds may come lazily: a seed past a limit fails before the rest
-        if s not in index:
-            add(free_reduce(s), 0)
+        add(s, 0)
     while queue:  # first in, first out: state i is the i-th one split
         i, depth = queue.popleft()
         if depth > budget.max_depth:
@@ -128,7 +129,7 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     while queue:
         current = queue.popleft()
         moved, sections = split(current)
-        sections = tuple(sections)  # the cover split gives them lazily, for in_kernel
+        sections = tuple(sections)  # the cover split gives them lazily, for least_level
         if moved or any(memo.get(state) is False for state in sections):
             memo[start] = False
             if current is not start:  # spares a second hash of a long start word
@@ -144,39 +145,53 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     return True
 
 
-def in_kernel(start, split, n: int, memo, empty) -> bool:
-    """Level-n kernel test: `start` fixes the first n levels and each of its
-    level-n sections is trivial, which `empty(state)` decides.  `split` is
-    `walk`'s; its sections are taken up to the first one outside.
-    `memo` is keyed by (state, level), so one memo serves every level.
-    The identity lies in every kernel, so a state `empty` accepts ends the
-    descent at any level.  Any other state that fixes the root descends a
-    level deeper, one frame per level; a descent past the interpreter's
-    recursion limit is BudgetExceeded.  The memo keeps only finished
-    answers, so it stays sound after that error."""
+def least_level(start, split, memo, empty, budget: Budget = DEFAULT_BUDGET):
+    """The least n whose level-n kernel holds `start`: 0 if `empty(start)`,
+    inf if it reaches through nonempty states a cycle or a state that moves
+    the root, else 1 + the largest over its sections.  `split` is `walk`'s;
+    `memo` maps states to least levels, for every level of a chain.  The
+    depth-first walk charges `max_states` before each split.  A path state
+    reads inf in the memo until finished, so a cycle, or any inf reached,
+    is the whole path's; an error takes the path out of the memo again."""
+    if (level := memo.get(start)) is not None:
+        return level
+    if empty(start):
+        return 0
+    path, unread, least = [], [], []  # per path state: unread sections, 1 + largest level read
+    state, known = start, len(memo)
     try:
-        return _descend(start, split, n, memo, empty)
-    except RecursionError:
-        raise BudgetExceeded(f"level-{n} kernel test exceeds the recursion limit") from None
-
-
-def _descend(start, split, n, memo, empty) -> bool:
-    if n == 0:
-        return empty(start)
-    key = (start, n)
-    result = memo.get(key)
-    if result is None:
-        if empty(start):
-            return True
-        moved, sections = split(start)
-        result = not moved
-        if result:
-            for state in sections:  # a loop, not all(): this is the chains' hot path
-                if not _descend(state, split, n - 1, memo, empty):
-                    result = False
-                    break
-        memo[key] = result
-    return result
+        while True:  # enter `state`, which is nonempty and new
+            if len(memo) - known >= budget.max_states:
+                raise BudgetExceeded(f"section states exceed {budget.max_states}")
+            memo[state] = INF
+            path.append(state)
+            moved, sections = split(state)
+            if moved:
+                return INF
+            unread.append(iter(sections))
+            least.append(1)
+            while True:
+                for state in unread[-1]:
+                    level = memo.get(state)
+                    if level is None:
+                        if not empty(state):
+                            break  # enter it
+                    elif level >= least[-1]:
+                        if level == INF:
+                            return INF
+                        least[-1] = level + 1
+                else:  # every section is read: the top state is finished
+                    unread.pop()
+                    level = memo[path.pop()] = least.pop()
+                    if not path:
+                        return level
+                    least[-1] = max(least[-1], level + 1)
+                    continue
+                break
+    except BaseException:
+        for state in path:
+            del memo[state]
+        raise
 
 
 def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:

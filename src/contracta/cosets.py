@@ -303,7 +303,5 @@ def kernel_rank_free_product(sig: FreeProductSignature, index: int) -> int:
     chi = index * sig.euler_characteristic
     rank = 1 - chi
     if rank.denominator != 1 or rank < 0:
-        raise ValueError(
-            f"no free subgroup of index {index}: rank would be {rank}"
-        )
+        raise ValueError(f"no free subgroup of index {index}: rank would be {rank}")
     return int(rank)

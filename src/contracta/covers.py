@@ -272,7 +272,7 @@ def standard_cover(
 
 
 def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget = DEFAULT_BUDGET):
-    """The split that `walk` and `in_kernel` take over cover words in
+    """The split that `walk` and `least_level` take over cover words in
     rewriting normal form: whether a word moves the root, and the normal
     forms of its first-level sections, each charged `max_word_length` and
     rewritten only when it is reached."""
@@ -292,9 +292,7 @@ def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget =
     return split
 
 
-def kernel_member(
-    cover: CoverPresentation, sys: RewriteSystem, w, n: int, _memo=None
-) -> bool:
+def kernel_member(cover: CoverPresentation, sys: RewriteSystem, w, n: int, _memo=None) -> bool:
     """Membership in the level-n kernel: the level-n iterate of w has trivial
     permutation and all its sections rewrite to the empty word."""
     memo = {} if _memo is None else _memo
@@ -302,20 +300,21 @@ def kernel_member(
 
 
 def kernel_oracle(cover: CoverPresentation, sys: RewriteSystem, n: int, memo):
-    """`kernel_member` on words already in rewriting normal form: `in_kernel`
-    from the word itself, over `section_split`, with `memo` caching answers."""
+    """`kernel_member` on words already in rewriting normal form: whether
+    `least_level` from the word itself, over `section_split`, is at most n,
+    with `memo` holding least levels by word."""
     if not sys.complete:
         raise BudgetExceeded("kernel membership needs a complete rewrite system")
     if n < 0:
         raise ValueError("level must be >= 0")
     split = section_split(cover, sys)
-    return lambda word: contraction.in_kernel(word, split, n, memo, not_)
+    return lambda word: contraction.least_level(word, split, memo, not_) <= n
 
 
 def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):
-    """Least level at which w enters the kernel chain, or None up to n_max."""
+    """Least level at which w enters the kernel chain, or None up to n_max:
+    the memo of a member's walk holds the level of its nonempty start."""
     memo = {}
-    for n in range(n_max + 1):
-        if kernel_member(cover, sys, w, n, memo):
-            return n
-    return None
+    if n_max < 0 or not kernel_member(cover, sys, w, n_max, memo):
+        return None
+    return memo.get(normal_form(sys, free_reduce(w)), 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .contraction import DEFAULT_BUDGET, Budget, _check_length, in_kernel, walk
+from .contraction import DEFAULT_BUDGET, Budget, _check_length, least_level, walk
 from .errors import ParseError
 from .grig import _VTABLE, A, B, C, D, reduce_word
 from .record import Record
@@ -62,7 +62,7 @@ class OmegaSequence(Record):
 
     def split(self, state) -> tuple:
         """The split of a state (C2 * V-reduced word, canonical offset) that
-        `walk` and `in_kernel` take: whether it moves the root, and both
+        `walk` and `least_level` take: whether it moves the root, and both
         first-level sections, one shift along."""
         word, offset = state
         symbol, offset = self.steps[offset]
@@ -123,12 +123,11 @@ def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
 
 def normal_form_kernel_member(omega: OmegaSequence, word, n: int, memo=None) -> bool:
     """Membership of a word in C2 * V normal form in the level-n kernel of
-    the symbol-wise splitting chain, whose level 0 is C2 * V: `in_kernel`
-    over `omega.split`, with `memo` caching answers for this parameter."""
+    the splitting chain, whose level 0 is C2 * V: `least_level` over
+    `omega.split` is at most n, with `memo` serving this parameter."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    memo = {} if memo is None else memo
-    return in_kernel((word, 0), omega.split, n, memo, _is_identity)
+    return least_level((word, 0), omega.split, {} if memo is None else memo, _is_identity) <= n
 
 
 def _is_identity(state) -> bool:

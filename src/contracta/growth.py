@@ -44,13 +44,8 @@ def ball_sizes(
     representatives.
     """
     letters = [i for i in range(1, ngens + 1)] + [-i for i in range(1, ngens + 1)]
-    classes = {}  # invariant key -> list of representative words
-    reps = [()]
-    key0 = invariant(()) if invariant else ()
-    classes[key0] = [()]
-    gamma = [1]
-    frontier = [()]
-    total = 1
+    classes = {invariant(()) if invariant else (): [()]}  # invariant key -> representatives
+    gamma, frontier, total = [1], [()], 1
     for _ in range(n_max):
         new_reps = []
         for w in frontier:

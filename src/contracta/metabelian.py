@@ -125,14 +125,10 @@ class WnDatum:
         return not any(u)
 
     def psi(self, u):
-        if u[-1] != 0:
-            return None
-        return (0,) + u[:-1]
+        return (0,) + u[:-1] if u[-1] == 0 else None
 
     def psi_inv(self, u):
-        if u[0] != 0:
-            return None
-        return u[1:] + (0,)
+        return u[1:] + (0,) if u[0] == 0 else None
 
 
 class BrittonWord(Record):
@@ -172,8 +168,7 @@ def britton_reduce(datum, word) -> BrittonWord:
         if abs(x) == S:
             pieces[-1] = datum.base_mul(pieces[-1], datum.base_letter(x))
         elif abs(x) == T:
-            eps = 1 if x > 0 else -1
-            _push_stable(datum, pieces, eps)
+            _push_stable(datum, pieces, 1 if x > 0 else -1)
         else:
             raise SemanticError("HNN words use the letters s and t only")
     return BrittonWord(pieces, datum)

@@ -44,3 +44,23 @@ def level_permutation(rec, word, n):
 def are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET, memo=None):
     """Equality in the group of `rec`: g h^-1 is trivial."""
     return contraction.is_trivial(rec, concat(g, invert(h)), budget, memo)
+
+
+def reference_in_kernel(start, split, n, memo, empty):
+    """The level-n kernel test that `contraction.least_level` replaced: one
+    frame per level, with `memo` keyed by (state, level).  `start` fixes the
+    first n levels and each of its level-n sections is trivial, which
+    `empty(state)` decides; an empty state lies in every kernel."""
+    if n == 0:
+        return empty(start)
+    key = (start, n)
+    result = memo.get(key)
+    if result is None:
+        if empty(start):
+            return True
+        moved, sections = split(start)
+        result = not moved and all(
+            reference_in_kernel(state, split, n - 1, memo, empty) for state in sections
+        )
+        memo[key] = result
+    return result

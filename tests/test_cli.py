@@ -318,14 +318,14 @@ class TestFamilies:
     def test_deep_chain_levels_answer(self, capsys, argv, code, out):
         assert run(capsys, *argv) == (code, out)
 
-    def test_a_chain_level_too_deep_to_walk_is_a_budget_error(self, capsys):
-        # d = (1, d) at gomega::0 fixes the root and never empties
+    def test_a_word_in_no_kernel_answers_at_any_level(self, capsys):
+        # d = (1, d) at gomega::0 fixes the root and never empties: it is
+        # trivial in the limit and in no member
         argv = ["dist", "--group-a", "gomega::0@3000", "--group-b", "gomega::0", "--radius", "4"]
-        assert cli.main(argv) == 2
-        err = "level-3000 kernel test exceeds the recursion limit"
-        assert capsys.readouterr().err == f"error: {err}\n"
-        assert cli.main(["--json", *argv]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == err
+        assert run(capsys, *argv) == (0, "v = 0, d = 1\n")
+        assert cli.main(["--json", *argv]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["v"], got["d"], got["at_least"]) == (0, 1.0, False)
 
     @pytest.mark.parametrize("argv", [
         ["dist", "--group-a", "bs:2:3@100000000", "--group-b", "met:2:3", "--radius", "4"],

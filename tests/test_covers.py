@@ -1,10 +1,11 @@
+import operator
 import random
 from itertools import product
 
 import pytest
 
-from conftest import are_equal, random_word
-from contracta import catalog, contraction, covers, rewriting
+from conftest import are_equal, random_word, reference_in_kernel
+from contracta import catalog, contraction, covers, marked, rewriting
 from contracta.contraction import Budget, nucleus
 from contracta.covers import (
     kernel_chain_profile,
@@ -450,8 +451,30 @@ class TestKernelChain:
         deep_sys = rewriting.complete(deep.presentation)
         d = parse_word("d", deep.presentation.gens)
         assert not kernel_member(deep, deep_sys, d, 50)
-        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
-            kernel_member(deep, deep_sys, d, 3000)
+        assert not kernel_member(deep, deep_sys, d, 3000)
+
+    @pytest.mark.parametrize("name, radius, extra, deepest", [
+        ("grigorchuk", 4, "", 2),
+        ("basilica", 4, "b a b a^-1 b^-1 a b^-1 a^-1", 1),
+        ("hanoi3", 3, "", 0),  # no nonempty normal form this short lies in a kernel
+    ])
+    def test_least_level_agrees_with_the_per_level_reference(self, name, radius, extra, deepest):
+        # the normal forms of the free ball, and their squares and fourth
+        # powers, which enter later kernels in the torsion groups
+        cover, sys_ = catalog.cover_for(name)
+        split = covers.section_split(cover, sys_)
+        ball = [*marked._free_words(len(cover.presentation.gens), radius),
+                parse_word(extra, cover.presentation.gens)]
+        words = {rewriting.normal_form(sys_, free_reduce(u * k)) for u in ball for k in (1, 2, 4)}
+        memo, reference = {}, {}
+        levels = set()
+        for u in words:
+            least = contraction.least_level(u, split, memo, operator.not_)
+            levels.add(least)
+            expected = [reference_in_kernel(u, split, n, reference, operator.not_)
+                        for n in range(8)]
+            assert [least <= n for n in range(8)] == expected, u
+        assert max(levels - {float("inf")}) == deepest and float("inf") in levels
 
     def test_u1_profile(self, grig_cover):
         cover, sys_ = grig_cover

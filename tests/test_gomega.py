@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, reference_in_kernel
 from contracta import catalog, contraction, grig
 from contracta import gomega as GO
 from contracta.contraction import Budget, DEFAULT_BUDGET
@@ -317,15 +317,29 @@ class TestKernel:
         assert GO.omega_kernel_member(om, w("a d") * 4, 3000)
         assert not GO.omega_kernel_member(om, w("a b"), 3000)
         # at :0, d = (1, d) never moves the root and never empties: it is
-        # in no kernel, and the test recurses as deep as the level
+        # in no kernel, at any depth
         zero = OmegaSequence.parse(":0")
         memo = {}
-        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
-            GO.omega_kernel_member(zero, (D,), 3000, memo)
-        # what the failed walk left in the memo is sound
-        assert not GO.omega_kernel_member(zero, (D,), 50, memo)
+        for n in (3000, 100_000, 50):
+            assert not GO.omega_kernel_member(zero, (D,), n, memo)
         assert GO.omega_kernel_member(zero, (), 3000, memo)
         assert GO.omega_kernel_member(zero, (D, D), 50, memo)
+
+    def test_the_walk_charges_the_states_it_splits(self):
+        # (adacab)^16 lies in the level-4 kernel at :012, which the walk
+        # finds by splitting nine states
+        om = OmegaSequence.parse(":012")
+        state = (w("a d a c a b") * 16, 0)
+        least = contraction.least_level(state, om.split, {}, GO._is_identity, Budget(max_states=9))
+        assert least == 4
+        memo = {}
+        with pytest.raises(BudgetExceeded, match="section states exceed 8"):
+            contraction.least_level(state, om.split, memo, GO._is_identity, Budget(max_states=8))
+        # the failed walk left only finished states, at their least levels
+        assert memo and all(
+            contraction.least_level(s, om.split, {}, GO._is_identity) == level
+            for s, level in memo.items()
+        )
 
     def test_profiles_match_the_cover_chain(self, sys_, rng):
         # for the 3-periodic parameter the two level maps differ only by a
@@ -502,11 +516,11 @@ class TestAgreement:
             assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
         start = canonical_offset(om, past_preperiod(om))
         assert [contraction.walk((u, start), om.split) for u in ball9] == trivial_past
+        states = [(reduce_word(u), start) for u in ball9]
         for n in LEVELS:
-            got = [
-                contraction.in_kernel((reduce_word(u), start), om.split, n, {}, is_identity)
-                for u in ball9
-            ]
+            got = [reference_in_kernel(state, om.split, n, {}, is_identity) for state in states]
+            assert got == kernel_past[n]
+            got = [contraction.least_level(state, om.split, {}, is_identity) <= n for state in states]
             assert got == kernel_past[n]
 
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
@@ -572,12 +586,12 @@ class TestNormalFormOracles:
             expected = [GO.omega_kernel_member(om, u, n) for u in ball8]
             assert [member.contains(u) for u in ball8] == expected
 
-    def test_deep_member_exceeds_the_budget(self):
+    def test_deep_member_answers(self):
         # at :0, d = (1, d) never moves the root and never empties
-        member = catalog.marked("gomega::0@3000")
-        with pytest.raises(BudgetExceeded, match="level-3000 kernel test exceeds"):
-            member.contains((D,))
-        assert member.contains(()) and not member.contains((A, B))
+        for n in (3000, 100_000):
+            member = catalog.marked(f"gomega::0@{n}")
+            assert not member.contains((D,))
+            assert member.contains(()) and not member.contains((A, B))
 
 
 class TestWalkMemo:
@@ -600,6 +614,51 @@ class TestWalkMemo:
         assert shared == [GO.omega_is_trivial(om, u) for u in words]
         assert 0 < sum(shared) < len(words)
         assert False in memo.values() and True in memo.values()
+        # one kernel memo, asked the levels in shuffled order
+        asks = [(u, n) for u in words[:400] for n in range(6)]
+        rng.shuffle(asks)
+        memo = {}
+        shared = [GO.omega_kernel_member(om, u, n, memo) for u, n in asks]
+        assert shared == [GO.omega_kernel_member(om, u, n) for u, n in asks]
+        assert 0 < sum(shared) < len(asks)
+
+
+def lift(symbol, word):
+    """A word in C2 * V normal form whose left section at `symbol` is `word`:
+    `a` goes to a letter whose first section is the flip, and a V letter v
+    to a v a."""
+    y = next(v for v in (B, C, D) if GO._A_PART[v][symbol])
+    return reduce_word([x for s in word for x in ((y,) if s == A else (A, s, A))])
+
+
+class TestLeastLevel:
+    """`least_level` agrees with the per-level kernel test it replaced, at
+    levels 0-50, where that test's recursion still works."""
+
+    @pytest.mark.parametrize("text", [":012", "01:12", "2:0112", ":0"])
+    def test_agrees_with_the_per_level_reference(self, text, ball9):
+        om = OmegaSequence.parse(text)
+        offsets = [0]
+        for _ in range(4):
+            offsets.append(om.steps[offsets[-1]][1])
+        # the ball at offset 0, and words of deeper levels: part of the ball,
+        # read at the k-th offset along, lifted k times back to offset 0; at
+        # each offset, one (ax)^4 has level 1
+        states = [(u, 0) for u in ball9]
+        for k in range(1, 5):
+            for u in ball9[::9] + [w(f"a {x}") * 4 for x in "bcd"]:
+                for offset in reversed(offsets[:k]):
+                    u = lift(om.steps[offset][0], u)
+                states.append((u, 0))
+        memo, reference = {}, {}
+        levels = set()
+        for state in states:
+            least = contraction.least_level(state, om.split, memo, is_identity)
+            levels.add(least)
+            expected = [reference_in_kernel(state, om.split, n, reference, is_identity)
+                        for n in range(51)]
+            assert [least <= n for n in range(51)] == expected, state
+        assert float("inf") in levels and max(levels - {float("inf")}) >= 3
 
 
 class TestBudget:

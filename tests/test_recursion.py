@@ -436,7 +436,8 @@ class TestOnePassKernel:
         budget = Budget(max_states=300, max_depth=32, max_word_length=96)
         answered = 0
         for rec in kernel_recursions():
-            seeds = [random_word(rng, len(rec.gens), 6) for _ in range(3)]
+            # `section_closure` takes freely reduced seeds
+            seeds = [free_reduce(random_word(rng, len(rec.gens), 6)) for _ in range(3)]
 
             def outcome(closure):
                 try:
