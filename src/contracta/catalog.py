@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import contraction, covers, gomega, grig, metabelian, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, _check_length
 from .errors import SemanticError
-from .marked import MarkedGroup
+from .marked import Congruence, MarkedGroup
 from .record import Record
 from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
 from .words import concat, invert
@@ -214,9 +214,9 @@ def _met_key(l, m, w):
 @functools.cache
 def marked(spec: str) -> MarkedGroup:
     """`<name>` marks the catalog group, `<name>@<n>` level n of the kernel
-    chain on `<name>`.  A group that carries the C2 * V congruence is asked
-    only about its normal forms, so the `gomega` oracles take the word as
-    it is.
+    chain on `<name>`.  A catalog recursion carries the congruence of its
+    cover's rewriting system, and a `gomega` group that of C2 * V; each is
+    asked only about normal forms, so its oracle takes the word as it is.
 
     There is one marked group per spec, with one oracle memo: a chain
     member's `onto` is the very object that `marked` returns for the chain's
@@ -231,12 +231,10 @@ def marked(spec: str) -> MarkedGroup:
             len(grig.GENS),
             lambda w: gomega.normal_form_is_trivial(omega, w, DEFAULT_BUDGET, memo),
             name=spec,
-            congruence=grig.CoverCongruence(),
+            congruence=grig.C2V,
         )
     g = load(spec)
-    congruence = grig.CoverCongruence()
-    if g.facts.get("cover_shape") != congruence.shape:
-        congruence = None
+    congruence = Congruence(cover_for(spec)[1]) if spec in RECURSION_NAMES else None
     return MarkedGroup(g.rank, g.is_trivial, name=spec, congruence=congruence)
 
 
@@ -267,23 +265,21 @@ class Chain(NamedTuple):
                            congruence=self.limit.congruence, onto=self.limit)
 
 
+@functools.cache
 def chain(base: str) -> Chain:
     """The kernel chain on `base`: the universal-cover chain of a catalog
     recursion, the splitting chain of gomega:<omega> on the C2 * V cover, or
-    the bs:<l>:<m> tower, whose limit is met:<l>:<m>."""
+    the bs:<l>:<m> tower, whose limit is met:<l>:<m>.  There is one chain per
+    base, so every member of it shares one memo."""
     memo = {}  # least levels by state, one memo for every member
     if base in RECURSION_NAMES:
-        limit = marked(base)
 
         def levels(n):
             cover, sys = cover_for(base)
-            rank = len(cover.presentation.gens)
-            if limit.congruence is None:
-                return rank, lambda w: covers.kernel_member(cover, sys, w, n, memo)
-            # a ball word is in C2 * V normal form, which is the cover's
-            return rank, covers.kernel_oracle(cover, sys, n, memo)
+            # a scanned word is in the normal form of the cover's congruence
+            return len(cover.presentation.gens), covers.kernel_oracle(cover, sys, n, memo)
 
-        return Chain(base, limit, levels)
+        return Chain(base, marked(base), levels)
     if base.startswith("gomega:"):
         omega = _omega(base)
 

@@ -5,16 +5,16 @@ words for the distinguished subgroups used in the index computations.
 Everything here is expressed over the four involutions a, b, c, d with the
 Klein-four relation bcd = 1; `reduce_word` computes the canonical alternating
 normal form of the free product C2 * V, which is also the base group of the
-finitely presented truncations.
+finitely presented truncations, and `C2V` is its congruence for marked-group
+scans.
 """
 
 from __future__ import annotations
 
 from .errors import SemanticError
-from .marked import length_order
-from .record import Record
-from .rewriting import Presentation
-from .words import Word, free_reduce
+from .marked import Congruence
+from .rewriting import Presentation, RewriteRule, RewriteSystem
+from .words import Word, free_reduce, shortlex_key
 
 GENS = ("a", "b", "c", "d")
 A, B, C, D = 1, 2, 3, 4
@@ -59,9 +59,7 @@ def sigma_apply(word, k: int = 1) -> Word:
             out.extend(img if x > 0 else tuple(-y for y in reversed(img)))
         w = free_reduce(out)
         if len(w) > MAX_RELATOR_LENGTH:
-            raise SemanticError(
-                f"substitution iterate longer than {MAX_RELATOR_LENGTH}"
-            )
+            raise SemanticError(f"substitution iterate longer than {MAX_RELATOR_LENGTH}")
     return w
 
 
@@ -85,13 +83,7 @@ def lysenok_relator(kind: str, n: int) -> Word:
     return w
 
 
-BASE_RELATORS = (
-    (A, A),
-    (B, B),
-    (C, C),
-    (D, D),
-    (B, C, D),
-)
+BASE_RELATORS = ((A, A), (B, B), (C, C), (D, D), (B, C, D))
 
 
 def g_n_presentation(n: int) -> Presentation:
@@ -105,16 +97,9 @@ def g_n_presentation(n: int) -> Presentation:
 
 
 # subgroup generator words
-XI0_GENS = tuple(
-    free_reduce(w) for w in [(B,), (C,), (D,), (A, B, A), (A, C, A), (A, D, A)]
-)
-B0_GENS = tuple(
-    free_reduce(w)
-    for w in [(B,), (A, B, A), (D, A, B, A, D), (A, D, A, B, A, D, A)]
-)
-K0_GENS = tuple(
-    free_reduce(w) for w in [(A, B) * 2, (B, A, D, A) * 2, (A, B, A, D) * 2]
-)
+XI0_GENS = tuple(free_reduce(w) for w in [(B,), (C,), (D,), (A, B, A), (A, C, A), (A, D, A)])
+B0_GENS = tuple(free_reduce(w) for w in [(B,), (A, B, A), (D, A, B, A, D), (A, D, A, B, A, D, A)])
+K0_GENS = tuple(free_reduce(w) for w in [(A, B) * 2, (B, A, D, A) * 2, (A, B, A, D) * 2])
 
 WORD_ALIASES = {
     "xi1": B0_GENS[0],
@@ -151,30 +136,15 @@ def psi0_image(tokens) -> tuple:
     return reduce_word(left), reduce_word(right)
 
 
-# the letters that may follow each letter in an alternating word
-_ALTERNATING = {None: (A, B, C, D), A: (B, C, D), B: (A,), C: (A,), D: (A,)}
-
-
-class CoverCongruence(Record):
-    """The C2 * V congruence as a shared normalizer for marked-group scans.
-
-    Sound for every quotient of the four-involution cover: membership in any
-    such kernel is constant on congruence classes, and the normal form never
-    increases word length, so kernel balls can be compared on the alternating
-    representatives alone.  It has no fields, so any two instances are equal,
-    which is how `marked.scan` sees that its groups share it.
-    """
-
-    __slots__ = ()
-    shape = "C2 * V"  # the `cover_shape` fact of the groups it is sound for
-
-    def normal_form(self, word) -> Word:
-        return reduce_word(word)
-
-    def ball(self, radius: int, cap=None):
-        """The alternating irreducible words of length <= radius, shortest
-        first, one length at a time, within `length_order`'s `cap`."""
-        return length_order(_ALTERNATING, radius, cap)
+# the complete shortlex system of C2 * V, the one Knuth-Bendix finds from
+# BASE_RELATORS: an inverse letter is its letter, a letter squared is 1, and
+# two distinct letters of V make the third.  Its irreducible words alternate
+# as `reduce_word`'s do.
+C2V = Congruence(RewriteSystem(GENS, sorted(
+    [RewriteRule((-x,), (x,)) for x in (A, B, C, D)]
+    + [RewriteRule((x, x), ()) for x in (A, B, C, D)]
+    + [RewriteRule(pair, (z,)) for pair, z in _VTABLE.items()],
+    key=lambda r: shortlex_key(r.lhs)), complete=True))
 
 
 def h_n_generators(n: int):

@@ -27,10 +27,8 @@ class MarkedGroup(Record):
         self.rank = rank
         self.oracle = oracle  # callable Word -> bool (kernel membership)
         self.name = name
-        # optional congruence sound for the kernel: a length-nonincreasing
-        # normal form whose `ball(radius, cap)` yields its irreducible words
-        # shortest first.  The oracle of a group that carries one is asked
-        # only about those normal forms.
+        # optional `Congruence` sound for the kernel; the oracle of a group
+        # that carries one is asked only about its normal forms
         self.congruence = congruence
         # optional marked group that this one maps onto, generator to
         # generator: this kernel lies in `onto`'s, so a word outside `onto`'s
@@ -39,6 +37,38 @@ class MarkedGroup(Record):
 
     def contains(self, word) -> bool:
         return self.oracle(word)
+
+
+class Congruence(Record):
+    """The congruence of a complete rewriting system whose left sides have
+    length <= 2, as the shared normalizer of marked-group scans.  It is sound
+    for every quotient of the presented group, generator to generator:
+    kernel membership is constant on its classes, and a shortlex normal form
+    is never longer than its word, so kernel balls can be compared on the
+    irreducible words alone.  Congruences are equal when their rules are."""
+
+    __slots__ = ("rules", "_rewrite", "_follow")
+
+    def __init__(self, sys):
+        if not sys.complete:
+            raise ValueError("a congruence needs a complete rewriting system")
+        self.rules, self._rewrite = frozenset((r.lhs, r.rhs) for r in sys.rules), sys.rewrite
+        lhs = {lhs for lhs, _ in self.rules}
+        if any(len(w) > 2 for w in lhs):
+            raise ValueError("a congruence needs left sides of length <= 2")
+        # a word is irreducible when no letter and no two neighbours form a
+        # left side, so its last letter decides which letters may follow
+        letters = [s for g in range(1, len(sys.gens) + 1) for s in (g, -g) if (s,) not in lhs]
+        self._follow = {s: [t for t in letters if (s, t) not in lhs] for s in letters}
+        self._follow[None] = letters
+
+    def normal_form(self, word) -> Word:
+        return self._rewrite(word)
+
+    def ball(self, radius: int, cap=None):
+        """The irreducible words of length <= radius, shortest first, within
+        `length_order`'s `cap`."""
+        return length_order(self._follow, radius, cap)
 
 
 def length_order(follow, radius: int, cap=None):

@@ -3,7 +3,12 @@ import random
 import pytest
 
 from contracta import catalog, contraction
+from contracta.grig import A, B, C, D
 from contracta.words import concat, invert
+
+# the letters that may follow each letter in an alternating word of C2 * V,
+# the table `grig.C2V` reads off its rules
+ALTERNATING = {None: (A, B, C, D), A: (B, C, D), B: (A,), C: (A,), D: (A,)}
 
 
 @pytest.fixture(scope="session")

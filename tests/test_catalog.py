@@ -5,6 +5,8 @@ import pytest
 from contracta import catalog, contraction, covers
 from contracta.cosets import FreeProductSignature
 from contracta.errors import SemanticError
+from contracta.grig import C2V
+from contracta.marked import Congruence
 from contracta.words import format_word, parse_word
 
 
@@ -102,6 +104,19 @@ class TestExpectedFacts:
             for r in cover.presentation.relators
         )
         assert got == sorted(g.facts["cover_relators"])
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_cover_generators_are_the_recursion_generators(self, name):
+        # the cover's congruence is over the marked group's own letters
+        cover, _ = catalog.cover_for(name)
+        assert cover.presentation.gens == catalog.load(name).gens
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_the_c2v_cover_carries_the_c2v_congruence(self, name):
+        congruence = catalog.marked(name).congruence
+        assert congruence == Congruence(catalog.cover_for(name)[1])
+        is_c2v = catalog.load(name).facts["cover_shape"] == "C2 * V"
+        assert (congruence == C2V) == is_c2v
 
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
     def test_cover_rank_matches_factor_data(self, name):

@@ -14,7 +14,7 @@ from contracta.covers import (
     universal_cover,
 )
 from contracta.errors import BudgetExceeded
-from contracta.grig import CoverCongruence
+from contracta.grig import C2V
 from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import (
     concat,
@@ -531,7 +531,7 @@ class TestKernelChain:
 
 
 class TestNormalFormChain:
-    """The `grigorchuk` chain members start `in_kernel` at the ball word
+    """The `grigorchuk` chain members start `least_level` at the ball word
     itself, with no free reduction or rewriting."""
 
     def test_alternating_words_are_cover_normal_forms(self, grig_cover):
@@ -540,14 +540,14 @@ class TestNormalFormChain:
         # side longer than 10 letters, the radius-10 ball covers every length
         cover, sys_ = grig_cover
         assert max(len(rule.lhs) for rule in sys_.rules) <= 10
-        for u in CoverCongruence().ball(10):
+        for u in C2V.ball(10):
             assert rewriting.normal_form(sys_, u) == u
 
     def test_members_agree_with_kernel_member(self, grig_cover):
         cover, sys_ = grig_cover
         chain = catalog.chain("grigorchuk")
-        assert chain.limit.congruence is not None
-        ball8 = list(CoverCongruence().ball(8))
+        assert chain.limit.congruence == C2V
+        ball8 = list(C2V.ball(8))
         for n in range(5):
             member = chain.member(n)
             expected = [kernel_member(cover, sys_, u, n) for u in ball8]

@@ -452,7 +452,7 @@ def shifted(om, k):
 
 @pytest.fixture(scope="module")
 def ball9():
-    return list(grig.CoverCongruence().ball(9))
+    return list(grig.C2V.ball(9))
 
 
 @pytest.fixture(scope="module")
@@ -576,7 +576,7 @@ class TestNormalFormOracles:
     @pytest.mark.parametrize("text", [":012", seeded_omega(0), seeded_omega(6)])
     def test_agree_with_the_raw_word_oracles(self, text):
         om = OmegaSequence.parse(text)
-        ball8 = list(grig.CoverCongruence().ball(8))
+        ball8 = list(grig.C2V.ball(8))
         limit = catalog.marked(f"gomega:{text}")
         expected = [GO.omega_is_trivial(om, u) for u in ball8]
         assert [limit.contains(u) for u in ball8] == expected

@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import are_equal, level_permutation, random_word
-from contracta import contraction
+from conftest import ALTERNATING, are_equal, level_permutation, random_word
+from contracta import catalog, contraction
 from contracta import grig as G
 from contracta.cosets import enumerate_cosets
 from contracta.errors import SemanticError
+from contracta.marked import Congruence, length_order
+from contracta.rewriting import Presentation, complete
 from contracta.words import concat, free_reduce, parse_word
 
 
@@ -317,23 +319,37 @@ class TestHn:
 
 class TestCongruence:
     def test_ball_counts(self):
-        cong = G.CoverCongruence()
-        assert len(list(cong.ball(0))) == 1
-        assert len(list(cong.ball(1))) == 5
-        assert len(list(cong.ball(8))) == 401
+        assert len(list(G.C2V.ball(0))) == 1
+        assert len(list(G.C2V.ball(1))) == 5
+        assert len(list(G.C2V.ball(8))) == 401
 
     def test_ball_is_lazy_and_in_length_order(self):
-        ball = G.CoverCongruence().ball(40)
+        ball = G.C2V.ball(40)
         lengths = [len(next(ball)) for _ in range(2_000)]
         assert lengths == sorted(lengths)
 
+    def test_ball_is_the_alternating_words(self):
+        for radius in range(11):
+            assert list(G.C2V.ball(radius)) == list(length_order(ALTERNATING, radius))
+
     def test_ball_words_are_irreducible(self):
-        cong = G.CoverCongruence()
-        for word in cong.ball(6):
+        for word in G.C2V.ball(6):
             assert G.reduce_word(word) == word
 
     def test_normal_form_never_lengthens(self, rng):
-        cong = G.CoverCongruence()
         for _ in range(200):
             u = random_word(rng, 4, 12)
-            assert len(cong.normal_form(u)) <= len(free_reduce(u))
+            assert len(G.C2V.normal_form(u)) <= len(free_reduce(u))
+
+    def test_normal_form_is_reduce_word(self, rng):
+        for _ in range(200):
+            u = random_word(rng, 4, 12)
+            assert G.C2V.normal_form(u) == G.reduce_word(u)
+
+    def test_is_the_completed_base_presentation(self):
+        # the literal rules are the ones Knuth-Bendix finds, and the ones of
+        # the `grigorchuk` cover, so its chain and the gomega groups share a ball
+        completed = complete(Presentation(G.GENS, G.BASE_RELATORS))
+        assert G.C2V == Congruence(completed)
+        assert G.C2V == Congruence(catalog.cover_for("grigorchuk")[1])
+        assert len(G.C2V.rules) == 14

@@ -3,17 +3,20 @@ import math
 
 import pytest
 
+from conftest import ALTERNATING
 from contracta import catalog, grig, marked
 from contracta.covers import kernel_member
 from contracta.errors import BudgetExceeded
 from contracta.gomega import OmegaSequence, omega_kernel_member
 from contracta.marked import (
+    Congruence,
     MarkedGroup,
     Valuation,
     converge_report,
     scan,
     valuation,
 )
+from contracta.rewriting import Presentation, complete
 
 
 def ball_size(k: int, n: int) -> int:
@@ -96,7 +99,7 @@ class TestLengthOrder:
         # as a list; smaller bounds build the longer lengths from a shorter
         # kept one
         monkeypatch.setattr(marked, "KEPT_WORDS", kept)
-        for follow, radius in ((grig._ALTERNATING, 10), (free_follow(2), 6), (free_follow(3), 6)):
+        for follow, radius in ((ALTERNATING, 10), (free_follow(2), 6), (free_follow(3), 6)):
             expected = list(reference_length_order(follow, radius))
             assert list(marked.length_order(follow, radius)) == expected
             assert list(marked.length_order(follow, radius, cap=len(expected))) == expected
@@ -226,7 +229,7 @@ class TestScan:
     def test_one_pass_report_matches_per_member_valuations(self, base, radius, levels):
         chain = catalog.chain(base)
         report = converge_report(members(chain, range(levels)), chain.limit, radius)
-        fresh = catalog.chain(base)  # new member oracle memos for the reference
+        fresh = catalog.chain.__wrapped__(base)  # new member oracle memos for the reference
         assert [row.valuation for row in report.rows] == [
             valuation(fresh.member(n), fresh.limit, radius) for n in range(levels)
         ]
@@ -271,14 +274,14 @@ class TestScan:
         assert (mixed.value, mixed.at_least) == (same.value, same.at_least)
 
     def test_separately_marked_groups_share_the_congruence_ball(self, monkeypatch):
-        # two sides marked on their own carry two CoverCongruence objects;
-        # they are equal, so the scan walks the alternating ball, not the free one
+        # the chain carries the congruence of the `grigorchuk` cover's
+        # system, and this limit the literal C2 * V one: two objects with one
+        # rule set, so the scan walks the alternating ball, not the free one
         member, marked_limit = catalog.marked("grigorchuk@0"), catalog.marked("grigorchuk")
-        limit = MarkedGroup(marked_limit.rank, marked_limit.oracle, marked_limit.name,
-                            grig.CoverCongruence())
+        limit = MarkedGroup(marked_limit.rank, marked_limit.oracle, marked_limit.name, grig.C2V)
         assert member.congruence is not limit.congruence
-        assert member.congruence == limit.congruence == grig.CoverCongruence()
-        assert hash(member.congruence) == hash(grig.CoverCongruence())
+        assert member.congruence == limit.congruence == grig.C2V
+        assert hash(member.congruence) == hash(grig.C2V)
 
         def free_ball(*args):
             raise AssertionError("the scan walked the free ball")
@@ -296,7 +299,7 @@ class TestScan:
 ONTO_CHAINS = [
     ("grigorchuk", 8),
     ("basilica", 8),
-    ("img_z2_plus_i", 5),
+    ("img_z2_plus_i", 8),
     ("gupta_sidki", 6),
     ("fabrykowski_gupta", 6),
     ("hanoi3", 5),
@@ -307,6 +310,24 @@ ONTO_CHAINS = [
     ("bs:1:2", 8),
 ]
 ONTO_LEVELS = range(4)
+# chains whose limit finds no nonempty normal form trivial through radius 13,
+# so their scans here walk the free ball
+FREE_BALL_CHAINS = {"hanoi3", "gupta_sidki", "fabrykowski_gupta"}
+
+
+def without_congruence(group):
+    """`group` with no congruence, asked about any free-group word through
+    its congruence's normal form: a scan of it walks the free ball."""
+    return MarkedGroup(group.rank, marked._on_normal_forms(group), group.name)
+
+
+def onto_groups(base):
+    """The limit and the members at ONTO_LEVELS of the chain on `base`."""
+    chain = catalog.chain(base)
+    groups = [chain.limit] + [chain.member(n) for n in ONTO_LEVELS]
+    if base in FREE_BALL_CHAINS:
+        groups = [without_congruence(g) for g in groups]
+    return groups[0], groups[1:]
 
 
 def scan_ball(group, radius):
@@ -321,6 +342,12 @@ class TestOnto:
     """A chain member maps onto the limit, so a scan asks it only about the
     words the limit finds trivial."""
 
+    def test_one_chain_per_base(self):
+        # so `<base>@<n>` for every n shares the chain's one memo
+        for base in ("grigorchuk", "gomega::012", "bs:2:3"):
+            assert catalog.chain(base) is catalog.chain(base)
+        assert catalog.marked("hanoi3@1").onto is catalog.marked("hanoi3@2").onto
+
     def test_a_member_maps_onto_the_marked_limit(self):
         assert catalog.marked("grigorchuk") is catalog.marked("grigorchuk")
         for spec, limit in [("grigorchuk@2", "grigorchuk"), ("gomega::012@0", "gomega::012"),
@@ -330,16 +357,14 @@ class TestOnto:
 
     @pytest.mark.parametrize("base, radius", ONTO_CHAINS)
     def test_member_kernels_lie_in_the_limit_kernel(self, base, radius):
-        chain = catalog.chain(base)
-        outside = [w for w in scan_ball(chain.limit, radius) if not chain.limit.contains(w)]
-        for n in ONTO_LEVELS:
-            member = chain.member(n)
+        lim, groups = onto_groups(base)
+        outside = [w for w in scan_ball(lim, radius) if not lim.contains(w)]
+        for n, member in zip(ONTO_LEVELS, groups):
             assert not any(member.contains(w) for w in outside), f"{base}@{n}"
 
     @pytest.mark.parametrize("base, radius", ONTO_CHAINS)
     def test_members_are_asked_only_about_the_words_the_limit_finds_trivial(self, base, radius):
-        chain = catalog.chain(base)
-        lim = chain.limit
+        lim, groups = onto_groups(base)
         trivial, asked = set(), set()
 
         def limit_oracle(w):
@@ -354,14 +379,65 @@ class TestOnto:
         limit = MarkedGroup(lim.rank, limit_oracle, lim.name, lim.congruence)
         counted = [
             MarkedGroup(g.rank, asking(g.oracle), g.name, g.congruence, onto=limit)
-            for g in map(chain.member, ONTO_LEVELS)
+            for g in groups
         ]
-        cleared = [
-            MarkedGroup(g.rank, g.oracle, g.name, g.congruence)
-            for g in map(chain.member, ONTO_LEVELS)
-        ]
+        cleared = [MarkedGroup(g.rank, g.oracle, g.name, g.congruence) for g in groups]
         assert scan(counted, limit, radius) == scan(cleared, lim, radius)
         assert asked and asked <= trivial
+
+
+# every catalog chain and one gomega chain, at radii where the free ball is
+# cheap: 22,409 words in rank 4, 23,437 in rank 3, 13,121 in rank 2
+AGREEMENT_CHAINS = [
+    ("grigorchuk", 5),
+    ("gomega::012", 5),
+    ("hanoi3", 6),
+    ("img_z2_plus_i", 6),
+    ("basilica", 8),
+    ("gupta_sidki", 8),
+    ("fabrykowski_gupta", 8),
+]
+
+
+class TestCongruence:
+    """A congruence read off a complete rewriting system, against the free
+    ball it replaces."""
+
+    @pytest.mark.parametrize("base, radius", AGREEMENT_CHAINS)
+    def test_congruence_scan_matches_the_free_ball_scan(self, base, radius):
+        chain = catalog.chain(base)
+        groups = [chain.member(n) for n in range(4)]
+        assert all(g.congruence == chain.limit.congruence is not None for g in groups)
+        free = scan([without_congruence(g) for g in groups], without_congruence(chain.limit),
+                    radius)
+        assert scan(groups, chain.limit, radius) == free
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_ball_is_the_irreducible_free_words(self, name):
+        cong = catalog.marked(name).congruence
+        rank = len(catalog.load(name).gens)
+        irreducible = [w for w in free_ball(rank, 5) if cong.normal_form(w) == w]
+        assert sorted(cong.ball(5)) == sorted(irreducible)
+
+    def test_equal_by_rule_set(self):
+        # covers of one shape share the ball; covers of two shapes do not
+        cong = {name: catalog.marked(name).congruence for name in catalog.RECURSION_NAMES}
+        assert cong["hanoi3"] == cong["img_z2_plus_i"]
+        assert cong["gupta_sidki"] == cong["fabrykowski_gupta"]
+        assert len(set(cong.values())) == 4
+
+    def test_refuses_an_incomplete_system(self):
+        partial = complete(Presentation(("a", "b"), ((1, 2, -1, -2),)), max_rules=3)
+        assert not partial.complete
+        with pytest.raises(ValueError, match="complete"):
+            Congruence(partial)
+
+    def test_refuses_a_left_side_longer_than_two(self):
+        # S3 as two involutions with (ab)^3 = 1: shortlex rewrites bab -> aba
+        s3 = complete(Presentation(("a", "b"), ((1, 1), (2, 2), (1, 2) * 3)))
+        assert s3.complete and max(len(r.lhs) for r in s3.rules) == 3
+        with pytest.raises(ValueError, match="length <= 2"):
+            Congruence(s3)
 
 
 class TestValuationObject:
@@ -394,7 +470,7 @@ class TestConvergeReport:
         assert report.non_decreasing
         hits = 0
         for n, group in members(chain, range(4)):
-            for w in grig.CoverCongruence().ball(6):
+            for w in grig.C2V.ball(6):
                 if group.contains(w):
                     hits += 1
                     assert lim.contains(w)
