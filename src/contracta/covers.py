@@ -17,6 +17,7 @@ from typing import NamedTuple
 from . import contraction, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, Nucleus
 from .errors import BudgetExceeded
+from .marked import Congruence
 from .record import Record
 from .recursion import WreathRecursion, perm_identity
 from .rewriting import Presentation, RewriteSystem, normal_form
@@ -192,14 +193,17 @@ def standard_cover(
     search_radius: int = 6,
     sys: RewriteSystem = None,
 ) -> StandardCoverResult:
-    """Choose self-replication witnesses h(x, n) by shortest-word BFS (shortlex
-    tie-break); the extra relators are the section closures of the mismatch
-    words w(x, n), one walk memo holding them all.
+    """Choose self-replication witnesses h(x, n) among the cover's elements,
+    the irreducible words of `Congruence(sys).ball`, in shortlex order; the
+    extra relators are the section closures of the mismatch words w(x, n),
+    one walk memo holding them all.
 
     Witnesses whose section equals the target generator in the cover's own
     rewriting normal form make w(x, n) trivial; when that happens for every
     pair, the extra relator set is empty and the standard cover coincides
-    with the universal one.
+    with the universal one.  A pair with no such witness within
+    `search_radius` falls back to the elements of length <= search_radius + 1,
+    though its error names `search_radius`.
     """
     if sys is None:
         sys = rewriting.complete(cover.presentation)
@@ -208,40 +212,24 @@ def standard_cover(
     rec = cover.recursion
     nucleus = cover.nucleus
     d = rec.degree
+    ball = Congruence(sys).ball
 
     # distinct nucleus elements are distinct in G, onto which the cover maps,
     # so their normal forms are too: one lookup finds a section's element
     target = {normal_form(sys, w): i for i, w in enumerate(cover.element_words)}
     pairs = d * len(nucleus)
     witnesses, exact = {}, {}
-
-    # BFS over cover elements by rewriting normal form, shortlex order
-    frontier = [()]
-    seen = {()}
-    letters = [i for i in range(1, len(rec.gens) + 1)]
-    letters += [-i for i in letters]
-    radius = 0
-    while frontier and radius <= search_radius:
-        for h in sorted(frontier, key=shortlex_key):
-            tau, sections = rec.split(h)
-            for x in range(d):
-                if tau[x] != x:
-                    continue
-                i = target.get(normal_form(sys, sections[x]))
-                if i is not None and (x, i) not in witnesses:
-                    witnesses[(x, i)] = h
-                    exact[(x, i)] = True
+    for h in ball(search_radius):
+        tau, sections = rec.split(h)
+        for x in range(d):
+            if tau[x] != x:
+                continue
+            i = target.get(normal_form(sys, sections[x]))
+            if i is not None and (x, i) not in witnesses:
+                witnesses[(x, i)] = h
+                exact[(x, i)] = True
         if len(witnesses) == pairs:
-            break  # `seen` feeds only the fallback, which has nothing to do
-        nxt = []
-        for h in frontier:
-            for s in letters:
-                w = normal_form(sys, h + (s,))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        radius += 1
+            break
 
     # fallback: pi-level witnesses for pairs without an exact one.  Each
     # trivial walk picks a witness and marks the section closure of its
@@ -251,7 +239,7 @@ def standard_cover(
                if (x, i) not in witnesses]
     if missing:
         split = section_split(cover, sys, budget)
-        elements = sorted(seen, key=shortlex_key)
+        elements = list(ball(search_radius + 1))
         for x, i in missing:
             for h in elements:
                 tau, sections = rec.split(h)
@@ -296,7 +284,7 @@ def kernel_member(cover: CoverPresentation, sys: RewriteSystem, w, n: int, _memo
     """Membership in the level-n kernel: the level-n iterate of w has trivial
     permutation and all its sections rewrite to the empty word."""
     memo = {} if _memo is None else _memo
-    return kernel_oracle(cover, sys, n, memo)(normal_form(sys, free_reduce(w)))
+    return kernel_oracle(cover, sys, n, memo)(normal_form(sys, w))
 
 
 def kernel_oracle(cover: CoverPresentation, sys: RewriteSystem, n: int, memo):
@@ -317,4 +305,4 @@ def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):
     memo = {}
     if n_max < 0 or not kernel_member(cover, sys, w, n_max, memo):
         return None
-    return memo.get(normal_form(sys, free_reduce(w)), 0)
+    return memo.get(normal_form(sys, w), 0)

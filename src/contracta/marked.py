@@ -40,35 +40,36 @@ class MarkedGroup(Record):
 
 
 class Congruence(Record):
-    """The congruence of a complete rewriting system whose left sides have
-    length <= 2, as the shared normalizer of marked-group scans.  It is sound
-    for every quotient of the presented group, generator to generator:
-    kernel membership is constant on its classes, and a shortlex normal form
-    is never longer than its word, so kernel balls can be compared on the
-    irreducible words alone.  Congruences are equal when their rules are."""
+    """The congruence of a complete rewriting system, as the shared
+    normalizer of marked-group scans.  It is sound for every quotient of the
+    presented group, generator to generator: kernel membership is constant on
+    its classes, and a shortlex normal form is never longer than its word, so
+    kernel balls can be compared on the irreducible words alone.  Congruences
+    are equal when their rules are."""
 
-    __slots__ = ("rules", "_rewrite", "_follow")
+    __slots__ = ("rules", "_rewrite", "_follow", "_long")
 
     def __init__(self, sys):
         if not sys.complete:
             raise ValueError("a congruence needs a complete rewriting system")
         self.rules, self._rewrite = frozenset((r.lhs, r.rhs) for r in sys.rules), sys.rewrite
         lhs = {lhs for lhs, _ in self.rules}
-        if any(len(w) > 2 for w in lhs):
-            raise ValueError("a congruence needs left sides of length <= 2")
-        # a word is irreducible when no letter and no two neighbours form a
-        # left side, so its last letter decides which letters may follow
+        # no letter and no two neighbours of an irreducible word form a left
+        # side, so its last letter decides which letters may follow; a
+        # longer left side is left to `ball`'s filter
         letters = [s for g in range(1, len(sys.gens) + 1) for s in (g, -g) if (s,) not in lhs]
         self._follow = {s: [t for t in letters if (s, t) not in lhs] for s in letters}
         self._follow[None] = letters
+        self._long = any(len(w) > 2 for w in lhs)
 
     def normal_form(self, word) -> Word:
         return self._rewrite(word)
 
     def ball(self, radius: int, cap=None):
-        """The irreducible words of length <= radius, shortest first, within
-        `length_order`'s `cap`."""
-        return length_order(self._follow, radius, cap)
+        """The irreducible words of length <= radius in shortlex order, within
+        `length_order`'s `cap` on the words of the last-letter table."""
+        words = length_order(self._follow, radius, cap)
+        return (w for w in words if self._rewrite(w) == w) if self._long else words
 
 
 def length_order(follow, radius: int, cap=None):

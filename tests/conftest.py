@@ -2,13 +2,34 @@ import random
 
 import pytest
 
-from contracta import catalog, contraction
+from contracta import catalog, contraction, covers, rewriting
 from contracta.grig import A, B, C, D
+from contracta.recursion import parse_recursion
 from contracta.words import concat, invert
 
 # the letters that may follow each letter in an alternating word of C2 * V,
 # the table `grig.C2V` reads off its rules
 ALTERNATING = {None: (A, B, C, D), A: (B, C, D), B: (A,), C: (A,), D: (A,)}
+
+# recursions whose universal covers complete with left sides longer than 2:
+# 7 generators, 151 rules and left sides of length 3 for LONG_REC, 4
+# generators, 46 rules and a left side of length 4 for LONG4_REC
+LONG_REC = (
+    "alphabet 3\n"
+    "gen x = perm(2 0 1) sections(x^-1, x, 1)\n"
+    "gen y = perm(1 2 0) sections(1, y^-1, y)\n"
+)
+LONG4_REC = (
+    "alphabet 3\n"
+    "gen x = perm(2 0 1) sections(y^-1, 1, x y)\n"
+    "gen y = perm(1 2 0) sections(1, 1, x)\n"
+)
+
+
+def long_cover(text):
+    """The universal cover of a recursion, and its complete rewriting system."""
+    cover = covers.universal_cover(contraction.nucleus(parse_recursion(text)))
+    return cover, rewriting.complete(cover.presentation)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,14 @@ from itertools import product
 
 import pytest
 
-from conftest import are_equal, random_word, reference_in_kernel
+from conftest import (
+    LONG4_REC,
+    LONG_REC,
+    are_equal,
+    long_cover,
+    random_word,
+    reference_in_kernel,
+)
 from contracta import catalog, contraction, covers, marked, rewriting
 from contracta.contraction import Budget, nucleus
 from contracta.covers import (
@@ -353,6 +360,19 @@ class TestStandardCover:
         assert result.extra_relators == reference.extra_relators
         assert result.witnesses == reference.witnesses
         assert result.exact == reference.exact
+
+    @pytest.mark.parametrize("text", [LONG_REC, LONG4_REC], ids=["long_rec", "long4_rec"])
+    @pytest.mark.parametrize("radius", [4, 6])
+    def test_long_left_sides_match_the_reference(self, text, radius):
+        # the ball leaves out words that a left side longer than 2 rewrites;
+        # the random sweep below completes with none
+        cover, sys_ = long_cover(text)
+        assert max(len(r.lhs) for r in sys_.rules) > 2
+        budget = contraction.DEFAULT_BUDGET
+        result = standard_cover(cover, budget, radius, sys_)
+        reference = reference_standard_cover(cover, budget, radius, sys_)
+        assert (result.extra_relators, result.witnesses, result.exact) == (
+            reference.extra_relators, reference.witnesses, reference.exact)
 
     def test_fallback_matches_the_reference_on_random_recursions(self):
         # the draws whose search finds no witness run the fallback to the end,

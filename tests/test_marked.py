@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import ALTERNATING
+from conftest import ALTERNATING, LONG_REC, long_cover
 from contracta import catalog, grig, marked
 from contracta.covers import kernel_member
 from contracta.errors import BudgetExceeded
@@ -17,6 +17,7 @@ from contracta.marked import (
     valuation,
 )
 from contracta.rewriting import Presentation, complete
+from contracta.words import shortlex_key
 
 
 def ball_size(k: int, n: int) -> int:
@@ -386,6 +387,9 @@ class TestOnto:
         assert asked and asked <= trivial
 
 
+# S3 as two involutions with (ab)^3 = 1: shortlex rewrites bab -> aba
+S3 = Presentation(("a", "b"), ((1, 1), (2, 2), (1, 2) * 3))
+
 # every catalog chain and one gomega chain, at radii where the free ball is
 # cheap: 22,409 words in rank 4, 23,437 in rank 3, 13,121 in rank 2
 AGREEMENT_CHAINS = [
@@ -432,12 +436,23 @@ class TestCongruence:
         with pytest.raises(ValueError, match="complete"):
             Congruence(partial)
 
-    def test_refuses_a_left_side_longer_than_two(self):
-        # S3 as two involutions with (ab)^3 = 1: shortlex rewrites bab -> aba
-        s3 = complete(Presentation(("a", "b"), ((1, 1), (2, 2), (1, 2) * 3)))
+    def test_ball_leaves_out_words_with_a_long_left_side(self):
+        # the last-letter table's b a b is filtered out of the ball
+        s3 = complete(S3)
         assert s3.complete and max(len(r.lhs) for r in s3.rules) == 3
-        with pytest.raises(ValueError, match="length <= 2"):
-            Congruence(s3)
+        assert list(Congruence(s3).ball(6)) == [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
+
+    @pytest.mark.parametrize("name, radius", [("s3", 6), ("long_rec", 4)])
+    def test_ball_is_the_irreducible_free_words_in_order(self, name, radius):
+        sys_ = complete(S3) if name == "s3" else long_cover(LONG_REC)[1]
+        assert max(len(r.lhs) for r in sys_.rules) > 2
+        cong = Congruence(sys_)
+        irreducible = sorted(
+            (w for w in free_ball(len(sys_.gens), radius) if sys_.rewrite(w) == w),
+            key=shortlex_key,
+        )
+        for r in range(radius + 1):
+            assert list(cong.ball(r)) == [w for w in irreducible if len(w) <= r]
 
 
 class TestValuationObject:
