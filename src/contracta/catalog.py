@@ -26,9 +26,7 @@ from . import contraction, covers, gomega, grig, metabelian, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, _check_length
 from .errors import SemanticError
 from .marked import Congruence, MarkedGroup
-from .record import Record
 from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
-from .words import concat, invert
 
 RECURSION_NAMES = (
     "grigorchuk",
@@ -38,24 +36,6 @@ RECURSION_NAMES = (
     "fabrykowski_gupta",
     "hanoi3",
 )
-
-
-class Group(Record):
-    __slots__ = ("name", "gens", "is_trivial", "recursion", "facts", "invariant")
-
-    def __init__(self, name: str, gens: tuple, is_trivial, recursion: WreathRecursion = None,
-                 facts: dict = None, invariant=None):
-        self.name, self.gens, self.recursion = name, gens, recursion
-        self.is_trivial = is_trivial  # callable Word -> bool
-        self.facts = {} if facts is None else facts
-        self.invariant = invariant  # hashable prehash for ball deduplication
-
-    @property
-    def rank(self):
-        return len(self.gens)
-
-    def equal(self, u, v) -> bool:
-        return self.is_trivial(concat(u, invert(v)))
 
 
 def catalog_dir():
@@ -83,7 +63,8 @@ def parse_facts(text: str) -> dict:
     return facts
 
 
-def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BUDGET):
+def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BUDGET,
+                    facts: dict = None) -> MarkedGroup:
     """The group of a wreath recursion: word problem by a memoized section
     walk within `budget`, level permutation as ball-deduplication invariant."""
     memo = {}
@@ -95,17 +76,14 @@ def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BU
     while rec.degree**depth > DEFAULT_LEVEL_CAP:
         depth -= 1
 
-    return Group(
-        name, rec.gens, is_trivial, recursion=rec, invariant=rec.level_action(depth)
-    )
+    return MarkedGroup(rec.gens, is_trivial, name, recursion=rec, facts=facts,
+                       invariant=rec.level_action(depth))
 
 
 @functools.cache
 def _recursion_entry(name: str, budget: Budget):
     text = read_definition(name)
-    group = recursion_group(parse_recursion(text), name, budget)
-    group.facts = parse_facts(text)
-    return group
+    return recursion_group(parse_recursion(text), name, budget, parse_facts(text))
 
 
 @functools.cache
@@ -117,59 +95,53 @@ def cover_for(name: str):
     return cover, sys
 
 
-def load(name: str, budget: Budget = DEFAULT_BUDGET) -> Group:
+def load(name: str, budget: Budget = DEFAULT_BUDGET) -> MarkedGroup:
     """The catalog group `name`; `budget` bounds its word problem, in section
     states and word length for recursion and gomega groups, in word length
-    for the others."""
+    for the others.  A `gomega` group carries the congruence of C2 * V: its
+    oracle takes normal forms, and `is_trivial` reduces any word to one with
+    `grig.reduce_word`, which gives the congruence's normal form faster."""
     if name in RECURSION_NAMES:
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega, memo = _omega(name), {}
-        return Group(name, grig.GENS, lambda w: gomega.omega_is_trivial(omega, w, budget, memo))
+        return MarkedGroup(
+            grig.GENS,
+            lambda w: gomega.normal_form_is_trivial(omega, w, budget, memo),
+            name,
+            grig.C2V,
+            is_trivial=lambda w: gomega.normal_form_is_trivial(
+                omega, grig.reduce_word(w), budget, memo),
+        )
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)
-        return Group(
-            name,
-            metabelian.GENS,
-            _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
-            invariant=lambda w: _met_key(l, m, w),
-        )
+        return _metabelian(name, lambda w: metabelian.britton_reduce(datum, w).is_trivial,
+                           lambda w: _met_key(l, m, w), budget)
     if name.startswith("met:"):
         l, m = parse_lm(name[len("met:") :])
-        return Group(
-            name,
-            metabelian.GENS,
-            _bounded(lambda w: metabelian.met_eval(l, m, w).is_identity, budget),
-            invariant=lambda w: _met_key(l, m, w),
-        )
+        return _metabelian(name, lambda w: metabelian.met_eval(l, m, w).is_identity,
+                           lambda w: _met_key(l, m, w), budget)
     if name.startswith("wreath:"):
         modulus = _wreath_modulus(name[len("wreath:") :])
-        return Group(
-            name,
-            metabelian.GENS,
-            _bounded(lambda w: metabelian.wreath_eval(w, modulus).is_identity, budget),
-            invariant=lambda w: metabelian.wreath_eval(w, modulus),
-        )
+        return _metabelian(name, lambda w: metabelian.wreath_eval(w, modulus).is_identity,
+                           lambda w: metabelian.wreath_eval(w, modulus), budget)
     if name.startswith("w_n:"):
         datum = metabelian.WnDatum(_integer(name[len("w_n:") :], "w_n:<n>", name))
-        return Group(
-            name,
-            metabelian.GENS,
-            _bounded(lambda w: metabelian.britton_reduce(datum, w).is_trivial, budget),
-            invariant=lambda w: metabelian.wreath_eval(w, 0),
-        )
+        return _metabelian(name, lambda w: metabelian.britton_reduce(datum, w).is_trivial,
+                           lambda w: metabelian.wreath_eval(w, 0), budget)
     raise SemanticError(f"unknown catalog name {name!r}")
 
 
-def _bounded(is_trivial, budget):
-    """`is_trivial`, charging `max_word_length` on the word it is asked about."""
+def _metabelian(name, is_trivial, invariant, budget):
+    """The group `name` on the generators s, t: `is_trivial`, charging
+    `max_word_length` on the word it is asked about, as its oracle."""
 
-    def check(word):
+    def oracle(word):
         _check_length(word, budget)
         return is_trivial(word)
 
-    return check
+    return MarkedGroup(metabelian.GENS, oracle, name, invariant=invariant)
 
 
 def parse_lm(text: str):
@@ -218,24 +190,19 @@ def marked(spec: str) -> MarkedGroup:
     cover's rewriting system, and a `gomega` group that of C2 * V; each is
     asked only about normal forms, so its oracle takes the word as it is.
 
-    There is one marked group per spec, with one oracle memo: a chain
-    member's `onto` is the very object that `marked` returns for the chain's
-    limit, so a scan of `<name>@<n>` against that limit asks the member only
-    about the words the limit finds trivial."""
+    There is one marked group per spec, with one oracle memo: `<name>` is
+    the group `load` builds, with the cover's congruence added for a catalog
+    recursion, and a chain member's `onto` is the very object that `marked`
+    returns for the chain's limit, so a scan of `<name>@<n>` against that
+    limit asks the member only about the words the limit finds trivial."""
     if "@" in spec:
         base, _, level = spec.rpartition("@")
         return chain(base).member(_integer(level, "<name>@<n>", spec))
-    if spec.startswith("gomega:"):
-        omega, memo = _omega(spec), {}
-        return MarkedGroup(
-            len(grig.GENS),
-            lambda w: gomega.normal_form_is_trivial(omega, w, DEFAULT_BUDGET, memo),
-            name=spec,
-            congruence=grig.C2V,
-        )
     g = load(spec)
-    congruence = Congruence(cover_for(spec)[1]) if spec in RECURSION_NAMES else None
-    return MarkedGroup(g.rank, g.is_trivial, name=spec, congruence=congruence)
+    if spec not in RECURSION_NAMES:
+        return g
+    return MarkedGroup(g.gens, g.oracle, spec, Congruence(cover_for(spec)[1]),
+                       recursion=g.recursion, facts=g.facts, invariant=g.invariant)
 
 
 class Chain(NamedTuple):
@@ -257,12 +224,11 @@ class Chain(NamedTuple):
 
     base: str
     limit: MarkedGroup
-    levels: object  # callable n -> (rank, kernel-membership oracle of level n)
+    levels: object  # callable n -> (gens, kernel-membership oracle of level n)
 
     def member(self, n: int) -> MarkedGroup:
-        rank, oracle = self.levels(n)
-        return MarkedGroup(rank, oracle, name=f"{self.base}@{n}",
-                           congruence=self.limit.congruence, onto=self.limit)
+        gens, oracle = self.levels(n)
+        return MarkedGroup(gens, oracle, f"{self.base}@{n}", self.limit.congruence, self.limit)
 
 
 @functools.cache
@@ -277,14 +243,14 @@ def chain(base: str) -> Chain:
         def levels(n):
             cover, sys = cover_for(base)
             # a scanned word is in the normal form of the cover's congruence
-            return len(cover.presentation.gens), covers.kernel_oracle(cover, sys, n, memo)
+            return cover.presentation.gens, covers.kernel_oracle(cover, sys, n, memo)
 
         return Chain(base, marked(base), levels)
     if base.startswith("gomega:"):
         omega = _omega(base)
 
         def levels(n):
-            return len(grig.GENS), lambda w: gomega.normal_form_kernel_member(omega, w, n, memo)
+            return grig.GENS, lambda w: gomega.normal_form_kernel_member(omega, w, n, memo)
 
         return Chain(base, marked(base), levels)
     if base.startswith("bs:"):
@@ -292,7 +258,7 @@ def chain(base: str) -> Chain:
 
         def levels(n):
             datum = metabelian.BsDatum(l, m, n)
-            return 2, lambda w: metabelian.britton_reduce(datum, w).is_trivial
+            return metabelian.GENS, lambda w: metabelian.britton_reduce(datum, w).is_trivial
 
         return Chain(base, marked(f"met:{l}:{m}"), levels)
     raise SemanticError(f"no chain family for {base!r}")

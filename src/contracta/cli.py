@@ -259,9 +259,8 @@ def cmd_hn_gens(args):
 
 def cmd_gomega_wp(args):
     omega = gomega.OmegaSequence.parse(args.omega)
-    trivial = gomega.omega_is_trivial(
-        omega, words.parse_word(args.word, grig.GENS), _budget(args)
-    )
+    g = catalog.load(f"gomega:{omega}", _budget(args))
+    trivial = g.is_trivial(words.parse_word(args.word, g.gens))
     _emit(args, {"omega": str(omega), "trivial": trivial},
           "trivial" if trivial else "nontrivial")
     return 0 if trivial else 1

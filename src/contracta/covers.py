@@ -203,7 +203,7 @@ def standard_cover(
     pair, the extra relator set is empty and the standard cover coincides
     with the universal one.  A pair with no such witness within
     `search_radius` falls back to the elements of length <= search_radius + 1,
-    though its error names `search_radius`.
+    the length its error names.
     """
     if sys is None:
         sys = rewriting.complete(cover.presentation)
@@ -253,7 +253,7 @@ def standard_cover(
             else:
                 raise BudgetExceeded(
                     f"no self-replication witness for letter {x}, "
-                    f"element {nucleus.elements[i]} within radius {search_radius}"
+                    f"element {nucleus.elements[i]} within length {search_radius + 1}"
                 )
     extra = [state for state, trivial in memo.items() if trivial and state]
     return StandardCoverResult(sorted(extra, key=shortlex_key), witnesses, exact)

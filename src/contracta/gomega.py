@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, least_level, walk
 from .errors import ParseError
-from .grig import _VTABLE, A, B, C, D, reduce_word
+from .grig import _VTABLE, A, B, C, D
 from .record import Record
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
@@ -98,11 +98,6 @@ def _split(symbol: int, word) -> tuple:
     return tuple(here), tuple(there), flip
 
 
-def omega_is_trivial(omega: OmegaSequence, g, budget: Budget = DEFAULT_BUDGET, _memo=None) -> bool:
-    """`normal_form_is_trivial` of the C2 * V normal form of g."""
-    return normal_form_is_trivial(omega, reduce_word(g), budget, _memo)
-
-
 def normal_form_is_trivial(
     omega: OmegaSequence, word, budget: Budget = DEFAULT_BUDGET, memo=None
 ) -> bool:
@@ -114,11 +109,6 @@ def normal_form_is_trivial(
     if word.count(A) % 2:  # the first split moves the root
         return False
     return walk((word, 0), omega.split, budget, memo)
-
-
-def omega_kernel_member(omega: OmegaSequence, w, n: int, _memo=None) -> bool:
-    """`normal_form_kernel_member` of the C2 * V normal form of w."""
-    return normal_form_kernel_member(omega, reduce_word(w), n, _memo)
 
 
 def normal_form_kernel_member(omega: OmegaSequence, word, n: int, memo=None) -> bool:

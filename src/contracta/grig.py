@@ -1,6 +1,6 @@
 """Grigorchuk-group specifics: the substitution presentation, its finite
-truncations, the half-tree section map on the index-2 subgroup, and generator
-words for the distinguished subgroups used in the index computations.
+truncations, and generator words for the distinguished subgroups used in the
+index computations.
 
 Everything here is expressed over the four involutions a, b, c, d with the
 Klein-four relation bcd = 1; `reduce_word` computes the canonical alternating
@@ -110,31 +110,6 @@ WORD_ALIASES = {
     "v": K0_GENS[1],
     "w": K0_GENS[2],
 }
-
-# level-1 image of the index-2 subgroup generated by b, c, d, aba, aca, ada:
-# each generator stabilizes the root and this is its pair of sections
-_PSI0 = {
-    "b": ((A,), (C,)),
-    "c": ((A,), (D,)),
-    "d": ((), (B,)),
-    "aba": ((C,), (A,)),
-    "aca": ((D,), (A,)),
-    "ada": ((B,), ()),
-}
-
-
-def psi0_image(tokens) -> tuple:
-    """Componentwise image of a word in the six standard index-2 subgroup
-    generators, each treated as a single letter; left-to-right product."""
-    left, right = [], []
-    for tok in tokens:
-        if tok not in _PSI0:
-            raise SemanticError(f"{tok!r} is not one of {sorted(_PSI0)}")
-        l, r = _PSI0[tok]
-        left.extend(l)
-        right.extend(r)
-    return reduce_word(left), reduce_word(right)
-
 
 # the complete shortlex system of C2 * V, the one Knuth-Bendix finds from
 # BASE_RELATORS: an inverse letter is its letter, a letter squared is 1, and

@@ -1,8 +1,8 @@
 """The space of marked groups: free-group balls, kernel-ball valuations, the
 exp(-v) ultrametric, and convergence reports for kernel chains.
 
-A marked group is a rank plus a decidable kernel-membership oracle on the
-free group of that rank.  The valuation v(A, B) is the largest radius whose
+A marked group is a tuple of generators plus a decidable kernel-membership
+oracle on the free group on them.  The valuation v(A, B) is the largest radius whose
 kernel balls agree; full agreement through the examined radius is reported as
 ">= radius" and never as a certified infinite distance.
 """
@@ -14,17 +14,23 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .record import Record
-from .words import Word
+from .words import Word, concat, invert
 
 DEFAULT_BALL_CAP = 5_000_000
 KEPT_WORDS = 1 << 16  # the longest list of words `length_order` keeps
 
 
 class MarkedGroup(Record):
-    __slots__ = ("rank", "oracle", "name", "congruence", "onto")
+    """A group with its generators `gens`, as a quotient of the free group on
+    them: the one record of a catalog group, a chain member and a file's
+    recursion group."""
 
-    def __init__(self, rank: int, oracle, name: str = "", congruence=None, onto=None):
-        self.rank = rank
+    __slots__ = ("gens", "oracle", "name", "congruence", "onto", "recursion", "facts",
+                 "invariant", "_is_trivial")
+
+    def __init__(self, gens: tuple, oracle, name: str = "", congruence=None, onto=None,
+                 is_trivial=None, recursion=None, facts: dict = None, invariant=None):
+        self.gens = gens
         self.oracle = oracle  # callable Word -> bool (kernel membership)
         self.name = name
         # optional `Congruence` sound for the kernel; the oracle of a group
@@ -34,9 +40,35 @@ class MarkedGroup(Record):
         # generator: this kernel lies in `onto`'s, so a word outside `onto`'s
         # kernel is outside this one too
         self.onto = onto
+        # `is_trivial` as given, or the oracle itself when there is no
+        # congruence; None leaves it to the property below
+        self._is_trivial = oracle if is_trivial is None and congruence is None else is_trivial
+        self.recursion = recursion
+        self.facts = {} if facts is None else facts
+        self.invariant = invariant  # hashable prehash for ball deduplication
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
+
+    @property
+    def is_trivial(self):
+        """Kernel membership of any free-group word: the `is_trivial` given,
+        else the oracle itself, or, when the group carries a congruence, the
+        oracle asked about the word's normal form.  That last one is made
+        when asked for, so the record holds no closure over itself and is
+        freed as soon as it is dropped."""
+        if self._is_trivial is not None:
+            return self._is_trivial
+        contains, normal_form = self.contains, self.congruence.normal_form
+        return lambda w: contains(normal_form(w))
 
     def contains(self, word) -> bool:
         return self.oracle(word)
+
+    def equal(self, u, v) -> bool:
+        # the slot first: growth asks this once per pair of ball words
+        return (self._is_trivial or self.is_trivial)(concat(u, invert(v)))
 
 
 class Congruence(Record):
@@ -148,8 +180,8 @@ def scan(members, limit: MarkedGroup, radius: int):
     finds trivial: its kernel lies in the limit's, so it agrees on every
     other word without being asked.  A group that carries a congruence is
     asked only about its normal forms: when every group carries the same
-    congruence the words are its irreducible ones, else the free ball,
-    normalized for each such group.
+    congruence the words are its irreducible ones, else the free ball, and
+    each group decides a word by its `is_trivial`.
     A ball of more than DEFAULT_BALL_CAP words is BudgetExceeded, raised
     before the length that passes the cap.
     """
@@ -165,7 +197,7 @@ def scan(members, limit: MarkedGroup, radius: int):
         limit_asks, asks = limit.contains, [g.contains for g in members]
     else:
         words = _free_words(limit.rank, radius, DEFAULT_BALL_CAP)
-        limit_asks, asks = _on_normal_forms(limit), [_on_normal_forms(g) for g in members]
+        limit_asks, asks = limit.is_trivial, [g.is_trivial for g in members]
     first = [None] * len(members)  # length of each member's first disagreement
     live = [(i, a, g.onto is limit) for i, (g, a) in enumerate(zip(members, asks))]
     for w in words:
@@ -182,14 +214,6 @@ def scan(members, limit: MarkedGroup, radius: int):
         Valuation(radius, True, radius) if f is None else Valuation(f - 1, False, radius)
         for f in first
     ]
-
-
-def _on_normal_forms(group: MarkedGroup):
-    """`group.contains` for any free-group word."""
-    if group.congruence is None:
-        return group.contains
-    normal_form = group.congruence.normal_form
-    return lambda w: group.contains(normal_form(w))
 
 
 class ConvergenceRow(NamedTuple):

@@ -2,10 +2,10 @@ import os
 
 import pytest
 
-from contracta import catalog, contraction, covers
+from contracta import catalog, contraction, covers, gomega
 from contracta.cosets import FreeProductSignature
 from contracta.errors import SemanticError
-from contracta.grig import C2V
+from contracta.grig import C2V, reduce_word
 from contracta.marked import Congruence
 from contracta.words import format_word, parse_word
 
@@ -84,6 +84,40 @@ class TestLoad:
         g = catalog._recursion_entry.__wrapped__("tiny", catalog.DEFAULT_BUDGET)
         assert g.facts["nucleus_size"] == 2
         assert g.gens == ("a",)
+
+
+class TestOneRecord:
+    """`load` and `marked` build one `MarkedGroup` per spec, with one oracle
+    and so one memo."""
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_a_marked_recursion_shares_the_loaded_oracle(self, name):
+        g, m = catalog.load(name), catalog.marked(name)
+        assert m.oracle is g.oracle
+        assert m.congruence == Congruence(catalog.cover_for(name)[1])
+        assert (m.gens, m.recursion, m.facts, m.invariant) == (
+            g.gens, g.recursion, g.facts, g.invariant)
+
+    @pytest.mark.parametrize("spec", ["gomega::012", "bs:2:3", "met:2:3", "wreath:z", "w_n:1"])
+    def test_marked_is_the_record_load_builds(self, spec, monkeypatch):
+        built, load = [], catalog.load
+        monkeypatch.setattr(catalog, "load", lambda *args: built.append(load(*args)) or built[-1])
+        g = catalog.marked.__wrapped__(spec)
+        assert len(built) == 1 and built[0] is g
+        assert g.name == spec and catalog.marked(spec) is catalog.marked(spec)
+
+    def test_gomega_is_trivial_takes_any_word(self, rng):
+        from conftest import random_word
+
+        om = gomega.OmegaSequence.parse(":012")
+        g = catalog.load("gomega::012")
+        assert g.congruence is C2V
+        ball = list(C2V.ball(8))
+        assert [g.is_trivial(w) for w in ball] == [g.contains(w) for w in ball]
+        assert any(g.contains(w) for w in ball if w)
+        for _ in range(200):
+            u = random_word(rng, 4, 16)
+            assert g.is_trivial(u) == gomega.normal_form_is_trivial(om, reduce_word(u))
 
 
 class TestExpectedFacts:

@@ -130,6 +130,20 @@ class TestKernelCommands:
         assert code == 1 and out.strip() == "none"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel-member", "--group", "gomega::012", "--word", "a", "--level", "1"],
+        ["chain-profile", "--group", "bs:2:3", "--word", "s", "--max-level", "2"],
+    ])
+    def test_a_family_without_a_definition_file_is_an_error(self, capsys, argv):
+        # the kernel commands read a catalog recursion's `.rec` file only
+        name = argv[2]
+        path = os.path.join(catalog.catalog_dir(), f"{name}.rec")
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: no catalog definition {name!r} (looked in {path})\n"
+
+
 class TestPresentationCommands:
     def test_tc_with_preset(self, capsys):
         code, out = run(capsys, "tc", "--gn", "0", "--subgroup", "k0")

@@ -498,7 +498,7 @@ class TestSelfReplication:
         with pytest.raises(BudgetExceeded) as exc:
             standard_cover(cover, search_radius=4)
         assert str(exc.value) == (
-            "no self-replication witness for letter 0, element (1,) within radius 4"
+            "no self-replication witness for letter 0, element (1,) within length 5"
         )
 
 

@@ -249,7 +249,7 @@ def reference_standard_cover(cover, budget, search_radius, sys):
         else:
             raise BudgetExceeded(
                 f"no self-replication witness for letter {x}, "
-                f"element {cover.nucleus.elements[i]} within radius {search_radius}"
+                f"element {cover.nucleus.elements[i]} within length {search_radius + 1}"
             )
     return covers.StandardCoverResult(sorted(extra, key=shortlex_key), witnesses, exact)
 

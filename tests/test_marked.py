@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import ALTERNATING, LONG_REC, long_cover
 from contracta import catalog, grig, marked
 from contracta.covers import kernel_member
 from contracta.errors import BudgetExceeded
-from contracta.gomega import OmegaSequence, omega_kernel_member
+from contracta.gomega import OmegaSequence, normal_form_kernel_member
 from contracta.marked import (
     Congruence,
     MarkedGroup,
@@ -29,15 +31,16 @@ def exponent_sum(word):
     return sum(1 if x > 0 else -1 for x in word)
 
 
-TRIVIAL1 = MarkedGroup(1, lambda w: True, name="trivial")
-Z1 = MarkedGroup(1, lambda w: exponent_sum(w) == 0, name="Z")
+X = ("x",)  # the generator of a rank-1 group
+TRIVIAL1 = MarkedGroup(X, lambda w: True, name="trivial")
+Z1 = MarkedGroup(X, lambda w: exponent_sum(w) == 0, name="Z")
 
 
 def members(chain, levels):
     return [(n, chain.member(n)) for n in levels]
 
 
-def raw(oracle, rank=4):
+def raw(oracle, gens=grig.GENS):
     """A congruence-less group on `oracle`, a raw-word oracle, so that a scan
     feeds it free-ball words.  Its answers are memoized on C2 * V normal
     forms, which keeps the reference scan affordable; the oracle still
@@ -50,17 +53,18 @@ def raw(oracle, rank=4):
             memo[key] = oracle(w)
         return memo[key]
 
-    return MarkedGroup(rank, contains)
+    return MarkedGroup(gens, contains)
 
 
 def raw_chain_member(spec):
     """Level n of a chain through the raw-word oracle that `kernel-member`
-    and the library call: `covers.kernel_member` or `omega_kernel_member`."""
+    and the library call: `covers.kernel_member`, or `normal_form_kernel_member`
+    on the word's C2 * V normal form."""
     base, _, level = spec.rpartition("@")
     n, memo = int(level), {}
     if base.startswith("gomega:"):
         omega = OmegaSequence.parse(base[len("gomega:") :])
-        return raw(lambda w: omega_kernel_member(omega, w, n, memo))
+        return raw(lambda w: normal_form_kernel_member(omega, grig.reduce_word(w), n, memo))
     cover, sys_ = catalog.cover_for(base)
     return raw(lambda w: kernel_member(cover, sys_, w, n, memo))
 
@@ -93,6 +97,37 @@ def free_ball(k, n, cap=marked.DEFAULT_BALL_CAP):
     return list(marked.length_order(free_follow(k), n, cap))
 
 
+class TestMarkedGroup:
+    def test_is_trivial_decides_any_word(self):
+        # the oracle itself without a congruence; with one, the oracle of
+        # the word's normal form, read from the record when asked for
+        asked = []
+        g = MarkedGroup(grig.GENS, lambda w: asked.append(w) or not w, congruence=grig.C2V)
+        assert MarkedGroup(X, Z1.oracle).is_trivial is Z1.oracle
+        assert g.is_trivial((grig.A, -grig.A)) and g.equal((grig.B,), (grig.C, grig.D))
+        g.oracle = lambda w: False
+        assert not g.is_trivial(())
+        assert asked == [(), ()]
+
+    def test_a_dropped_record_is_freed_without_the_collector(self):
+        # a record holds no closure over itself, so dropping a chain member
+        # frees its oracle, and with it the chain's memo, at once
+        class Oracle:
+            def __call__(self, w):
+                return not w
+
+        oracle = Oracle()
+        freed = weakref.ref(oracle)
+        g = MarkedGroup(grig.GENS, oracle, congruence=grig.C2V)
+        assert g.is_trivial((grig.A, grig.A))
+        gc.disable()
+        try:
+            del g, oracle
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
 class TestLengthOrder:
     @pytest.mark.parametrize("kept", [marked.KEPT_WORDS, 5, 1])
     def test_same_words_in_the_same_order_as_the_reference(self, kept, monkeypatch):
@@ -112,8 +147,8 @@ class TestLengthOrder:
         # disagree at the first word of length 2, the 6th word of the ball,
         # but the cap of 10 falls inside length 2, so the scan stops before it
         monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 10)
-        long = MarkedGroup(2, lambda w: len(w) >= 2)
-        none = MarkedGroup(2, lambda w: False)
+        long = MarkedGroup(("a", "b"), lambda w: len(w) >= 2)
+        none = MarkedGroup(("a", "b"), lambda w: False)
         assert valuation(long, none, 1).value == 1
         with pytest.raises(BudgetExceeded, match="ball cap of 10 words"):
             valuation(long, none, 2)
@@ -166,7 +201,7 @@ class TestValuation:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            valuation(Z1, MarkedGroup(2, lambda w: True), 3)
+            valuation(Z1, MarkedGroup(("a", "b"), lambda w: True), 3)
 
     def test_level_one_cover_quotient_vs_limit(self):
         # kernels agree through radius 6; the first disagreement is at radius
@@ -239,7 +274,7 @@ class TestScan:
         asked = {"limit": [], "trivial": []}
 
         def recording(key, oracle):
-            return MarkedGroup(1, lambda w: asked[key].append(w) or oracle(w))
+            return MarkedGroup(X, lambda w: asked[key].append(w) or oracle(w))
 
         lim = recording("limit", Z1.oracle)
         values = scan([Z1, recording("trivial", TRIVIAL1.oracle), Z1], lim, 3)
@@ -262,14 +297,15 @@ class TestScan:
         member = catalog.marked("gomega::012@1")
         oracle = member.oracle
         monkeypatch.setattr(member, "oracle", lambda w: asked.append(w) or oracle(w))
-        limit = MarkedGroup(4, catalog.load("gomega::012").is_trivial)
+        limit = MarkedGroup(grig.GENS, catalog.load("gomega::012").is_trivial)
         v = valuation(member, limit, 5)
         assert (v.value, v.at_least) == (5, True)
         assert asked and all(grig.reduce_word(w) == w for w in asked)
         assert max(map(len, asked)) == 5
         # and the member as the limit, against a raw-word chain member
         om = OmegaSequence.parse(":012")
-        raw_member = MarkedGroup(4, lambda w: omega_kernel_member(om, w, 0))
+        raw_member = MarkedGroup(
+            grig.GENS, lambda w: normal_form_kernel_member(om, grig.reduce_word(w), 0))
         mixed = valuation(raw_member, catalog.marked("gomega::012@1"), 5)
         same = valuation(catalog.marked("gomega::012@0"), catalog.marked("gomega::012@1"), 5)
         assert (mixed.value, mixed.at_least) == (same.value, same.at_least)
@@ -279,7 +315,7 @@ class TestScan:
         # system, and this limit the literal C2 * V one: two objects with one
         # rule set, so the scan walks the alternating ball, not the free one
         member, marked_limit = catalog.marked("grigorchuk@0"), catalog.marked("grigorchuk")
-        limit = MarkedGroup(marked_limit.rank, marked_limit.oracle, marked_limit.name, grig.C2V)
+        limit = MarkedGroup(marked_limit.gens, marked_limit.oracle, marked_limit.name, grig.C2V)
         assert member.congruence is not limit.congruence
         assert member.congruence == limit.congruence == grig.C2V
         assert hash(member.congruence) == hash(grig.C2V)
@@ -292,7 +328,7 @@ class TestScan:
         assert valuation(catalog.marked("grigorchuk@1"), limit, 8) == Valuation(8, True, 8)
 
     def test_no_members_scan_nothing(self):
-        assert scan([], MarkedGroup(1, None), 5) == []
+        assert scan([], MarkedGroup(X, None), 5) == []
 
 
 # one chain of each family, at a radius whose ball holds words the limit
@@ -318,8 +354,8 @@ FREE_BALL_CHAINS = {"hanoi3", "gupta_sidki", "fabrykowski_gupta"}
 
 def without_congruence(group):
     """`group` with no congruence, asked about any free-group word through
-    its congruence's normal form: a scan of it walks the free ball."""
-    return MarkedGroup(group.rank, marked._on_normal_forms(group), group.name)
+    its `is_trivial`: a scan of it walks the free ball."""
+    return MarkedGroup(group.gens, group.is_trivial, group.name)
 
 
 def onto_groups(base):
@@ -377,12 +413,12 @@ class TestOnto:
         def asking(oracle):
             return lambda w: asked.add(w) or oracle(w)
 
-        limit = MarkedGroup(lim.rank, limit_oracle, lim.name, lim.congruence)
+        limit = MarkedGroup(lim.gens, limit_oracle, lim.name, lim.congruence)
         counted = [
-            MarkedGroup(g.rank, asking(g.oracle), g.name, g.congruence, onto=limit)
+            MarkedGroup(g.gens, asking(g.oracle), g.name, g.congruence, onto=limit)
             for g in groups
         ]
-        cleared = [MarkedGroup(g.rank, g.oracle, g.name, g.congruence) for g in groups]
+        cleared = [MarkedGroup(g.gens, g.oracle, g.name, g.congruence) for g in groups]
         assert scan(counted, limit, radius) == scan(cleared, lim, radius)
         assert asked and asked <= trivial
 

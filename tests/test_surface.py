@@ -14,8 +14,8 @@ import re
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "contracta")
 
-# the splitting map psi of the G_n largeness certificate (ROADMAP item 1)
-ALLOWED = {"psi0_image"}
+# public names exempt from the check; none are
+ALLOWED = set()
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
