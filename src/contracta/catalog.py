@@ -227,6 +227,8 @@ class Chain(NamedTuple):
     levels: object  # callable n -> (gens, kernel-membership oracle of level n)
 
     def member(self, n: int) -> MarkedGroup:
+        if n < 0:
+            raise ValueError("level must be >= 0")
         gens, oracle = self.levels(n)
         return MarkedGroup(gens, oracle, f"{self.base}@{n}", self.limit.congruence, self.limit)
 

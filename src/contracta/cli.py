@@ -156,20 +156,22 @@ def cmd_standard_cover(args):
 
 
 def cmd_kernel_member(args):
-    cover, sys_ = catalog.cover_for(args.group)
-    member = covers.kernel_member(
-        cover, sys_, words.parse_word(args.word, cover.presentation.gens), args.level
-    )
+    g = catalog.chain(args.group).member(args.level)
+    member = g.is_trivial(words.parse_word(args.word, g.gens))
     _emit(args, {"member": member, "level": args.level},
           "member" if member else "not a member")
     return 0 if member else 1
 
 
 def cmd_chain_profile(args):
-    cover, sys_ = catalog.cover_for(args.group)
-    least = covers.kernel_chain_profile(
-        cover, sys_, words.parse_word(args.word, cover.presentation.gens), args.max_level
-    )
+    # level --max-level first, so that a word in no kernel costs one ask;
+    # the kernels are nested, so the least level is the first member from 0 up
+    chain, least = catalog.chain(args.group), None
+    if args.max_level >= 0:
+        top = chain.member(args.max_level)
+        word = words.parse_word(args.word, top.gens)
+        if top.is_trivial(word):
+            least = next(n for n in range(args.max_level + 1) if chain.member(n).is_trivial(word))
     _emit(args, {"least_level": least},
           "none" if least is None else str(least))
     return 0 if least is not None else 1

@@ -3,7 +3,7 @@
 `universal_cover` turns a computed nucleus into a presentation whose
 generators are nucleus elements and whose relators are all trivial words of
 length <= 3, together with the induced wreath recursion on those generators.
-`kernel_member` decides membership in the level-n kernel of the induced
+`kernel_oracle` decides membership in the level-n kernel of the induced
 recursion, which is exactly what defines the finitely presented quotients
 approximating the covered group.
 """
@@ -280,29 +280,11 @@ def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget =
     return split
 
 
-def kernel_member(cover: CoverPresentation, sys: RewriteSystem, w, n: int, _memo=None) -> bool:
-    """Membership in the level-n kernel: the level-n iterate of w has trivial
-    permutation and all its sections rewrite to the empty word."""
-    memo = {} if _memo is None else _memo
-    return kernel_oracle(cover, sys, n, memo)(normal_form(sys, w))
-
-
 def kernel_oracle(cover: CoverPresentation, sys: RewriteSystem, n: int, memo):
-    """`kernel_member` on words already in rewriting normal form: whether
+    """Membership of a word in rewriting normal form in the level-n kernel:
     `least_level` from the word itself, over `section_split`, is at most n,
     with `memo` holding least levels by word."""
     if not sys.complete:
         raise BudgetExceeded("kernel membership needs a complete rewrite system")
-    if n < 0:
-        raise ValueError("level must be >= 0")
     split = section_split(cover, sys)
     return lambda word: contraction.least_level(word, split, memo, not_) <= n
-
-
-def kernel_chain_profile(cover: CoverPresentation, sys, w, n_max: int):
-    """Least level at which w enters the kernel chain, or None up to n_max:
-    the memo of a member's walk holds the level of its nonempty start."""
-    memo = {}
-    if n_max < 0 or not kernel_member(cover, sys, w, n_max, memo):
-        return None
-    return memo.get(normal_form(sys, w), 0)

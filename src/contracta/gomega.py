@@ -115,8 +115,6 @@ def normal_form_kernel_member(omega: OmegaSequence, word, n: int, memo=None) -> 
     """Membership of a word in C2 * V normal form in the level-n kernel of
     the splitting chain, whose level 0 is C2 * V: `least_level` over
     `omega.split` is at most n, with `memo` serving this parameter."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
     return least_level((word, 0), omega.split, {} if memo is None else memo, _is_identity) <= n
 
 

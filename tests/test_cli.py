@@ -1,10 +1,15 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 
-from contracta import catalog, cli, marked
+from conftest import random_word
+from contracta import catalog, cli, grig, marked, metabelian
+from contracta.gomega import OmegaSequence
+from contracta.words import format_word, parse_word
+from test_gomega import reference_kernel_member
 
 
 def run(capsys, *argv):
@@ -130,18 +135,58 @@ class TestKernelCommands:
         assert code == 1 and out.strip() == "none"
 
 
-    @pytest.mark.parametrize("argv", [
-        ["kernel-member", "--group", "gomega::012", "--word", "a", "--level", "1"],
-        ["chain-profile", "--group", "bs:2:3", "--word", "s", "--max-level", "2"],
-    ])
-    def test_a_family_without_a_definition_file_is_an_error(self, capsys, argv):
-        # the kernel commands read a catalog recursion's `.rec` file only
-        name = argv[2]
-        path = os.path.join(catalog.catalog_dir(), f"{name}.rec")
-        assert cli.main(argv) == 2
+    def test_gomega_and_bs_chains_agree_with_independent_oracles(self, capsys, rng):
+        # gomega::012 against the section recursion of test_gomega; bs:2:3
+        # against Britton reduction at level 0 of the word with each s
+        # written out as s^(2^n)
+        omega, c2v = OmegaSequence.parse(":012"), catalog.cover_for("grigorchuk")[1]
+
+        def bs_member(u, n):
+            image = tuple(x for y in u for x in ((y,) * 2**n if abs(y) == 1 else (y,)))
+            return metabelian.britton_reduce(metabelian.BsDatum(2, 3), image).is_trivial
+
+        families = [
+            ("gomega::012", grig.GENS, lambda u, n: reference_kernel_member(omega, u, n, c2v),
+             ["a d a d a d a d", "a c a c a c a c a c a c a c a c", "a b", "", "b c d",
+              "a^-1 b c d a"], 4),
+            ("bs:2:3", metabelian.GENS, bs_member,
+             ["s t s t^-1 s^-1 t s^-1 t^-1", "t^-1 s t s t^-1 s^-1 t s^-1", "s",
+              "t^-1 s^2 t s^-3", "", "t s t^-1 s t s^-1 t^-1 s^-1",
+              "t^-2 s t^2 s t^-2 s^-1 t^2 s^-1"], 2),
+        ]
+        for group, gens, oracle, texts, rank in families:
+            texts = texts + [format_word(random_word(rng, rank, 8), gens) for _ in range(20)]
+            least_levels = set()
+            for text in texts:
+                u = parse_word(text, gens)
+                expected = [oracle(u, n) for n in range(4)]
+                got = [run(capsys, "kernel-member", "--group", group, "--word", text,
+                           "--level", str(n)) for n in range(4)]
+                assert got == [(0, "member\n") if e else (1, "not a member\n")
+                               for e in expected], (group, text)
+                least = next((n for n in range(4) if expected[n]), None)
+                least_levels.add(least)
+                assert run(capsys, "chain-profile", "--group", group, "--word", text,
+                           "--max-level", "3") == (
+                    (1, "none\n") if least is None else (0, f"{least}\n")), (group, text)
+            assert {None, 0, 1, 2} <= least_levels, group
+
+    @pytest.mark.parametrize("base", ["foo", "met:2:3", "grigorchuk@1"])
+    @pytest.mark.parametrize("command, level", [("kernel-member", "--level"),
+                                                ("chain-profile", "--max-level")])
+    def test_a_base_with_no_chain_is_an_error(self, capsys, base, command, level):
+        assert cli.main([command, "--group", base, "--word", "a", level, "1"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: no catalog definition {name!r} (looked in {path})\n"
+        assert out.err == f"error: no chain family for {base!r}\n"
+
+    def test_a_word_in_no_kernel_is_none_at_a_deep_max_level(self, capsys):
+        # d = (1, d) at gomega::0 is in no kernel; its least level is found
+        # once, whatever the level asked
+        start = time.perf_counter()
+        argv = ["chain-profile", "--group", "gomega::0", "--word", "d", "--max-level", "100000"]
+        assert run(capsys, *argv) == (1, "none\n")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPresentationCommands:
@@ -318,6 +363,21 @@ class TestFamilies:
                      ["converge", "--chain", "met:2:3", "--radius", "2", "--n-max", "1"]):
             assert cli.main(argv) == 2
             assert "no chain family for 'met:2:3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, limit", [
+        *((name, name) for name in catalog.RECURSION_NAMES),
+        ("gomega::012", "gomega::012"),
+        ("bs:2:3", "met:2:3"),
+    ])
+    @pytest.mark.parametrize("radius", ["3", "8"])
+    def test_a_negative_chain_level_is_an_error_at_every_radius(self, capsys, base, limit,
+                                                               radius):
+        # the level is checked before any level is built, so it does not
+        # wait for a scan to ask the member about a word
+        argv = ["dist", "--group-a", f"{base}@-1", "--group-b", limit, "--radius", radius]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: level must be >= 0\n")
 
     @pytest.mark.parametrize("argv, code, out", [
         (["dist", "--group-a", "gomega::012@3000", "--group-b", "gomega::012", "--radius", "8"],

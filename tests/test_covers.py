@@ -14,12 +14,7 @@ from conftest import (
 )
 from contracta import catalog, contraction, covers, marked, rewriting
 from contracta.contraction import Budget, nucleus
-from contracta.covers import (
-    kernel_chain_profile,
-    kernel_member,
-    standard_cover,
-    universal_cover,
-)
+from contracta.covers import kernel_oracle, standard_cover, universal_cover
 from contracta.errors import BudgetExceeded
 from contracta.grig import C2V
 from contracta.recursion import WreathRecursion, parse_recursion
@@ -402,8 +397,8 @@ class TestStandardCover:
 
 
 def reference_kernel_member(cover, sys, w, n, memo):
-    """`covers.kernel_member` as it was: a recursion of its own, memoized by
-    (normal form, level), level 0 included."""
+    """Kernel membership as `covers` once decided it: a recursion of its own,
+    memoized by (normal form, level), level 0 included."""
     w = rewriting.normal_form(sys, free_reduce(w))
     key = (w, n)
     if key in memo:
@@ -419,23 +414,34 @@ def reference_kernel_member(cover, sys, w, n, memo):
     return result
 
 
+def kernel_member(name, w, n):
+    """Whether the raw word w lies in level n of the catalog chain `name`."""
+    return catalog.chain(name).member(n).is_trivial(w)
+
+
+def chain_profile(name, w, n_max):
+    """The least level n <= n_max of the catalog chain `name` holding w, or None."""
+    return next((n for n in range(n_max + 1) if kernel_member(name, w, n)), None)
+
+
 class TestKernelChain:
     def test_agrees_with_the_reference_recursion(self, rng):
         # random words, and their squares and fourth powers, which enter later
-        # kernels in the torsion groups; a fresh memo per word, then one memo
-        # for every level
+        # kernels in the torsion groups; a fresh chain, so a fresh memo, per
+        # word, then the catalog's chain, one memo for every level
         entered_later = 0
         for name in catalog.RECURSION_NAMES:
             cover, sys_ = catalog.cover_for(name)
             words = [random_word(rng, len(cover.presentation.gens), 8) for _ in range(60)]
             words += [u * k for u in words[:30] for k in (2, 4)]
-            shared, reference = {}, {}
+            reference = {}
             for n in range(5):
                 expected = [
                     reference_kernel_member(cover, sys_, u, n, reference) for u in words
                 ]
-                assert [kernel_member(cover, sys_, u, n) for u in words] == expected
-                assert [kernel_member(cover, sys_, u, n, shared) for u in words] == expected
+                fresh = [catalog.chain.__wrapped__(name).member(n).is_trivial(u) for u in words]
+                assert fresh == expected
+                assert [kernel_member(name, u, n) for u in words] == expected
             entered_later += sum(
                 reference[(rewriting.normal_form(sys_, u), 4)]
                 and not reference[(rewriting.normal_form(sys_, u), 0)]
@@ -446,21 +452,20 @@ class TestKernelChain:
     def test_ad4_examples(self, grig_cover):
         cover, sys_ = grig_cover
         ad4 = parse_word("a d", cover.presentation.gens) * 4
-        assert not kernel_member(cover, sys_, ad4, 0)
-        assert kernel_member(cover, sys_, ad4, 1)
-        assert kernel_chain_profile(cover, sys_, ad4, 5) == 1
+        assert not kernel_member("grigorchuk", ad4, 0)
+        assert kernel_member("grigorchuk", ad4, 1)
+        assert chain_profile("grigorchuk", ad4, 5) == 1
 
-    def test_empty_word_is_always_a_member(self, grig_cover):
-        cover, sys_ = grig_cover
+    def test_empty_word_is_always_a_member(self):
         for n in range(4):
-            assert kernel_member(cover, sys_, (), n)
+            assert kernel_member("grigorchuk", (), n)
 
     def test_deep_levels_answer_or_exceed_the_budget(self, grig_cover):
         cover, sys_ = grig_cover
         ad4 = parse_word("a d", cover.presentation.gens) * 4
-        assert kernel_member(cover, sys_, (), 3000)
-        assert kernel_member(cover, sys_, ad4, 3000)
-        assert not kernel_member(cover, sys_, parse_word("a b", cover.presentation.gens), 3000)
+        assert kernel_member("grigorchuk", (), 3000)
+        assert kernel_member("grigorchuk", ad4, 3000)
+        assert not kernel_member("grigorchuk", parse_word("a b", cover.presentation.gens), 3000)
         # d = (d, a) fixes the root, and the kernel test follows its first
         # section, d again, down to the level
         rec = parse_recursion(
@@ -469,9 +474,9 @@ class TestKernelChain:
         )
         deep = universal_cover(nucleus(rec))
         deep_sys = rewriting.complete(deep.presentation)
-        d = parse_word("d", deep.presentation.gens)
-        assert not kernel_member(deep, deep_sys, d, 50)
-        assert not kernel_member(deep, deep_sys, d, 3000)
+        d = rewriting.normal_form(deep_sys, parse_word("d", deep.presentation.gens))
+        assert not kernel_oracle(deep, deep_sys, 50, {})(d)
+        assert not kernel_oracle(deep, deep_sys, 3000, {})(d)
 
     @pytest.mark.parametrize("name, radius, extra, deepest", [
         ("grigorchuk", 4, "", 2),
@@ -499,20 +504,19 @@ class TestKernelChain:
     def test_u1_profile(self, grig_cover):
         cover, sys_ = grig_cover
         u1 = parse_word("a c a c", cover.presentation.gens) * 4
-        assert kernel_chain_profile(cover, sys_, u1, 6) == 2
+        assert chain_profile("grigorchuk", u1, 6) == 2
 
     def test_ab_never_enters(self, grig_cover):
         cover, sys_ = grig_cover
         ab = parse_word("a b", cover.presentation.gens)
-        assert kernel_chain_profile(cover, sys_, ab, 6) is None
+        assert chain_profile("grigorchuk", ab, 6) is None
 
-    def test_nested_kernels(self, grig_cover, rng):
-        cover, sys_ = grig_cover
+    def test_nested_kernels(self, rng):
         for _ in range(60):
             u = random_word(rng, 4, 10)
             for n in range(3):
-                if kernel_member(cover, sys_, u, n):
-                    assert kernel_member(cover, sys_, u, n + 1)
+                if kernel_member("grigorchuk", u, n):
+                    assert kernel_member("grigorchuk", u, n + 1)
 
     def test_recursion_characterization(self, grig_cover, rng):
         # membership at level n is trivial root permutation plus membership of
@@ -522,19 +526,18 @@ class TestKernelChain:
         for _ in range(60):
             u = random_word(rng, 4, 10)
             n = rng.randint(1, 3)
-            direct = kernel_member(cover, sys_, u, n)
+            direct = kernel_member("grigorchuk", u, n)
             split = rec.split(u)[0] == (0, 1) and all(
-                kernel_member(cover, sys_, rec.section(u, (x,)), n - 1)
+                kernel_member("grigorchuk", rec.section(u, (x,)), n - 1)
                 for x in range(2)
             )
             assert direct == split
 
-    def test_soundness_members_die_in_the_limit(self, grig_cover, grig, rng):
-        cover, sys_ = grig_cover
+    def test_soundness_members_die_in_the_limit(self, grig, rng):
         hits = 0
         for _ in range(200):
             u = random_word(rng, 4, 8)
-            if kernel_chain_profile(cover, sys_, u, 3) is not None:
+            if chain_profile("grigorchuk", u, 3) is not None:
                 hits += 1
                 assert contraction.is_trivial(grig.recursion, u)
         assert hits > 0
@@ -547,7 +550,7 @@ class TestKernelChain:
         word = parse_word("b a b a^-1 b^-1 a b^-1 a^-1", gens)
         assert rewriting.normal_form(sys_, word) != ()
         assert contraction.is_trivial(basilica.recursion, word)
-        assert kernel_chain_profile(cover, sys_, word, 6) == 1
+        assert chain_profile("basilica", word, 6) == 1
 
 
 class TestNormalFormChain:
@@ -568,9 +571,10 @@ class TestNormalFormChain:
         chain = catalog.chain("grigorchuk")
         assert chain.limit.congruence == C2V
         ball8 = list(C2V.ball(8))
+        reference = {}
         for n in range(5):
             member = chain.member(n)
-            expected = [kernel_member(cover, sys_, u, n) for u in ball8]
+            expected = [reference_kernel_member(cover, sys_, u, n, reference) for u in ball8]
             assert [member.contains(u) for u in ball8] == expected
             assert any(expected) and not all(expected)
 

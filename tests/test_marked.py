@@ -7,7 +7,6 @@ import pytest
 
 from conftest import ALTERNATING, LONG_REC, long_cover
 from contracta import catalog, grig, marked
-from contracta.covers import kernel_member
 from contracta.errors import BudgetExceeded
 from contracta.gomega import OmegaSequence, normal_form_kernel_member
 from contracta.marked import (
@@ -58,15 +57,10 @@ def raw(oracle, gens=grig.GENS):
 
 def raw_chain_member(spec):
     """Level n of a chain through the raw-word oracle that `kernel-member`
-    and the library call: `covers.kernel_member`, or `normal_form_kernel_member`
-    on the word's C2 * V normal form."""
+    calls, the member's `is_trivial`, on a chain of its own, so with a memo
+    of its own."""
     base, _, level = spec.rpartition("@")
-    n, memo = int(level), {}
-    if base.startswith("gomega:"):
-        omega = OmegaSequence.parse(base[len("gomega:") :])
-        return raw(lambda w: normal_form_kernel_member(omega, grig.reduce_word(w), n, memo))
-    cover, sys_ = catalog.cover_for(base)
-    return raw(lambda w: kernel_member(cover, sys_, w, n, memo))
+    return raw(catalog.chain.__wrapped__(base).member(int(level)).is_trivial)
 
 
 def reference_length_order(follow, radius):
