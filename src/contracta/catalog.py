@@ -98,30 +98,23 @@ def cover_for(name: str):
 def load(name: str, budget: Budget = DEFAULT_BUDGET) -> MarkedGroup:
     """The catalog group `name`; `budget` bounds its word problem, in section
     states and word length for recursion and gomega groups, in word length
-    for the others.  A `gomega` group carries the congruence of C2 * V: its
-    oracle takes normal forms, and `is_trivial` reduces any word to one with
-    `grig.reduce_word`, which gives the congruence's normal form faster."""
+    for the others.  A `gomega` group carries `grig.C2V`: its oracle takes
+    C2 * V normal forms, which `is_trivial` makes with `grig.reduce_word`."""
     if name in RECURSION_NAMES:
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega, memo = _omega(name), {}
-        return MarkedGroup(
-            grig.GENS,
-            lambda w: gomega.normal_form_is_trivial(omega, w, budget, memo),
-            name,
-            grig.C2V,
-            is_trivial=lambda w: gomega.normal_form_is_trivial(
-                omega, grig.reduce_word(w), budget, memo),
-        )
+        return MarkedGroup(grig.GENS, lambda w: gomega.normal_form_is_trivial(
+            omega, w, budget, memo), name, grig.C2V)
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)
         return _metabelian(name, lambda w: metabelian.britton_reduce(datum, w).is_trivial,
-                           lambda w: _met_key(l, m, w), budget)
+                           lambda w: _bs_key(l, m, w), budget)
     if name.startswith("met:"):
         l, m = parse_lm(name[len("met:") :])
         return _metabelian(name, lambda w: metabelian.met_eval(l, m, w).is_identity,
-                           lambda w: _met_key(l, m, w), budget)
+                           lambda w: metabelian.met_eval(l, m, w), budget)
     if name.startswith("wreath:"):
         modulus = _wreath_modulus(name[len("wreath:") :])
         return _metabelian(name, lambda w: metabelian.wreath_eval(w, modulus).is_identity,
@@ -175,9 +168,11 @@ def _wreath_modulus(spec: str) -> int:
     raise SemanticError(f"wreath base must be z or z<h> with h >= 2, got {spec!r}")
 
 
-def _met_key(l, m, w):
-    mat = metabelian.met_eval(l, m, w)
-    return mat.a, mat.b
+def _bs_key(l, m, w):
+    """A homomorphic image of BS(l, m) for every l, m >= 1: the t-exponent
+    sum, which the matrix image loses when l = m, and the matrix image."""
+    t_exponent = sum(1 if x > 0 else -1 for x in w if abs(x) == metabelian.T)
+    return t_exponent, metabelian.matrix_image(l, m, w)
 
 
 # -- marked groups and kernel chains -----------------------------------------

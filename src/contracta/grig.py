@@ -111,11 +111,17 @@ WORD_ALIASES = {
     "w": K0_GENS[2],
 }
 
+
+class _C2VSystem(RewriteSystem):
+    __slots__ = ()
+    rewrite = staticmethod(reduce_word)
+
+
 # the complete shortlex system of C2 * V, the one Knuth-Bendix finds from
 # BASE_RELATORS: an inverse letter is its letter, a letter squared is 1, and
-# two distinct letters of V make the third.  Its irreducible words alternate
-# as `reduce_word`'s do.
-C2V = Congruence(RewriteSystem(GENS, sorted(
+# two distinct letters of V make the third.  It rewrites with `reduce_word`:
+# its irreducible words alternate as `reduce_word`'s do.
+C2V = Congruence(_C2VSystem(GENS, sorted(
     [RewriteRule((-x,), (x,)) for x in (A, B, C, D)]
     + [RewriteRule((x, x), ()) for x in (A, B, C, D)]
     + [RewriteRule(pair, (z,)) for pair, z in _VTABLE.items()],

@@ -26,10 +26,10 @@ class MarkedGroup(Record):
     recursion group."""
 
     __slots__ = ("gens", "oracle", "name", "congruence", "onto", "recursion", "facts",
-                 "invariant", "_is_trivial")
+                 "invariant")
 
     def __init__(self, gens: tuple, oracle, name: str = "", congruence=None, onto=None,
-                 is_trivial=None, recursion=None, facts: dict = None, invariant=None):
+                 recursion=None, facts: dict = None, invariant=None):
         self.gens = gens
         self.oracle = oracle  # callable Word -> bool (kernel membership)
         self.name = name
@@ -40,9 +40,6 @@ class MarkedGroup(Record):
         # generator: this kernel lies in `onto`'s, so a word outside `onto`'s
         # kernel is outside this one too
         self.onto = onto
-        # `is_trivial` as given, or the oracle itself when there is no
-        # congruence; None leaves it to the property below
-        self._is_trivial = oracle if is_trivial is None and congruence is None else is_trivial
         self.recursion = recursion
         self.facts = {} if facts is None else facts
         self.invariant = invariant  # hashable prehash for ball deduplication
@@ -51,24 +48,15 @@ class MarkedGroup(Record):
     def rank(self) -> int:
         return len(self.gens)
 
-    @property
-    def is_trivial(self):
-        """Kernel membership of any free-group word: the `is_trivial` given,
-        else the oracle itself, or, when the group carries a congruence, the
-        oracle asked about the word's normal form.  That last one is made
-        when asked for, so the record holds no closure over itself and is
-        freed as soon as it is dropped."""
-        if self._is_trivial is not None:
-            return self._is_trivial
-        contains, normal_form = self.contains, self.congruence.normal_form
-        return lambda w: contains(normal_form(w))
-
-    def contains(self, word) -> bool:
-        return self.oracle(word)
+    def is_trivial(self, word) -> bool:
+        """Kernel membership of any free-group word: the oracle's answer on
+        its normal form when the group carries a congruence, else on it."""
+        if self.congruence is None:
+            return self.oracle(word)
+        return self.oracle(self.congruence.normal_form(word))
 
     def equal(self, u, v) -> bool:
-        # the slot first: growth asks this once per pair of ball words
-        return (self._is_trivial or self.is_trivial)(concat(u, invert(v)))
+        return self.is_trivial(concat(u, invert(v)))
 
 
 class Congruence(Record):
@@ -180,8 +168,8 @@ def scan(members, limit: MarkedGroup, radius: int):
     finds trivial: its kernel lies in the limit's, so it agrees on every
     other word without being asked.  A group that carries a congruence is
     asked only about its normal forms: when every group carries the same
-    congruence the words are its irreducible ones, else the free ball, and
-    each group decides a word by its `is_trivial`.
+    congruence the words are its irreducible ones, asked of each oracle as
+    they are, else the free ball, decided by each group's `is_trivial`.
     A ball of more than DEFAULT_BALL_CAP words is BudgetExceeded, raised
     before the length that passes the cap.
     """
@@ -194,7 +182,7 @@ def scan(members, limit: MarkedGroup, radius: int):
     congruence = limit.congruence
     if congruence is not None and all(g.congruence == congruence for g in members):
         words = congruence.ball(radius, DEFAULT_BALL_CAP)
-        limit_asks, asks = limit.contains, [g.contains for g in members]
+        limit_asks, asks = limit.oracle, [g.oracle for g in members]
     else:
         words = _free_words(limit.rank, radius, DEFAULT_BALL_CAP)
         limit_asks, asks = limit.is_trivial, [g.is_trivial for g in members]

@@ -211,6 +211,12 @@ def met_eval(l: int, m: int, word) -> MetElement:
     t = [[l/m, 0], [0, 1]]; identity decides triviality."""
     if l < 1 or m < 1 or (l == 1 and m == 1) or gcd(l, m) != 1:
         raise SemanticError("parameters must be coprime positive, not both 1")
+    return matrix_image(l, m, word)
+
+
+def matrix_image(l: int, m: int, word) -> MetElement:
+    """`met_eval`'s image for any l, m >= 1: BS(l, m) maps onto it, but it
+    is Met(l, m) only for coprime l, m, not both 1."""
     ratio = Fraction(l, m)
     a, b = Fraction(1), Fraction(0)
     for x in free_reduce(word):

@@ -82,13 +82,13 @@ def _bucket(rules):
     return by_lhs, sorted({len(lhs) for lhs in by_lhs})
 
 
-def _apply_rules(rules, w, index=None) -> Word:
-    """Rewriting to an irreducible word (rules only, no free magic), in one
-    left-to-right pass: an lhs that ends on the output stack is replaced by
-    its rhs, pushed back onto the input.  The lhs set is substring-free, so
-    the first lhs to end is also the leftmost one.
-    `index` is `_bucket(rules)`, passed by callers that rewrite many words."""
-    by_lhs, lengths = _bucket(rules) if index is None else index
+def _apply_rules(index, w) -> Word:
+    """Rewriting to an irreducible word (rules only, no free magic) with the
+    rules of `index`, their `_bucket`, in one left-to-right pass: an lhs that
+    ends on the output stack is replaced by its rhs, pushed back onto the
+    input.  The lhs set is substring-free, so the first lhs to end is also
+    the leftmost one."""
+    by_lhs, lengths = index
     todo = list(reversed(w))
     out = []
     while todo:
@@ -110,12 +110,10 @@ class RewriteSystem(Record):
     def __init__(self, gens: tuple, rules: list, complete: bool):
         self.gens, self.complete = gens, complete
         self.rules = rules  # RewriteRule, shortlex-sorted by lhs
-        self._index = None  # `_bucket(rules)`, made on the first rewrite
+        self._index = _bucket(rules)
 
     def rewrite(self, w) -> Word:
-        if self._index is None:
-            self._index = _bucket(self.rules)
-        return _apply_rules(self.rules, w, self._index)
+        return _apply_rules(self._index, w)
 
 
 def normal_form(sys: RewriteSystem, w) -> Word:
@@ -150,7 +148,7 @@ def complete(p: Presentation, max_rules: int = 2_000) -> RewriteSystem:
 
     def add_equation(u, v):
         nonlocal index
-        u, v = _apply_rules(rules, u, index), _apply_rules(rules, v, index)
+        u, v = _apply_rules(index, u), _apply_rules(index, v)
         # both sides are irreducible, so neither is an existing lhs
         rule = _orient(u, v)
         if rule is None:
@@ -179,7 +177,7 @@ def complete(p: Presentation, max_rules: int = 2_000) -> RewriteSystem:
         for r1 in snapshot:
             for r2 in snapshot:
                 for u, v in _critical_pairs(r1, r2):
-                    if _apply_rules(rules, u, index) != _apply_rules(rules, v, index):
+                    if _apply_rules(index, u) != _apply_rules(index, v):
                         new_pairs.append((u, v))
         if not new_pairs:
             return _finish(p, rules, complete=True)
@@ -193,17 +191,13 @@ def _contains(w, sub):
 
 
 def _critical_pairs(r1, r2):
-    """Overlaps of r1.lhs with r2.lhs: proper suffix/prefix overlaps, plus
-    containment of r2.lhs inside r1.lhs."""
+    """Proper suffix/prefix overlaps of r1.lhs with r2.lhs; no lhs contains
+    another, as `add_equation` keeps the rules interreduced."""
     l1, l2 = r1.lhs, r2.lhs
     out = []
     for k in range(1, min(len(l1), len(l2))):
         if l1[-k:] == l2[:k]:
             out.append((r1.rhs + l2[k:], l1[:-k] + r2.rhs))
-    if len(l2) < len(l1):
-        for i in range(len(l1) - len(l2) + 1):
-            if l1[i : i + len(l2)] == l2:
-                out.append((r1.rhs, l1[:i] + r2.rhs + l1[i + len(l2) :]))
     return out
 
 

@@ -113,11 +113,33 @@ class TestOneRecord:
         g = catalog.load("gomega::012")
         assert g.congruence is C2V
         ball = list(C2V.ball(8))
-        assert [g.is_trivial(w) for w in ball] == [g.contains(w) for w in ball]
-        assert any(g.contains(w) for w in ball if w)
+        assert [g.is_trivial(w) for w in ball] == [g.oracle(w) for w in ball]
+        assert any(g.oracle(w) for w in ball if w)
         for _ in range(200):
             u = random_word(rng, 4, 16)
             assert g.is_trivial(u) == gomega.normal_form_is_trivial(om, reduce_word(u))
+
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_gomega_group_and_chain_members_normalize_with_reduce_word(self, rng, level):
+        # the group and a member of its chain carry C2V, so each hands its
+        # oracle the `reduce_word` normal form of a raw word
+        from conftest import random_word
+
+        om = gomega.OmegaSequence.parse(":012")
+        g = catalog.load("gomega::012")
+        member = catalog.chain.__wrapped__("gomega::012").member(level)
+        assert g.congruence is member.congruence is C2V
+        asked = []
+        for record in (g, member):  # fresh records, so the spies stay here
+            oracle = record.oracle
+            record.oracle = lambda w, oracle=oracle: asked.append(w) or oracle(w)
+        for _ in range(200):
+            u = random_word(rng, 4, 16)
+            del asked[:]
+            assert g.is_trivial(u) == gomega.normal_form_is_trivial(om, reduce_word(u))
+            assert member.is_trivial(u) == gomega.normal_form_kernel_member(
+                om, reduce_word(u), level)
+            assert asked == [reduce_word(u)] * 2
 
 
 class TestExpectedFacts:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import random_word
-from contracta import catalog, cli, grig, marked, metabelian
+from contracta import catalog, cli, grig, growth, marked, metabelian
 from contracta.gomega import OmegaSequence
 from contracta.words import format_word, parse_word
 from test_gomega import reference_kernel_member
@@ -109,6 +109,24 @@ class TestStructure:
         code, out = run(capsys, "standard-cover", "--group", "gupta_sidki")
         assert code == 0
         assert "already self-replicating" in out
+
+    def test_standard_cover_with_extra_relators(self, capsys, tmp_path):
+        path = tmp_path / "extra.rec"
+        path.write_text(
+            "alphabet 3\n"
+            "gen x = perm(0 2 1) sections(x^-1, y, y)\n"
+            "gen y = perm(1 2 0) sections(x^-1, 1, x)\n"
+        )
+        argv = ["standard-cover", "--file", str(path), "--prune", "--radius", "4",
+                "--max-states", "300", "--max-depth", "32", "--max-word-length", "96"]
+        extra = ["x x x x x x", "x^-1 x^-1 x^-1 x^-1 x^-1 x^-1"]
+        assert run(capsys, *argv) == (0, "\n".join(["extra relators:", *extra]) + "\n")
+        code, out = run(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out) == {
+            "already_self_replicating": False, "command": "standard-cover",
+            "extra_relators": extra, "schema_version": 1,
+        }
 
     def test_act_and_section(self, capsys):
         code, out = run(capsys, "act", "--group", "grigorchuk", "--word", "b", "--vertex", "01")
@@ -253,6 +271,24 @@ class TestPresentationCommands:
         assert code == 0 and len(out.strip().splitlines()) == 6
         code, out = run(capsys, "hn-gens", "--n", "40")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lysenok", "--kind", "v", "--n", "-1"], "n must be >= 0"),
+        (["gn-pres", "--n", "-1"], "n must be >= 0"),
+        (["hn-gens", "--n", "-1"], "n must be >= 0"),
+        (["dist", "--group-a", "grigorchuk", "--group-b", "grigorchuk", "--radius", "-1"],
+         "radius must be >= 0"),
+        (["tc", "--gn", "0", "--subgroup", "t,zz"], "unknown generator 'zz' in word"),
+    ])
+    def test_bad_arguments_exit_two_in_text_and_json(self, capsys, argv, message):
+        # a negative n or radius, and a --subgroup word that is neither a
+        # preset nor an alias nor a word in the generators
+        assert cli.main(argv) == 2
+        assert capsys.readouterr()[:] == ("", f"error: {message}\n")
+        assert cli.main(["--json", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n"
+        assert json.loads(out.out) == {"command": argv[0], "error": message, "schema_version": 1}
 
 
 class TestFamilies:
@@ -452,6 +488,17 @@ class TestFamilies:
         lines = out.strip().splitlines()
         assert lines[0] == "n,gamma"
         assert [int(l.split(",")[1]) for l in lines[1:]] == [1, 5, 13, 29]
+
+    @pytest.mark.parametrize("spec", ["bs:2:4", "bs:1:1", "bs:2:3", "met:2:3"])
+    def test_growth_agrees_with_no_invariant(self, capsys, spec):
+        # the bs invariant is a homomorphic image for every l, m >= 1, also
+        # where met:<l>:<m> is not defined (gcd(l, m) != 1, or l = m = 1)
+        g = catalog.load(spec)
+        want = growth.ball_sizes(g.equal, 2, 5).gamma
+        code, out = run(capsys, "--json", "growth", "--group", spec, "--n-max", "5")
+        assert code == 0 and json.loads(out)["gamma"] == want
+        assert {"bs:2:4": [1, 5, 17, 53, 153, 425], "bs:1:1": [1, 5, 13, 25, 41, 61],
+                "bs:2:3": [1, 5, 17, 53, 147, 389]}.get(spec, want) == want
 
     def test_growth_prints_the_same_bytes_on_every_run(self, capsys):
         argv = ("growth", "--group", "grigorchuk", "--n-max", "5", "--probe")

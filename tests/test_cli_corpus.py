@@ -1,0 +1,157 @@
+"""Every command of the README's command list and of the CI smoke step, in
+text and under --json, prints the argv, exit code, stdout and stderr that
+`cli_corpus.json` records.
+
+Regenerate the corpus after an intended output change, and list the diff
+in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+`--help` is left out: argparse wraps it to the terminal and words it by
+Python version.  The commands run in-process, in a directory that holds the
+input files the README and the CI step write, with COLUMNS fixed for the
+usage line of an argparse error.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import shlex
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "tests", "cli_corpus.json")
+README = os.path.join(ROOT, "README.md")
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+COLUMNS = "80"
+
+# the files that `contracta gn-pres --n 0 > gn0.pres` and the CI step's
+# printf lines write
+FILES = {
+    "gn0.pres": "pres\ngens a b c d\nrel a a\nrel b b\nrel c c\nrel d d\nrel b c d\n"
+                "rel a d a d a d a d\n",
+    "triangle.pres": "pres\ngens x y\nrel x^-1 x^-1\nrel y y y\nrel x y x y x y x y x y\n",
+    "long.rec": "alphabet 3\ngen x = perm(2 0 1) sections(x^-1, x, 1)\n"
+                "gen y = perm(1 2 0) sections(1, y^-1, y)\n",
+    "powers.rec": "alphabet 3\ngen x = perm(2 1 0) sections(1, x^-1, x)\n",
+}
+
+
+def readme_commands():
+    """The README's command list: each `contracta` line of its first sh
+    block after "## Command line", without comments or redirection."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    out = []
+    for line in block.splitlines():
+        tokens = shlex.split(line, comments=True)
+        if tokens[:1] == ["contracta"]:
+            out.append(tokens[1 : tokens.index(">")] if ">" in tokens else tokens[1:])
+    return out
+
+
+def workflow_commands():
+    """Each `contracta` invocation of the CI workflow, up to the shell's
+    next pipe, redirection, list operator or closing parenthesis."""
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    out = []
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        for match in re.finditer(r"(?<![\w.-])contracta (?=\S)", line):
+            lexer = shlex.shlex(line[match.end() :].replace(" 2>&1", ""), posix=True,
+                                punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = []
+            for token in lexer:
+                if set(token) <= set(lexer.punctuation_chars):
+                    break
+                argv.append(token)
+            out.append(argv)
+    return out
+
+
+def corpus_argvs():
+    """Every command in text and under --json, in order of first mention,
+    with `--help` left out."""
+    out = []
+    for argv in readme_commands() + workflow_commands():
+        if "--help" in argv:
+            continue
+        text = [token for token in argv if token != "--json"]
+        for variant in (text, ["--json", *text]):
+            if variant not in out:
+                out.append(variant)
+    return out
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process `cli.main` call."""
+    from contracta import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def corpus_directory():
+    """A temporary working directory holding FILES, with COLUMNS fixed and
+    the catalog at its default place."""
+    saved = {key: os.environ.get(key) for key in ("COLUMNS", "CONTRACTA_CATALOG")}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.environ["COLUMNS"] = COLUMNS
+        os.environ.pop("CONTRACTA_CATALOG", None)
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+            for key, value in saved.items():
+                if value is None:
+                    os.environ.pop(key, None)
+                else:
+                    os.environ[key] = value
+
+
+def build():
+    with corpus_directory():
+        return [dict(zip(("argv", "code", "stdout", "stderr"), (argv, *run(argv))))
+                for argv in corpus_argvs()]
+
+
+def load():
+    with open(CORPUS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_the_corpus_lists_every_readme_and_ci_command():
+    assert [case["argv"] for case in load()] == corpus_argvs()
+
+
+def test_every_command_prints_the_recorded_bytes():
+    cases = load()
+    with corpus_directory():
+        for case in cases:
+            assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), \
+                case["argv"]
+
+
+if __name__ == "__main__":
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        json.dump(build(), fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {CORPUS}", file=sys.stderr)

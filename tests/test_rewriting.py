@@ -7,6 +7,7 @@ from contracta.rewriting import (
     Presentation,
     RewriteRule,
     _apply_rules,
+    _bucket,
     complete,
     format_presentation,
     normal_form,
@@ -227,15 +228,35 @@ def test_grig_reduce_agrees_with_knuth_bendix(rng):
 
 
 def test_cached_index_agrees_with_index_free_rewriting(rng):
-    # a system indexes its rules once; _apply_rules without an index
-    # rebuilds the lhs -> rhs table and the lhs lengths on every call
+    # a system indexes its rules once; here the lhs -> rhs table and the lhs
+    # lengths are rebuilt from the rules for every word
     systems = [complete(grig.g_n_presentation(0))]
     systems += [catalog.cover_for(name)[1] for name in ("grigorchuk", "hanoi3")]
     for sys_ in systems:
         assert sys_.complete
         for _ in range(300):
             u = random_word(rng, len(sys_.gens), 40)
-            assert sys_.rewrite(u) == _apply_rules(sys_.rules, u)
+            assert sys_.rewrite(u) == _apply_rules(_bucket(sys_.rules), u)
+
+
+@pytest.mark.parametrize("system", ["covers", "g0", "g1 at 300", "g1 at 600"])
+def test_no_left_side_contains_another(system):
+    # interreduction keeps every lhs out of every other, so critical pairs
+    # need only the proper overlaps, complete or not
+    if system == "covers":
+        systems = [catalog.cover_for(name)[1] for name in catalog.RECURSION_NAMES]
+    elif system == "g0":
+        systems = [complete(grig.g_n_presentation(0))]
+    else:
+        systems = [complete(grig.g_n_presentation(1), max_rules=int(system.split()[-1]))]
+        assert not systems[0].complete
+    for sys_ in systems:
+        lhs = [r.lhs for r in sys_.rules]
+        assert len(set(lhs)) == len(lhs)
+        for l1 in lhs:
+            for l2 in lhs:
+                inside = any(l1[i : i + len(l2)] == l2 for i in range(len(l1) - len(l2) + 1))
+                assert l1 == l2 or not inside, (l1, l2)
 
 
 def reference_apply_rules(rules, w):
