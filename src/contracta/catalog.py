@@ -99,13 +99,16 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> MarkedGroup:
     """The catalog group `name`; `budget` bounds its word problem, in section
     states and word length for recursion and gomega groups, in word length
     for the others.  A `gomega` group carries `grig.C2V`: its oracle takes
-    C2 * V normal forms, which `is_trivial` makes with `grig.reduce_word`."""
+    C2 * V normal forms, which `is_trivial` makes with `grig.reduce_word`,
+    and its level-6 action as its ball invariant."""
     if name in RECURSION_NAMES:
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega, memo = _omega(name), {}
+        action = omega.level_action(6)
         return MarkedGroup(grig.GENS, lambda w: gomega.normal_form_is_trivial(
-            omega, w, budget, memo), name, grig.C2V)
+            omega, w, budget, memo), name, grig.C2V,
+            invariant=lambda w: action(grig.reduce_word(w)))
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)

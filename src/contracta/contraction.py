@@ -125,23 +125,27 @@ def walk(start, split, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     if start in memo:
         return memo[start]
     seen = {start}
-    queue = deque(seen)
-    while queue:
-        current = queue.popleft()
+    queue = [start]
+    for current in queue:  # first in, first out: the list grows as the walk goes
         moved, sections = split(current)
         sections = tuple(sections)  # the cover split gives them lazily, for least_level
-        if moved or any(memo.get(state) is False for state in sections):
+        if not moved:
+            for state in sections:
+                if memo.get(state) is False:
+                    moved = True
+                    break
+        if moved:
             memo[start] = False
             if current is not start:  # spares a second hash of a long start word
                 memo[current] = False
             return False
         for state in sections:
             if state not in seen and state not in memo:  # known states are trivial
-                if len(seen) >= budget.max_states:
+                if len(queue) >= budget.max_states:
                     raise BudgetExceeded(f"section states exceed {budget.max_states}")
                 seen.add(state)
                 queue.append(state)
-    memo.update(dict.fromkeys(seen, True))
+    memo.update(dict.fromkeys(queue, True))
     return True
 
 

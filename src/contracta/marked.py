@@ -192,12 +192,15 @@ def scan(members, limit: MarkedGroup, radius: int):
         if not w:
             continue
         inside = limit_asks(w)
+        left = False
         for i, asks_member, onto_limit in live:
             if (inside or not onto_limit) and asks_member(w) != inside:
                 first[i] = len(w)
-        live = [(i, a, o) for i, a, o in live if first[i] is None]
-        if not live:  # before the next word, which may build the next length
-            break
+                left = True
+        if left:
+            live = [(i, a, o) for i, a, o in live if first[i] is None]
+            if not live:  # before the next word, which may build the next length
+                break
     return [
         Valuation(radius, True, radius) if f is None else Valuation(f - 1, False, radius)
         for f in first

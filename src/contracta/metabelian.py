@@ -2,7 +2,8 @@
 Baumslag-Solitar groups, and the exact 2x2 matrix groups they converge to.
 
 Words here are over the two letters s, t (with inverses); all arithmetic is
-exact (integer exponent vectors, `fractions.Fraction` matrix entries).
+exact (integer exponent vectors, `fractions.Fraction` matrix entries,
+which `matrix_image` forms once per word from integer counts).
 """
 
 from __future__ import annotations
@@ -216,18 +217,27 @@ def met_eval(l: int, m: int, word) -> MetElement:
 
 def matrix_image(l: int, m: int, word) -> MetElement:
     """`met_eval`'s image for any l, m >= 1: BS(l, m) maps onto it, but it
-    is Met(l, m) only for coprime l, m, not both 1."""
-    ratio = Fraction(l, m)
-    a, b = Fraction(1), Fraction(0)
+    is Met(l, m) only for coprime l, m, not both 1.  The image of a word is
+    a = (l/m)^e, for its t-exponent sum e, and b = the sum of +-(l/m)^k over
+    its s letters, k the t-exponent sum before each; so the loop counts the
+    s letters per k in integers, and the two fractions are formed once."""
+    e, counts = 0, {}  # t-exponent sum so far; k -> signed count of s letters at k
     for x in free_reduce(word):
         if x == S:
-            b += a
+            counts[e] = counts.get(e, 0) + 1
         elif x == -S:
-            b -= a
+            counts[e] = counts.get(e, 0) - 1
         elif x == T:
-            a *= ratio
+            e += 1
         elif x == -T:
-            a /= ratio
+            e -= 1
         else:
             raise SemanticError("matrix words use the letters s and t only")
-    return MetElement(a, b)
+    a = Fraction(l**e, m**e) if e >= 0 else Fraction(m**-e, l**-e)
+    if not counts:
+        return MetElement(a, Fraction(0))
+    lo, hi = min(counts), max(counts)
+    # b = l^lo m^-hi * the sum of c l^(k - lo) m^(hi - k)
+    num = sum(c * l ** (k - lo) * m ** (hi - k) for k, c in counts.items())
+    return MetElement(a, Fraction(num * l ** max(lo, 0) * m ** max(-hi, 0),
+                                  l ** max(-lo, 0) * m ** max(hi, 0)))

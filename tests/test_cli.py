@@ -500,6 +500,10 @@ class TestFamilies:
         assert {"bs:2:4": [1, 5, 17, 53, 153, 425], "bs:1:1": [1, 5, 13, 25, 41, 61],
                 "bs:2:3": [1, 5, 17, 53, 147, 389]}.get(spec, want) == want
 
+    def test_gomega_growth_is_grigorchuk_growth(self, capsys):
+        code, out = run(capsys, "--json", "growth", "--group", "gomega::012", "--n-max", "8")
+        assert code == 0 and json.loads(out)["gamma"] == [1, 5, 11, 23, 40, 68, 108, 176, 271]
+
     def test_growth_prints_the_same_bytes_on_every_run(self, capsys):
         argv = ("growth", "--group", "grigorchuk", "--n-max", "5", "--probe")
         assert run(capsys, *argv) == run(capsys, *argv)

@@ -1,6 +1,6 @@
-"""Every command of the README's command list and of the CI smoke step, in
-text and under --json, prints the argv, exit code, stdout and stderr that
-`cli_corpus.json` records.
+"""Every command of the README's command list, of the CI smoke step and of
+EXTRA, in text and under --json, prints the argv, exit code, stdout and
+stderr that `cli_corpus.json` records.
 
 Regenerate the corpus after an intended output change, and list the diff
 in CHANGES.md:
@@ -38,6 +38,24 @@ FILES = {
                 "gen y = perm(1 2 0) sections(1, y^-1, y)\n",
     "powers.rec": "alphabet 3\ngen x = perm(2 1 0) sections(1, x^-1, x)\n",
 }
+
+# one omega of each shape of the benchmark's converge workload: a preperiod
+# of 0-2 symbols, and a period of the three symbols plus 0-2 more
+OMEGAS = (":012", ":1202", ":20100", "2:102", "0:2101", "1:02122", "01:210", "22:0121",
+          "10:12001")
+
+# the shapes of the benchmark's converge workload: its dist ops at radius 8,
+# its three reports at their radii, and the Met(2, 3) matrices and tower
+EXTRA = [
+    *(["dist", "--group-a", f"gomega:{om}@{n}", "--group-b", f"gomega:{om}", "--radius", "8"]
+      for om in OMEGAS for n in range(4)),
+    ["converge", "--chain", "grigorchuk", "--radius", "10", "--n-max", "4"],
+    ["converge", "--chain", "gomega::012", "--radius", "10", "--n-max", "4"],
+    ["converge", "--chain", "bs:2:3", "--radius", "6", "--n-max", "4"],
+    *(["met", "--params", "2:3", "--word", word]
+      for word in ("s t", "t s t^-1 s^-1", "t^-2 s t^3 s^-1 t^-1")),
+    ["dist", "--group-a", "bs:2:3@2", "--group-b", "met:2:3", "--radius", "6"],
+]
 
 
 def readme_commands():
@@ -80,7 +98,7 @@ def corpus_argvs():
     """Every command in text and under --json, in order of first mention,
     with `--help` left out."""
     out = []
-    for argv in readme_commands() + workflow_commands():
+    for argv in readme_commands() + workflow_commands() + EXTRA:
         if "--help" in argv:
             continue
         text = [token for token in argv if token != "--json"]

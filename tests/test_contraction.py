@@ -1,10 +1,11 @@
 import random
+from collections import deque
 from itertools import chain
 
 import pytest
 
 from conftest import are_equal, level_permutation, random_word
-from contracta import catalog, contraction
+from contracta import catalog, contraction, grig
 from contracta.contraction import (
     DEFAULT_BUDGET,
     Budget,
@@ -15,8 +16,10 @@ from contracta.contraction import (
     nucleus,
     section_closure,
 )
-from contracta.covers import standard_cover, universal_cover
+from contracta.covers import section_split, standard_cover, universal_cover
 from contracta.errors import BudgetExceeded
+from contracta.gomega import OmegaSequence
+from contracta.marked import Congruence
 from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import concat, free_reduce, invert, parse_word, shortlex_key
 from test_fuzz import SMALL, random_recursion
@@ -633,3 +636,99 @@ class TestWalkMemo:
         assert shared == [is_trivial(rec, u) for u in words]
         assert 0 < sum(shared) < len(words)
         assert False in memo.values() and True in memo.values()
+
+
+def reference_walk(start, split, budget=DEFAULT_BUDGET, memo=None):
+    """`contraction.walk` as it was before it ran its queue as a growing
+    list: a deque, and a generator over the sections for a memo `False`."""
+    memo = {} if memo is None else memo
+    if start in memo:
+        return memo[start]
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        current = queue.popleft()
+        moved, sections = split(current)
+        sections = tuple(sections)
+        if moved or any(memo.get(state) is False for state in sections):
+            memo[start] = False
+            if current is not start:
+                memo[current] = False
+            return False
+        for state in sections:
+            if state not in seen and state not in memo:
+                if len(seen) >= budget.max_states:
+                    raise BudgetExceeded(f"section states exceed {budget.max_states}")
+                seen.add(state)
+                queue.append(state)
+    memo.update(dict.fromkeys(seen, True))
+    return True
+
+
+def _walk_outcomes(decide, starts):
+    """Per start, `decide(start, memo)` with a fresh memo and with one memo
+    shared in order: the answers or BudgetExceeded messages, the fresh memos
+    and the shared one."""
+    fresh, memos, shared, memo = [], [], [], {}
+    for start in starts:
+        for answers, m in ((fresh, {}), (shared, memo)):
+            try:
+                answers.append(decide(start, m))
+            except BudgetExceeded as e:
+                answers.append(str(e))
+            if m is not memo:
+                memos.append(m)
+    return fresh, memos, shared, memo
+
+
+TIGHT = Budget(max_states=2)
+
+
+class TestWalkFastPath:
+    """`walk` gives `reference_walk`'s answers, memo entries and
+    BudgetExceeded on every split that takes it: the catalog recursions'
+    (through `is_trivial`), the `gomega` split and the cover split, at the
+    default budget and at a tight one."""
+
+    def agree(self, monkeypatch, decide, starts):
+        """Every answer of `decide`, which asks `contraction.walk`, and of it
+        asking `reference_walk`, after checking that they agree."""
+        got = _walk_outcomes(decide, starts)
+        with monkeypatch.context() as patched:
+            patched.setattr(contraction, "walk", reference_walk)
+            assert _walk_outcomes(decide, starts) == got
+        return got[0] + got[2]
+
+    def outcomes(self, answers):
+        return {a if isinstance(a, bool) else "budget" for a in answers}
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_catalog_recursions(self, name, monkeypatch):
+        rec = catalog.load(name).recursion
+        words = _memo_words(rec, random.Random(name), 300)
+        answers = []
+        for budget in (DEFAULT_BUDGET, TIGHT):
+            answers += self.agree(
+                monkeypatch, lambda u, m: is_trivial(rec, u, budget, m), words)
+        assert self.outcomes(answers) == {True, False, "budget"}
+
+    @pytest.mark.parametrize("text", [":012", "0:12", "12:10220", ":0"])
+    def test_gomega_states(self, text, monkeypatch):
+        om = OmegaSequence.parse(text)
+        states = [(u, 0) for u in grig.C2V.ball(9)]
+        answers = []
+        for budget in (DEFAULT_BUDGET, TIGHT):
+            answers += self.agree(
+                monkeypatch, lambda s, m: contraction.walk(s, om.split, budget, m), states)
+        assert self.outcomes(answers) == {True, False, "budget"}
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "hanoi3", "basilica"])
+    def test_cover_split(self, name, monkeypatch):
+        cover, sys_ = catalog.cover_for(name)
+        words = list(Congruence(sys_).ball(4))
+        answers = []
+        for budget in (DEFAULT_BUDGET, TIGHT):
+            split = section_split(cover, sys_, budget)
+            answers += self.agree(
+                monkeypatch, lambda u, m: contraction.walk(u, split, budget, m), words)
+        assert self.outcomes(answers) == {True, False, "budget"}

@@ -627,6 +627,47 @@ class TestWalkMemo:
         assert 0 < sum(shared) < len(asks)
 
 
+def reference_level_permutation(om, word, n):
+    """The permutation of {0,1}^n of a C2 * V normal form, in lexicographic
+    order, one vertex at a time: (xv)g = (x flipped by g)(v g_x), with g and
+    its sections split by `om.split` as whole words."""
+    perm = []
+    for vertex in product((0, 1), repeat=n):
+        state, index = (word, 0), 0
+        for x in vertex:
+            flip, sections = om.split(state)
+            index = 2 * index + (x ^ flip)
+            state = sections[x]
+        perm.append(index)
+    return tuple(perm)
+
+
+class TestLevelAction:
+    @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
+    def test_matches_the_vertex_by_vertex_action(self, text, ball9):
+        om = OmegaSequence.parse(text)
+        for n in (1, 3, 6):
+            action = om.level_action(n)
+            for u in ball9[::5]:
+                assert action(u) == reference_level_permutation(om, u, n), (text, u, n)
+
+    def test_is_the_grigorchuk_recursions_action_at_012(self, grig, rng):
+        action = OmegaSequence.parse(":012").level_action(6)
+        reference = grig.recursion.level_action(6)
+        for _ in range(300):
+            u = random_word(rng, 4, 20)
+            assert action(reduce_word(u)) == reference(u)
+
+    def test_the_catalog_invariant_takes_any_word(self, rng):
+        g = catalog.load("gomega:1:02")
+        action = OmegaSequence.parse("1:02").level_action(6)
+        for _ in range(200):
+            u = random_word(rng, 4, 16)
+            assert g.invariant(u) == action(reduce_word(u))
+            if g.is_trivial(u):
+                assert g.invariant(u) == tuple(range(64))
+
+
 def lift(symbol, word):
     """A word in C2 * V normal form whose left section at `symbol` is `word`:
     `a` goes to a letter whose first section is the flip, and a V letter v

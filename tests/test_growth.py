@@ -51,6 +51,19 @@ class TestBallSizes:
         )
         assert bisim.gamma == by_perm.gamma
 
+    def test_gomega_is_bucketed_by_its_level_action(self):
+        # gomega::012 is Grigorchuk's group, and both records bucket the
+        # ball by the same level-6 action, so both confirm as few candidates
+        calls = {}
+        for name in ("grigorchuk", "gomega::012"):
+            g = catalog.load(name)
+            asked = []
+            table = ball_sizes(lambda u, v: asked.append(u) or g.equal(u, v), 4, 8,
+                               invariant=g.invariant)
+            assert table.gamma == [1, 5, 11, 23, 40, 68, 108, 176, 271]
+            calls[name] = len(asked)
+        assert calls["gomega::012"] == calls["grigorchuk"]
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             f2_table_big = ball_sizes(

@@ -277,6 +277,20 @@ class TestScan:
         assert sorted(asked["limit"]) == sorted(free_ball(1, 3)[1:])
         assert asked["trivial"] == [(1,)]
 
+    def test_members_leaving_at_different_lengths_get_their_own_valuations(self):
+        # Z/k disagrees with Z first at x^k; the scan drops each member at its
+        # own length and keeps asking the others, in any member order
+        def cyclic(k):
+            return MarkedGroup(X, lambda w: exponent_sum(w) % k == 0, name=f"Z/{k}")
+
+        groups = [cyclic(5), TRIVIAL1, Z1, cyclic(2), cyclic(7), cyclic(3), cyclic(2)]
+        for limit in (Z1, cyclic(6)):
+            values = scan(groups, limit, 6)
+            assert values == [valuation(g, limit, 6) for g in groups]
+        assert [(v.value, v.at_least) for v in scan(groups, Z1, 6)] == [
+            (4, False), (0, False), (6, True), (1, False), (6, True), (2, False), (1, False)
+        ]
+
     def test_cap_counts_the_words_visited(self, monkeypatch):
         monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 10)
         # the ball has 101 words, but the scan ends at its second

@@ -71,6 +71,25 @@ def reference_wreath_eval(word, modulus=0):
     return out
 
 
+def reference_matrix_image(l, m, word):
+    """`metabelian.matrix_image` as it was before it counted in integers:
+    one `Fraction` product or sum per letter."""
+    ratio = Fraction(l, m)
+    a, b = Fraction(1), Fraction(0)
+    for x in free_reduce(word):
+        if x == S:
+            b += a
+        elif x == -S:
+            b -= a
+        elif x == metabelian.T:
+            a *= ratio
+        elif x == -metabelian.T:
+            a /= ratio
+        else:
+            raise SemanticError("matrix words use the letters s and t only")
+    return MetElement(a, b)
+
+
 def pair(element):
     return element.values, element.shift
 
@@ -242,6 +261,20 @@ class TestMet:
                     )
                 assert met_eval(l, m, u).rows() == mat, (l, m, u)
                 assert met_eval(l, m, u).is_identity == (mat == ((1, 0), (0, 1)))
+
+    def test_matrix_image_agrees_with_the_fraction_loop(self, rng):
+        # every l, m <= 5: coprime, gcd > 1 and l = m, on words that reach
+        # t-exponents of both signs, and on words with no s letter
+        for l in range(1, 6):
+            for m in range(1, 6):
+                words = [random_word(rng, 2, 24) for _ in range(80)]
+                words += [w("t^-3"), w("t^2"), (), w("s t^4 s^-1 t^-4"), w("t^-5 s t^5")]
+                for u in words:
+                    got, want = metabelian.matrix_image(l, m, u), reference_matrix_image(l, m, u)
+                    assert got == want, (l, m, u)
+                    assert type(got.a) is Fraction and type(got.b) is Fraction
+        with pytest.raises(SemanticError, match="letters s and t only"):
+            metabelian.matrix_image(2, 3, (1, 3))
 
     def test_parameter_validation(self):
         with pytest.raises(SemanticError):
