@@ -279,6 +279,8 @@ def cmd_dist(args):
 
 
 def cmd_converge(args):
+    if args.n_max < 0:
+        raise ValueError("n_max must be >= 0")
     chain = catalog.chain(args.chain)
     groups = [(n, chain.member(n)) for n in range(args.n_max + 1)]
     report = marked.converge_report(groups, chain.limit, args.radius)

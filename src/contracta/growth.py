@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .record import Record
-from .words import concat
 
 
 class GrowthTable(Record):
@@ -42,24 +41,40 @@ def ball_sizes(
     `invariant(word)` may supply a hashable prehash (equal elements must get
     equal keys); without one every candidate is confirmed against all known
     representatives.
+
+    Radius 1 tries all 2 * ngens signed letters.  From radius 2 on, only the
+    letters found new at radius 1 are tried, and a word is never extended by
+    the one equal to the inverse of its last letter.  A skipped candidate
+    is never a new element, so the representatives, found in the same order,
+    are those of trying every letter.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     letters = [i for i in range(1, ngens + 1)] + [-i for i in range(1, ngens + 1)]
     classes = {invariant(()) if invariant else (): [()]}  # invariant key -> representatives
+    follow = {(): letters}  # a word's last letter, as a 1-tuple -> the letters tried after it
+    first = {}  # letter -> the representative it equals at radius 1
     gamma, frontier, total = [1], [()], 1
-    for _ in range(n_max):
+    for radius in range(n_max):
         new_reps = []
         for w in frontier:
-            for s in letters:
-                cand = concat(w, (s,))
+            for s in follow[w[-1:]]:
+                cand = w + (s,)
                 key = invariant(cand) if invariant else ()
                 bucket = classes.setdefault(key, [])
-                if any(equal(cand, known) for known in bucket):
+                known = next((k for k in bucket if equal(cand, k)), None)
+                if not w:
+                    first[s] = cand if known is None else known
+                if known is not None:
                     continue
                 bucket.append(cand)
                 new_reps.append(cand)
                 total += 1
                 if total > max_elements:
                     raise BudgetExceeded(f"ball exceeds {max_elements} elements")
+        if radius == 0:
+            kept = [s for s in letters if first[s] == (s,)]
+            follow = {(s,): [t for t in kept if (t,) != first[-s]] for s in kept}
         frontier = new_reps
         gamma.append(total)
     return GrowthTable(name, ngens, gamma)

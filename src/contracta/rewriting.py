@@ -136,6 +136,8 @@ def _orient(u, v):
 def complete(p: Presentation, max_rules: int = 2_000) -> RewriteSystem:
     """Shortlex Knuth-Bendix.  Returns a system with `complete=True` when all
     critical pairs resolve; otherwise `complete=False` with the partial rules."""
+    if max_rules < 1:
+        raise ValueError("max_rules must be positive")
     eqs = []
     for g in range(1, len(p.gens) + 1):
         eqs.append(((g, -g), ()))

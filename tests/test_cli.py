@@ -260,6 +260,16 @@ class TestPresentationCommands:
         assert out.startswith("complete")
         assert "b c -> d" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_kb_rejects_a_non_positive_budget(self, capsys, tmp_path, budget):
+        pres = tmp_path / "v.pres"
+        pres.write_text("pres\ngens a b\nrel a b a b a b\n")
+        argv = ["kb", "--pres", str(pres), "--max-rules", budget]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr()[:] == ("", "error: max_rules must be positive\n")
+        assert cli.main(["--json", *argv]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "max_rules must be positive"
+
     def test_rank(self, capsys):
         code, out = run(capsys, "rank", "--orders", "2,4", "--index", "8")
         assert code == 0 and out.strip() == "3"
@@ -279,9 +289,12 @@ class TestPresentationCommands:
         (["dist", "--group-a", "grigorchuk", "--group-b", "grigorchuk", "--radius", "-1"],
          "radius must be >= 0"),
         (["tc", "--gn", "0", "--subgroup", "t,zz"], "unknown generator 'zz' in word"),
+        (["growth", "--group", "hanoi3", "--n-max", "-1"], "n_max must be >= 0"),
+        (["converge", "--chain", "grigorchuk", "--radius", "4", "--n-max", "-1"],
+         "n_max must be >= 0"),
     ])
     def test_bad_arguments_exit_two_in_text_and_json(self, capsys, argv, message):
-        # a negative n or radius, and a --subgroup word that is neither a
+        # a negative n, radius or n_max, and a --subgroup word that is neither a
         # preset nor an alias nor a word in the generators
         assert cli.main(argv) == 2
         assert capsys.readouterr()[:] == ("", f"error: {message}\n")

@@ -44,8 +44,15 @@ FILES = {
 OMEGAS = (":012", ":1202", ":20100", "2:102", "0:2101", "1:02122", "01:210", "22:0121",
           "10:12001")
 
+# growth balls of the catalog recursions and of the other families, at
+# radii that each take a few tens of milliseconds
+GROWTH = (("hanoi3", 8), ("basilica", 6), ("img_z2_plus_i", 7), ("gupta_sidki", 6),
+          ("fabrykowski_gupta", 6), ("gomega:1:02", 8), ("bs:1:1", 6), ("met:2:3", 5),
+          ("wreath:z", 5), ("w_n:1", 4))
+
 # the shapes of the benchmark's converge workload: its dist ops at radius 8,
-# its three reports at their radii, and the Met(2, 3) matrices and tower
+# its three reports at their radii, and the Met(2, 3) matrices and tower;
+# then the growth balls
 EXTRA = [
     *(["dist", "--group-a", f"gomega:{om}@{n}", "--group-b", f"gomega:{om}", "--radius", "8"]
       for om in OMEGAS for n in range(4)),
@@ -55,6 +62,7 @@ EXTRA = [
     *(["met", "--params", "2:3", "--word", word]
       for word in ("s t", "t s t^-1 s^-1", "t^-2 s t^3 s^-1 t^-1")),
     ["dist", "--group-a", "bs:2:3@2", "--group-b", "met:2:3", "--radius", "6"],
+    *(["growth", "--group", name, "--n-max", str(n)] for name, n in GROWTH),
 ]
 
 

@@ -159,6 +159,13 @@ class TestCompletion:
         with pytest.raises(ValueError):
             normal_form(sys_, (1,))
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_is_rejected(self, budget):
+        gens = ("a", "b")
+        pres = Presentation(gens, (parse_word("a b a b a b", gens),))
+        with pytest.raises(ValueError, match="max_rules must be positive"):
+            complete(pres, max_rules=budget)
+
 
 class TestNormalForm:
     def test_bc_normalizes_to_d(self, c2v):
