@@ -14,10 +14,9 @@ from itertools import count, product
 from operator import not_
 from typing import NamedTuple
 
-from . import contraction, rewriting
+from . import contraction, marked, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, Nucleus
 from .errors import BudgetExceeded
-from .marked import Congruence
 from .record import Record
 from .recursion import WreathRecursion, perm_identity
 from .rewriting import Presentation, RewriteSystem, normal_form
@@ -203,7 +202,8 @@ def standard_cover(
     pair, the extra relator set is empty and the standard cover coincides
     with the universal one.  A pair with no such witness within
     `search_radius` falls back to the elements of length <= search_radius + 1,
-    the length its error names.
+    the length its error names.  Each ball is within the scans' cap,
+    `marked.DEFAULT_BALL_CAP`, charged before each length is built.
     """
     if sys is None:
         sys = rewriting.complete(cover.presentation)
@@ -212,14 +212,14 @@ def standard_cover(
     rec = cover.recursion
     nucleus = cover.nucleus
     d = rec.degree
-    ball = Congruence(sys).ball
+    ball, cap = marked.Congruence(sys).ball, marked.DEFAULT_BALL_CAP
 
     # distinct nucleus elements are distinct in G, onto which the cover maps,
     # so their normal forms are too: one lookup finds a section's element
     target = {normal_form(sys, w): i for i, w in enumerate(cover.element_words)}
     pairs = d * len(nucleus)
     witnesses, exact = {}, {}
-    for h in ball(search_radius):
+    for h in ball(search_radius, cap):
         tau, sections = rec.split(h)
         for x in range(d):
             if tau[x] != x:
@@ -239,7 +239,7 @@ def standard_cover(
                if (x, i) not in witnesses]
     if missing:
         split = section_split(cover, sys, budget)
-        elements = list(ball(search_radius + 1))
+        elements = list(ball(search_radius + 1, cap))
         for x, i in missing:
             for h in elements:
                 tau, sections = rec.split(h)

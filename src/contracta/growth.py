@@ -1,9 +1,10 @@
 """Ball-size enumeration for any group with an equality oracle, plus
 descriptive growth indicators.
 
-Deduplication keeps one canonical representative per group element: new
-candidates are bucketed by a cheap invariant (when the group provides one)
-and confirmed against bucket members with the exact equality oracle.
+Deduplication keeps one canonical representative per group element
+(`Classes`): new candidates are bucketed by a cheap invariant (when the
+group provides one) and confirmed against bucket members with the exact
+equality oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,34 @@ class GrowthTable(Record):
     def to_csv(self) -> str:
         lines = ["n,gamma"] + [f"{n},{g}" for n, g in enumerate(self.gamma)]
         return "\n".join(lines) + "\n"
+
+
+class Classes:
+    """The element classes of the words `find` is asked about, numbered from
+    0 in the order they are found.  A word is bucketed by `invariant(word)`
+    (equal elements must get equal keys; without an invariant there is one
+    bucket) and confirmed with `equal(word, rep)` against the bucket's
+    representatives, in the order they came."""
+
+    __slots__ = ("reps", "_equal", "_invariant", "_buckets")
+
+    def __init__(self, equal, invariant=None):
+        self.reps = []  # class number -> the first word found in the class
+        self._equal, self._invariant = equal, invariant
+        self._buckets = {}  # invariant key -> class numbers
+
+    def find(self, word) -> int:
+        """The number of `word`'s class; a word equal to no representative
+        opens a new class, numbered len(reps) before the call."""
+        reps, equal = self.reps, self._equal
+        key = self._invariant(word) if self._invariant else ()
+        bucket = self._buckets.setdefault(key, [])
+        for c in bucket:
+            if equal(word, reps[c]):
+                return c
+        bucket.append(len(reps))
+        reps.append(word)
+        return len(reps) - 1
 
 
 def ball_sizes(
@@ -51,7 +80,9 @@ def ball_sizes(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     letters = [i for i in range(1, ngens + 1)] + [-i for i in range(1, ngens + 1)]
-    classes = {invariant(()) if invariant else (): [()]}  # invariant key -> representatives
+    classes = Classes(equal, invariant)
+    find, reps = classes.find, classes.reps
+    find(())
     follow = {(): letters}  # a word's last letter, as a 1-tuple -> the letters tried after it
     first = {}  # letter -> the representative it equals at radius 1
     gamma, frontier, total = [1], [()], 1
@@ -60,14 +91,11 @@ def ball_sizes(
         for w in frontier:
             for s in follow[w[-1:]]:
                 cand = w + (s,)
-                key = invariant(cand) if invariant else ()
-                bucket = classes.setdefault(key, [])
-                known = next((k for k in bucket if equal(cand, k)), None)
+                c = find(cand)
                 if not w:
-                    first[s] = cand if known is None else known
-                if known is not None:
+                    first[s] = reps[c]
+                if c < total:
                     continue
-                bucket.append(cand)
                 new_reps.append(cand)
                 total += 1
                 if total > max_elements:

@@ -10,9 +10,11 @@ kernel balls agree; full agreement through the examined radius is reported as
 from __future__ import annotations
 
 import math
+from itertools import groupby, islice
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
+from .growth import Classes
 from .record import Record
 from .words import Word, concat, invert
 
@@ -128,12 +130,17 @@ def _level_sizes(follow):
         ends = grown
 
 
-def _free_words(k: int, radius: int, cap=None):
-    """Freely reduced words of length <= radius in rank k, shortest first."""
+def _free_follow(k: int) -> dict:
+    """The last-letter table of the freely reduced words in rank k."""
     letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
     follow = {s: [t for t in letters if t != -s] for s in letters}
     follow[None] = letters
-    return length_order(follow, radius, cap)
+    return follow
+
+
+def _free_words(k: int, radius: int, cap=None):
+    """Freely reduced words of length <= radius in rank k, shortest first."""
+    return length_order(_free_follow(k), radius, cap)
 
 
 class Valuation(NamedTuple):
@@ -160,18 +167,22 @@ def valuation(a: MarkedGroup, b: MarkedGroup, radius: int) -> Valuation:
 
 
 def scan(members, limit: MarkedGroup, radius: int):
-    """Valuation of each member against `limit`, in one pass over the ball.
+    """Valuation of each member against `limit`, one length at a time.
 
-    Words come shortest first, so a member leaves the scan at its first
-    disagreement with the limit, and the limit is asked once per word.  A
-    member whose `onto` is `limit` is asked only about the words the limit
-    finds trivial: its kernel lies in the limit's, so it agrees on every
-    other word without being asked.  A group that carries a congruence is
-    asked only about its normal forms: when every group carries the same
-    congruence the words are its irreducible ones, asked of each oracle as
-    they are, else the free ball, decided by each group's `is_trivial`.
-    A ball of more than DEFAULT_BALL_CAP words is BudgetExceeded, raised
-    before the length that passes the cap.
+    The words compared are the irreducible words of the congruence that
+    every group carries, handed to each oracle as they are, or else the free
+    ball, decided by each group's `is_trivial`.  A word w of length L is
+    trivial in a group exactly when w = u s with |u| = ceil(L/2),
+    |s| = floor(L/2) and u equal to s^-1 there; u and s, subwords of w, lie
+    in the half ball, of radius ceil(radius/2).  So a group's kernel words
+    are listed from its element classes on the half ball alone (`kernels`).
+    A member whose `onto` is `limit` is asked only about the limit's kernel
+    words: its kernel lies in the limit's, so it agrees on every other
+    word.  Any other member's kernel is listed too, and compared with the
+    limit's.  A member leaves at the first length where they disagree.  A
+    half ball of more than DEFAULT_BALL_CAP words, or a group with more than
+    DEFAULT_BALL_CAP pairs (u, s) to try, is BudgetExceeded, raised before
+    the half ball, or the length whose pairs pass the cap, is built.
     """
     if any(g.rank != limit.rank for g in members):
         raise ValueError("marked groups must have equal ranks")
@@ -179,32 +190,82 @@ def scan(members, limit: MarkedGroup, radius: int):
         raise ValueError("radius must be >= 0")
     if not members:
         return []
-    congruence = limit.congruence
+    half, cap, congruence = (radius + 1) // 2, DEFAULT_BALL_CAP, limit.congruence
     if congruence is not None and all(g.congruence == congruence for g in members):
-        words = congruence.ball(radius, DEFAULT_BALL_CAP)
-        limit_asks, asks = limit.oracle, [g.oracle for g in members]
+        words, follow = congruence.ball(half), congruence._follow
+        rewrite = congruence._rewrite if congruence._long else None
+
+        def flip(w):  # the irreducible word of w's inverse, as long as w
+            return congruence.normal_form(invert(w))
+
+        asks = [g.oracle for g in members]
     else:
-        words = _free_words(limit.rank, radius, DEFAULT_BALL_CAP)
-        limit_asks, asks = limit.is_trivial, [g.is_trivial for g in members]
+        words, follow, rewrite = _free_words(limit.rank, half), _free_follow(limit.rank), None
+        flip, asks = invert, [g.is_trivial for g in members]
+    if sum(islice(_level_sizes(follow), half + 1)) > cap:
+        raise BudgetExceeded(f"marked-group scan passed the ball cap of {cap} words")
+    # the half ball by length; its words are closed under prefixes, so no
+    # length is missing before the last one that has words
+    levels = [list(run) for _, run in groupby(words, len)]
+    levels += [[]] * (half + 1 - len(levels))
+
+    def kernels(group):
+        """The group's kernel words of each length 1, ..., radius, one list
+        per length: the ball words u s with u and s^-1 in one class.  One
+        `Classes` numbers the half-ball words, and so their inverses, whose
+        irreducible words are half-ball words of the same length."""
+        find = Classes(group.equal, _invariant(group)).find
+        ends, starts = [], []  # by length: class -> its words; -> the words whose inverse is in it
+        spent = 0
+        for length in range(1, radius + 1):
+            a, b = (length + 1) // 2, length // 2
+            while len(ends) <= a:
+                ball = levels[len(ends)]
+                found = {w: find(w) for w in ball}
+                ends.append(_by_class(ball, found.__getitem__))
+                starts.append(_by_class(ball, lambda w: found[flip(w)]))
+            pairs = [(us, starts[b][c]) for c, us in ends[a].items() if c in starts[b]]
+            spent += sum(len(us) * len(ss) for us, ss in pairs)
+            if spent > cap:
+                raise BudgetExceeded(f"marked-group scan passed the cap of {cap} word pairs")
+            joined = (u + s for us, ss in pairs for u in us for s in ss
+                      if not s or s[0] in follow[u[-1]])
+            yield [w for w in joined if rewrite(w) == w] if rewrite else list(joined)
+
     first = [None] * len(members)  # length of each member's first disagreement
-    live = [(i, a, g.onto is limit) for i, (g, a) in enumerate(zip(members, asks))]
-    for w in words:
-        if not w:
-            continue
-        inside = limit_asks(w)
-        left = False
-        for i, asks_member, onto_limit in live:
-            if (inside or not onto_limit) and asks_member(w) != inside:
-                first[i] = len(w)
-                left = True
-        if left:
-            live = [(i, a, o) for i, a, o in live if first[i] is None]
-            if not live:  # before the next word, which may build the next length
-                break
+    listed = [None if g.onto is limit else kernels(g) for g in members]
+    live = range(len(members))
+    for length, inside in zip(range(1, radius + 1), kernels(limit)):
+        for i in live:
+            if listed[i] is None:
+                agree = all(map(asks[i], inside))
+            else:
+                agree = set(next(listed[i])) == set(inside)
+            if not agree:
+                first[i] = length
+        live = [i for i in live if first[i] is None]
+        if not live:  # before the next length, which may classify more of the half ball
+            break
     return [
         Valuation(radius, True, radius) if f is None else Valuation(f - 1, False, radius)
         for f in first
     ]
+
+
+def _invariant(group: MarkedGroup):
+    """The group's ball invariant, else the nearest one along its `onto`
+    groups: words equal in a group are equal in every group it maps onto."""
+    while group.invariant is None and group.onto is not None:
+        group = group.onto
+    return group.invariant
+
+
+def _by_class(words, number) -> dict:
+    """`words` by class, in order: class number -> the words numbered so."""
+    out = {}
+    for w in words:
+        out.setdefault(number(w), []).append(w)
+    return out
 
 
 class ConvergenceRow(NamedTuple):

@@ -101,40 +101,55 @@ class WreathRecursion(Record):
         i).  The action on X^n is a homomorphism, so a word's permutation is
         its letters' ones composed, right to left, one `itemgetter` call per
         letter.  A letter's level-k permutation is its root permutation
-        blocked over its sections' level-(k-1) ones, composed the same way.
-        The letters' permutations are computed on the first call."""
+        blocked over its sections' level-(k-1) ones, composed the same way;
+        each is built the first time a word needs it (`_LevelPerms`)."""
         d, cap = self.degree, DEFAULT_LEVEL_CAP
         if d**n > cap:
             raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
         if n < 1:
             raise ValueError("level_action needs a level of at least 1")
-        letters = [s for g in range(1, len(self.gens) + 1) for s in (g, -g)]
-        identity = tuple(range(d**n))
-        apply_letter = {}  # s -> (P -> permutation of s followed by P), at level n
-
-        def compose(word, p):
-            for s in reversed(word):
-                p = apply_letter[s](p)
-            return p
+        letters = None
+        for _ in range(n):
+            letters = _LevelPerms(self._letters, d, letters)
+        identity = letters.identity
 
         def permutation(word):
-            if not apply_letter:
-                for s in letters:  # level 1: the root permutations
-                    apply_letter[s] = itemgetter(*self._letters[s][0])
-                for k in range(1, n):  # level k + 1 from level k
-                    block = tuple(range(d**k))
-                    perms = {}
-                    for s in letters:
-                        images, secs = self._letters[s]
-                        perms[s] = tuple(
-                            images[x] * len(block) + j
-                            for x in range(d)
-                            for j in compose(secs[x], block)
-                        )
-                    apply_letter.update((s, itemgetter(*p)) for s, p in perms.items())
-            return compose(word, identity)
+            p = identity
+            for s in reversed(word):
+                p = letters[s](p)
+            return p
 
         return permutation
+
+
+class _LevelPerms(dict):
+    """Signed letter -> `itemgetter` of its permutation of one level, looked
+    up as a plain dict and filled by `__missing__`: the root permutation at
+    level 1, else the root permutation blocked over the sections' entries of
+    `below`, the level under it."""
+
+    __slots__ = ("letters", "degree", "below", "identity")
+
+    def __init__(self, letters, degree: int, below):
+        super().__init__()
+        self.letters, self.degree, self.below = letters, degree, below
+        self.identity = tuple(range(degree * (1 if below is None else len(below.identity))))
+
+    def __missing__(self, s):
+        images, secs = self.letters[s]
+        below = self.below
+        if below is None:
+            perm = images
+        else:
+            block = below.identity
+            perm = []
+            for x in range(self.degree):
+                p, offset = block, images[x] * len(block)
+                for t in reversed(secs[x]):
+                    p = below[t](p)
+                perm.extend(offset + j for j in p)
+        getter = self[s] = itemgetter(*perm)
+        return getter
 
 
 def parse_recursion(text: str) -> WreathRecursion:

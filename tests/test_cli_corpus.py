@@ -50,9 +50,32 @@ GROWTH = (("hanoi3", 8), ("basilica", 6), ("img_z2_plus_i", 7), ("gupta_sidki", 
           ("fabrykowski_gupta", 6), ("gomega:1:02", 8), ("bs:1:1", 6), ("met:2:3", 5),
           ("wreath:z", 5), ("w_n:1", 4))
 
+# the error and budget corners: each --max-states and --max-word-length
+# error of the word problems, the argument errors, and standard-cover with
+# too small a radius for a witness
+CORNERS = [
+    *([command, "--group", "grigorchuk", "--word", "a b a c a d a b a c a d", *other,
+       "--max-states", "2"] for command, other in (("wp", ()), ("eq", ("--other", "1")))),
+    ["wp", "--group", "grigorchuk", "--word", "a b a b", "--max-word-length", "3"],
+    ["eq", "--group", "grigorchuk", "--word", "a b a c", "--other", "c a b a",
+     "--max-word-length", "3"],
+    ["gomega-wp", "--omega", ":012", "--word", "a b a c a d a b a c a d", "--max-states", "2"],
+    ["gomega-wp", "--omega", ":012", "--word", "a b a b", "--max-word-length", "3"],
+    ["kernel-member", "--group", "grigorchuk", "--word", "a d a d a d a d", "--level", "-1"],
+    ["dist", "--group-a", "gomega::012@-1", "--group-b", "gomega::012", "--radius", "4"],
+    *([command, "--n", "-1"] for command in ("gn-pres", "hn-gens")),
+    ["lysenok", "--kind", "u", "--n", "-1"],
+    ["growth", "--group", "grigorchuk", "--n-max", "-1"],
+    ["converge", "--chain", "grigorchuk", "--radius", "4", "--n-max", "-1"],
+    ["kb", "--pres", "gn0.pres", "--max-rules", "0"],
+    ["converge", "--chain", "met:2:3", "--radius", "2", "--n-max", "1"],
+    ["dist", "--group-a", "met:2:3@1", "--group-b", "met:2:3", "--radius", "2"],
+    *(["standard-cover", "--group", "grigorchuk", "--radius", r] for r in ("0", "1")),
+]
+
 # the shapes of the benchmark's converge workload: its dist ops at radius 8,
 # its three reports at their radii, and the Met(2, 3) matrices and tower;
-# then the growth balls
+# then the growth balls and the corners
 EXTRA = [
     *(["dist", "--group-a", f"gomega:{om}@{n}", "--group-b", f"gomega:{om}", "--radius", "8"]
       for om in OMEGAS for n in range(4)),
@@ -63,6 +86,7 @@ EXTRA = [
       for word in ("s t", "t s t^-1 s^-1", "t^-2 s t^3 s^-1 t^-1")),
     ["dist", "--group-a", "bs:2:3@2", "--group-b", "met:2:3", "--radius", "6"],
     *(["growth", "--group", name, "--n-max", str(n)] for name, n in GROWTH),
+    *CORNERS,
 ]
 
 

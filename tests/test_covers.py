@@ -330,6 +330,30 @@ class TestStandardCover:
         with pytest.raises(BudgetExceeded, match="witness"):
             standard_cover(cover, sys=sys_, search_radius=1)
 
+    def test_ball_is_charged_before_each_length(self, grig_cover, monkeypatch):
+        # the C2 * V ball has 11 words through length 2 and 23 through 3,
+        # where the last witness lies: at a cap of 11 the search stops before
+        # it builds length 3
+        from contracta import marked
+        from contracta.errors import BudgetExceeded
+        from contracta.recursion import WreathRecursion
+
+        cover, sys_ = grig_cover
+        split, lengths = WreathRecursion.split, []
+
+        def recorded(self, word, at=None):
+            lengths.append(len(word))
+            return split(self, word, at)
+
+        monkeypatch.setattr(WreathRecursion, "split", recorded)
+        monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 11)
+        with pytest.raises(BudgetExceeded, match="ball cap of 11 words"):
+            standard_cover(cover, sys=sys_)
+        assert max(lengths) == 2
+        monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 23)
+        result = standard_cover(cover, sys=sys_)
+        assert max(map(len, result.witnesses.values())) == 3
+
     def test_extra_relator_closure_collects_sections(self, grig_cover):
         # a trivial walk over the cover split marks the section closure of its
         # start; the level-1 sections of (ad)^4 rewrite to nothing, so only

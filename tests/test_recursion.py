@@ -239,6 +239,67 @@ class TestLevelAction:
         assert checked > 3_000
 
 
+def reference_level_action(rec, n):
+    """`level_action` as it was: every signed letter's permutation of every
+    level up to n, built on the first call."""
+    d = rec.degree
+    letters = [s for g in range(1, len(rec.gens) + 1) for s in (g, -g)]
+    identity = tuple(range(d**n))
+    apply_letter = {}
+
+    def compose(word, p):
+        for s in reversed(word):
+            p = apply_letter[s](p)
+        return p
+
+    def permutation(word):
+        if not apply_letter:
+            for s in letters:
+                apply_letter[s] = itemgetter(*rec._letters[s][0])
+            for k in range(1, n):
+                block = tuple(range(d**k))
+                perms = {}
+                for s in letters:
+                    images, secs = rec._letters[s]
+                    perms[s] = tuple(
+                        images[x] * len(block) + j for x in range(d) for j in compose(secs[x], block)
+                    )
+                apply_letter.update((s, itemgetter(*p)) for s, p in perms.items())
+        return compose(word, identity)
+
+    return permutation
+
+
+class TestLazyLevelAction:
+    """`level_action` builds a letter's permutation of a level when a word
+    first needs it; the eager build it replaced is the reference."""
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_agrees_with_the_eager_build_at_every_level(self, name, rng):
+        g = catalog.load(name)
+        rec = g.recursion
+        depth = 6 if rec.degree == 2 else 4
+        n_gens = len(rec.gens)
+        samples = [(), *((s,) for s in range(-n_gens, n_gens + 1) if s)]
+        samples += [random_word(rng, n_gens, 12) for _ in range(30)]
+        for n in range(1, depth + 1):
+            lazy, eager = rec.level_action(n), reference_level_action(rec, n)
+            for word in samples:
+                assert lazy(word) == eager(word), (name, word, n)
+        assert g.invariant(samples[-1]) == reference_level_action(rec, depth)(samples[-1])
+
+    @pytest.mark.parametrize("text", [":012", "1:02", "01:201", "12:10220", ":01202"])
+    def test_agrees_on_the_omega_recursions(self, text, rng):
+        from contracta.gomega import OmegaSequence
+        from contracta.grig import reduce_word
+
+        rec = OmegaSequence.parse(text).recursion
+        words = [reduce_word(random_word(rng, 4, 16)) for _ in range(40)]
+        for n in range(1, 7):
+            lazy, eager = rec.level_action(n), reference_level_action(rec, n)
+            assert [lazy(u) for u in words] == [eager(u) for u in words], (text, n)
+
+
 class TestIterate:
     """The level-n iterate of a word: its section at every vertex of X^n and
     its permutation of X^n."""
@@ -426,12 +487,15 @@ class TestOnePassKernel:
         g = catalog.recursion_group(rec, "grig")
         assert tables == []
         g.invariant((1, 2))
-        # one table per letter a, b, c, d and inverse at each of the 6 levels
-        assert len(tables) == 8 * 6
-        assert sorted(map(len, tables)) == sorted(2**k for k in range(1, 7) for _ in range(8))
+        # a b needs a and b at level 6, and the sections of b below it: a and
+        # c at level 5, a and d at 4, b at 3, a and c at 2, a and d at 1
+        assert sorted(map(len, tables)) == [2, 2, 4, 4, 8, 16, 16, 32, 32, 64, 64]
+        g.invariant((2, 1, 2))
+        assert len(tables) == 11
+        # c needs c at level 6 and its sections' tables below it, some of
+        # them new; the eager build made 8 * 6 tables on the first call
         g.invariant((3,))
-        assert len(tables) == 8 * 6
-
+        assert sorted(map(len, tables))[-3:] == [64, 64, 64] and len(tables) == 18
     def test_closure_matches_the_per_vertex_closure(self, rng):
         budget = Budget(max_states=300, max_depth=32, max_word_length=96)
         answered = 0
