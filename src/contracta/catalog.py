@@ -26,7 +26,7 @@ from . import contraction, covers, gomega, grig, metabelian, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, _check_length
 from .errors import SemanticError
 from .marked import Congruence, MarkedGroup
-from .recursion import DEFAULT_LEVEL_CAP, WreathRecursion, parse_recursion
+from .recursion import WreathRecursion, parse_recursion
 
 RECURSION_NAMES = (
     "grigorchuk",
@@ -36,6 +36,7 @@ RECURSION_NAMES = (
     "fabrykowski_gupta",
     "hanoi3",
 )
+DEFAULT_LEVEL_CAP = 2**20  # the most vertices of the level a recursion group's invariant reads
 
 
 def catalog_dir():
@@ -66,7 +67,8 @@ def parse_facts(text: str) -> dict:
 def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BUDGET,
                     facts: dict = None) -> MarkedGroup:
     """The group of a wreath recursion: word problem by a memoized section
-    walk within `budget`, level permutation as ball-deduplication invariant."""
+    walk within `budget`, and a word's action on a level of the tree, its
+    `contraction.portrait`, as ball-deduplication invariant."""
     memo = {}
 
     def is_trivial(word):
@@ -77,7 +79,7 @@ def recursion_group(rec: WreathRecursion, name: str, budget: Budget = DEFAULT_BU
         depth -= 1
 
     return MarkedGroup(rec.gens, is_trivial, name, recursion=rec, facts=facts,
-                       invariant=rec.level_action(depth))
+                       invariant=contraction.portrait(rec.split, depth))
 
 
 @functools.cache
@@ -100,15 +102,15 @@ def load(name: str, budget: Budget = DEFAULT_BUDGET) -> MarkedGroup:
     states and word length for recursion and gomega groups, in word length
     for the others.  A `gomega` group carries `grig.C2V`: its oracle takes
     C2 * V normal forms, which `is_trivial` makes with `grig.reduce_word`,
-    and its level-6 action as its ball invariant."""
+    and the level-6 portrait of that normal form as its ball invariant."""
     if name in RECURSION_NAMES:
         return _recursion_entry(name, budget)
     if name.startswith("gomega:"):
         omega, memo = _omega(name), {}
-        action = omega.level_action(6)
+        action = contraction.portrait(omega.split, 6)
         return MarkedGroup(grig.GENS, lambda w: gomega.normal_form_is_trivial(
             omega, w, budget, memo), name, grig.C2V,
-            invariant=lambda w: action(grig.reduce_word(w)))
+            invariant=lambda w: action((grig.reduce_word(w), 0)))
     if name.startswith("bs:"):
         l, m = parse_lm(name[len("bs:") :])
         datum = metabelian.BsDatum(l, m)

@@ -198,6 +198,30 @@ def least_level(start, split, memo, empty, budget: Budget = DEFAULT_BUDGET):
         raise
 
 
+def portrait(split, depth: int):
+    """The map state -> the number of its action on the first `depth` levels:
+    equal numbers, equal actions.  That action is the first item of
+    `split(state)`, the root permutation or flip, blocked over its sections'
+    actions one level down, so a number interns (level, that item, the
+    sections' numbers one level down).  The numbers of states below `depth`
+    are kept, so each (state, level) under it is split once; the state asked
+    about is split on each ask, as a ball asks each word once."""
+    numbers = {}  # (level, root item, sections' numbers) -> number
+    known = [{} for _ in range(depth)]  # level below depth -> state -> number
+
+    def number(state, level):
+        root, sections = split(state)
+        if level > 1:
+            below = known[level - 1]
+            sections = tuple([below[s] if s in below else below.setdefault(s, number(s, level - 1))
+                              for s in sections])
+        else:
+            sections = ()
+        return numbers.setdefault((level, root, sections), len(numbers))
+
+    return lambda state: number(state, depth)
+
+
 def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     """`walk` over the freely reduced section words of g, which key `memo`."""
     identity = tuple(range(rec.degree))

@@ -205,6 +205,8 @@ def standard_cover(
     the length its error names.  Each ball is within the scans' cap,
     `marked.DEFAULT_BALL_CAP`, charged before each length is built.
     """
+    if search_radius < 0:
+        raise ValueError("radius must be >= 0")
     if sys is None:
         sys = rewriting.complete(cover.presentation)
     if not sys.complete:

@@ -14,9 +14,8 @@ from functools import cached_property
 
 from .contraction import DEFAULT_BUDGET, Budget, _check_length, least_level, walk
 from .errors import ParseError
-from .grig import _VTABLE, GENS, A, B, C, D
+from .grig import _VTABLE, A, B, C, D
 from .record import Record
-from .recursion import WreathRecursion
 
 # whether the first section of b, c, d is the flip (else trivial), per symbol
 _A_PART = {
@@ -29,7 +28,7 @@ _A_PART = {
 class OmegaSequence(Record):
     """Eventually periodic sequence over {0,1,2}: preperiod then cycle."""
 
-    # the dict holds `steps` and `recursion` once made
+    # the dict holds `steps` once made
     __slots__ = ("preperiod", "period", "__dict__")
 
     def __init__(self, preperiod: tuple, period: tuple):
@@ -70,34 +69,6 @@ class OmegaSequence(Record):
         symbol, offset = self.steps[offset]
         w0, w1, flip = _split(symbol, word)
         return flip, ((w0, offset), (w1, offset))
-
-    @cached_property
-    def recursion(self) -> WreathRecursion:
-        """The wreath recursion of the four letters at every canonical offset:
-        letter s at offset k is generator 4k + s, with the flip and sections
-        that `split` gives it.  A C2 * V normal form is a word in its first
-        four generators, which act as the letters do at offset 0."""
-        sections, perms = [], []
-        for offset in range(len(self.steps)):
-            for s in (A, B, C, D):
-                flip, halves = self.split(((s,), offset))
-                sections.append(tuple(tuple(4 * to + x for x in sec) for sec, to in halves))
-                perms.append((1, 0) if flip else (0, 1))
-        gens = tuple(f"{g}{k}" for k in range(len(self.steps)) for g in GENS)
-        return WreathRecursion(2, gens, tuple(sections), tuple(perms))
-
-    def level_action(self, n: int):
-        """The map from a C2 * V normal form to its permutation of {0,1}^n,
-        `recursion`'s level action, which the first call makes."""
-        action = None
-
-        def permutation(word):
-            nonlocal action
-            if action is None:
-                action = self.recursion.level_action(n)
-            return action(word)
-
-        return permutation
 
 
 def _split(symbol: int, word) -> tuple:

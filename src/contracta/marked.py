@@ -9,6 +9,7 @@ kernel balls agree; full agreement through the examined radius is reported as
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import groupby, islice
 from typing import NamedTuple
@@ -16,6 +17,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded
 from .growth import Classes
 from .record import Record
+from .rewriting import Presentation, complete
 from .words import Word, concat, invert
 
 DEFAULT_BALL_CAP = 5_000_000
@@ -130,17 +132,10 @@ def _level_sizes(follow):
         ends = grown
 
 
-def _free_follow(k: int) -> dict:
-    """The last-letter table of the freely reduced words in rank k."""
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    follow = {s: [t for t in letters if t != -s] for s in letters}
-    follow[None] = letters
-    return follow
-
-
-def _free_words(k: int, radius: int, cap=None):
-    """Freely reduced words of length <= radius in rank k, shortest first."""
-    return length_order(_free_follow(k), radius, cap)
+@functools.cache
+def _free(k: int) -> Congruence:
+    """The congruence of the free group of rank k: its 2k cancellation rules."""
+    return Congruence(complete(Presentation(tuple(f"x{i}" for i in range(1, k + 1)), ())))
 
 
 class Valuation(NamedTuple):
@@ -170,8 +165,9 @@ def scan(members, limit: MarkedGroup, radius: int):
     """Valuation of each member against `limit`, one length at a time.
 
     The words compared are the irreducible words of the congruence that
-    every group carries, handed to each oracle as they are, or else the free
-    ball, decided by each group's `is_trivial`.  A word w of length L is
+    every group carries, or else of the free group's (`_free`); a group
+    that carries the congruence scanned is handed them as they are, any
+    other decides them by its `is_trivial`.  A word w of length L is
     trivial in a group exactly when w = u s with |u| = ceil(L/2),
     |s| = floor(L/2) and u equal to s^-1 there; u and s, subwords of w, lie
     in the half ball, of radius ceil(radius/2).  So a group's kernel words
@@ -191,22 +187,20 @@ def scan(members, limit: MarkedGroup, radius: int):
     if not members:
         return []
     half, cap, congruence = (radius + 1) // 2, DEFAULT_BALL_CAP, limit.congruence
-    if congruence is not None and all(g.congruence == congruence for g in members):
-        words, follow = congruence.ball(half), congruence._follow
-        rewrite = congruence._rewrite if congruence._long else None
+    if congruence is None or any(g.congruence != congruence for g in members):
+        congruence = _free(limit.rank)
+    follow = congruence._follow
+    rewrite = congruence._rewrite if congruence._long else None
 
-        def flip(w):  # the irreducible word of w's inverse, as long as w
-            return congruence.normal_form(invert(w))
+    def flip(w):  # the irreducible word of w's inverse, as long as w
+        return congruence.normal_form(invert(w))
 
-        asks = [g.oracle for g in members]
-    else:
-        words, follow, rewrite = _free_words(limit.rank, half), _free_follow(limit.rank), None
-        flip, asks = invert, [g.is_trivial for g in members]
+    asks = [g.oracle if g.congruence == congruence else g.is_trivial for g in members]
     if sum(islice(_level_sizes(follow), half + 1)) > cap:
         raise BudgetExceeded(f"marked-group scan passed the ball cap of {cap} words")
     # the half ball by length; its words are closed under prefixes, so no
     # length is missing before the last one that has words
-    levels = [list(run) for _, run in groupby(words, len)]
+    levels = [list(run) for _, run in groupby(congruence.ball(half), len)]
     levels += [[]] * (half + 1 - len(levels))
 
     def kernels(group):

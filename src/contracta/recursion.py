@@ -12,14 +12,11 @@ all of its first-level sections (`split`).
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 
 from . import words
-from .errors import BudgetExceeded, ParseError, SemanticError
+from .errors import ParseError, SemanticError
 from .record import Record
 from .words import Word, invert
-
-DEFAULT_LEVEL_CAP = 2**20
 
 GEN_LINE_RE = re.compile(
     r"gen\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*perm\(([^)]*)\)\s*sections\(([^)]*)\)\s*$"
@@ -94,62 +91,6 @@ class WreathRecursion(Record):
             (image,), (word,) = self.split(word, (x,))
             out.append(image)
         return tuple(out)
-
-    def level_action(self, n: int):
-        """The map word -> its permutation of X^n in lexicographic order (first
-        letter most significant; entry i is the index of the image of vertex
-        i).  The action on X^n is a homomorphism, so a word's permutation is
-        its letters' ones composed, right to left, one `itemgetter` call per
-        letter.  A letter's level-k permutation is its root permutation
-        blocked over its sections' level-(k-1) ones, composed the same way;
-        each is built the first time a word needs it (`_LevelPerms`)."""
-        d, cap = self.degree, DEFAULT_LEVEL_CAP
-        if d**n > cap:
-            raise BudgetExceeded(f"level {n} has {d ** n} vertices, cap is {cap}")
-        if n < 1:
-            raise ValueError("level_action needs a level of at least 1")
-        letters = None
-        for _ in range(n):
-            letters = _LevelPerms(self._letters, d, letters)
-        identity = letters.identity
-
-        def permutation(word):
-            p = identity
-            for s in reversed(word):
-                p = letters[s](p)
-            return p
-
-        return permutation
-
-
-class _LevelPerms(dict):
-    """Signed letter -> `itemgetter` of its permutation of one level, looked
-    up as a plain dict and filled by `__missing__`: the root permutation at
-    level 1, else the root permutation blocked over the sections' entries of
-    `below`, the level under it."""
-
-    __slots__ = ("letters", "degree", "below", "identity")
-
-    def __init__(self, letters, degree: int, below):
-        super().__init__()
-        self.letters, self.degree, self.below = letters, degree, below
-        self.identity = tuple(range(degree * (1 if below is None else len(below.identity))))
-
-    def __missing__(self, s):
-        images, secs = self.letters[s]
-        below = self.below
-        if below is None:
-            perm = images
-        else:
-            block = below.identity
-            perm = []
-            for x in range(self.degree):
-                p, offset = block, images[x] * len(block)
-                for t in reversed(secs[x]):
-                    p = below[t](p)
-                perm.extend(offset + j for j in p)
-        getter = self[s] = itemgetter(*perm)
-        return getter
 
 
 def parse_recursion(text: str) -> WreathRecursion:

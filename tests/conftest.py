@@ -1,8 +1,10 @@
+import functools
 import random
+from operator import itemgetter
 
 import pytest
 
-from contracta import catalog, contraction, covers, rewriting
+from contracta import catalog, contraction, covers, marked, rewriting
 from contracta.grig import A, B, C, D
 from contracta.recursion import parse_recursion
 from contracta.words import concat, invert
@@ -62,9 +64,67 @@ def random_vertex(rng, degree, max_len):
 
 
 def level_permutation(rec, word, n):
-    """The permutation of X^n by `word`, from `rec.level_action(n)`; X^0 is
-    one vertex."""
-    return rec.level_action(n)(word) if n else (0,)
+    """The permutation of X^n by `word`, from `reference_level_action(rec, n)`;
+    X^0 is one vertex."""
+    return reference_level_action(rec, n)(word) if n else (0,)
+
+
+@functools.cache
+def reference_level_action(rec, n):
+    """The map word -> its permutation of X^n in lexicographic order (first
+    letter most significant; entry i is the index of the image of vertex i),
+    the independent oracle for the tree action.  The action on X^n is a
+    homomorphism, so a word's permutation is its letters' ones composed, right
+    to left.  A letter's level-k permutation is its root permutation blocked
+    over its sections' level-(k-1) ones, composed the same way; every signed
+    letter's permutation of every level up to n is built on the first call."""
+    d = rec.degree
+    letters = [s for g in range(1, len(rec.gens) + 1) for s in (g, -g)]
+    identity = tuple(range(d**n))
+    apply_letter = {}
+
+    def compose(word, p):
+        for s in reversed(word):
+            p = apply_letter[s](p)
+        return p
+
+    def permutation(word):
+        if not apply_letter:
+            for s in letters:
+                apply_letter[s] = itemgetter(*rec._letters[s][0])
+            for k in range(1, n):
+                block = tuple(range(d**k))
+                perms = {}
+                for s in letters:
+                    images, secs = rec._letters[s]
+                    perms[s] = tuple(
+                        images[x] * len(block) + j for x in range(d) for j in compose(secs[x], block)
+                    )
+                apply_letter.update((s, itemgetter(*p)) for s, p in perms.items())
+        return compose(word, identity)
+
+    return permutation
+
+
+def partition(keys):
+    """Each key replaced by the position where it first occurs: two key lists
+    give equal lists exactly when they bucket the same positions together."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def free_follow(k):
+    """The last-letter table of the freely reduced words in rank k."""
+    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    follow = {s: [t for t in letters if t != -s] for s in letters}
+    follow[None] = letters
+    return follow
+
+
+def free_ball(k, n, cap=marked.DEFAULT_BALL_CAP):
+    """All freely reduced words of length <= n in rank k, shortest first,
+    within `length_order`'s `cap`."""
+    return list(marked.length_order(free_follow(k), n, cap))
 
 
 def are_equal(rec, g, h, budget=contraction.DEFAULT_BUDGET, memo=None):

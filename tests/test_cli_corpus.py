@@ -52,7 +52,7 @@ GROWTH = (("hanoi3", 8), ("basilica", 6), ("img_z2_plus_i", 7), ("gupta_sidki", 
 
 # the error and budget corners: each --max-states and --max-word-length
 # error of the word problems, the argument errors, and standard-cover with
-# too small a radius for a witness
+# too small a radius for a witness, and with a negative one
 CORNERS = [
     *([command, "--group", "grigorchuk", "--word", "a b a c a d a b a c a d", *other,
        "--max-states", "2"] for command, other in (("wp", ()), ("eq", ("--other", "1")))),
@@ -71,6 +71,7 @@ CORNERS = [
     ["converge", "--chain", "met:2:3", "--radius", "2", "--n-max", "1"],
     ["dist", "--group-a", "met:2:3@1", "--group-b", "met:2:3", "--radius", "2"],
     *(["standard-cover", "--group", "grigorchuk", "--radius", r] for r in ("0", "1")),
+    ["standard-cover", "--group", "hanoi3", "--radius", "-3"],
 ]
 
 # the shapes of the benchmark's converge workload: its dist ops at radius 8,

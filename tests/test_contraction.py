@@ -4,7 +4,13 @@ from itertools import chain
 
 import pytest
 
-from conftest import are_equal, level_permutation, random_word
+from conftest import (
+    are_equal,
+    level_permutation,
+    partition,
+    random_word,
+    reference_level_action,
+)
 from contracta import catalog, contraction, grig
 from contracta.contraction import (
     DEFAULT_BUDGET,
@@ -14,6 +20,7 @@ from contracta.contraction import (
     _recurrent_classes,
     is_trivial,
     nucleus,
+    portrait,
     section_closure,
 )
 from contracta.covers import section_split, standard_cover, universal_cover
@@ -100,7 +107,7 @@ class TestEquality:
         rec = grig.recursion
         assert not are_equal(rec, w(rec, "a b"), w(rec, "b a"))
         # independent check: the level-2 permutations already differ
-        act = rec.level_action(2)
+        act = reference_level_action(rec, 2)
         assert act(w(rec, "a b")) != act(w(rec, "b a"))
 
     def test_congruence_on_random_words(self, all_recursion_groups, rng):
@@ -168,6 +175,31 @@ class TestWordProblem:
                     for n in range(1, 7)
                 )
                 assert is_trivial(rec, u) == by_action
+
+
+class TestPortrait:
+    """`portrait` buckets words as their level permutations do, with the
+    eager level action as the independent oracle: equal numbers exactly
+    when the permutations are equal."""
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_catalog_buckets_are_the_level_permutations(self, name, rng):
+        g = catalog.load(name)
+        rec = g.recursion
+        depth = 6 if rec.degree == 2 else 4
+        words = [random_word(rng, len(rec.gens), 10) for _ in range(3_000)]
+        buckets = partition(map(g.invariant, words))
+        assert buckets == partition(map(reference_level_action(rec, depth), words))
+        assert len(set(buckets)) < len(words)  # some distinct words share one
+
+    def test_random_recursion_buckets_are_the_level_permutations(self):
+        draw = random.Random(32)
+        for _ in range(40):
+            rec = random_recursion(draw)
+            depth = 6 if rec.degree == 2 else 4
+            words = [random_word(draw, len(rec.gens), 10) for _ in range(100)]
+            assert partition(map(portrait(rec.split, depth), words)) == partition(
+                map(reference_level_action(rec, depth), words)), rec
 
 
 class TestNucleus:

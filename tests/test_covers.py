@@ -8,6 +8,7 @@ from conftest import (
     LONG4_REC,
     LONG_REC,
     are_equal,
+    free_ball,
     long_cover,
     random_word,
     reference_in_kernel,
@@ -330,6 +331,17 @@ class TestStandardCover:
         with pytest.raises(BudgetExceeded, match="witness"):
             standard_cover(cover, sys=sys_, search_radius=1)
 
+    def test_negative_radius_is_refused_before_any_work(self, grig_cover, monkeypatch):
+        # the identity lies in every cover, so no radius below 0 means
+        # anything; the check comes before the system is completed
+        def complete(*args):
+            raise AssertionError("completed a system")
+
+        monkeypatch.setattr(rewriting, "complete", complete)
+        for radius in (-1, -3):
+            with pytest.raises(ValueError, match="^radius must be >= 0$"):
+                standard_cover(grig_cover[0], search_radius=radius)
+
     def test_ball_is_charged_before_each_length(self, grig_cover, monkeypatch):
         # the C2 * V ball has 11 words through length 2 and 23 through 3,
         # where the last witness lies: at a cap of 11 the search stops before
@@ -512,7 +524,7 @@ class TestKernelChain:
         # powers, which enter later kernels in the torsion groups
         cover, sys_ = catalog.cover_for(name)
         split = covers.section_split(cover, sys_)
-        ball = [*marked._free_words(len(cover.presentation.gens), radius),
+        ball = [*free_ball(len(cover.presentation.gens), radius),
                 parse_word(extra, cover.presentation.gens)]
         words = {rewriting.normal_form(sys_, free_reduce(u * k)) for u in ball for k in (1, 2, 4)}
         memo, reference = {}, {}

@@ -4,10 +4,10 @@ from itertools import product
 
 import pytest
 
-from conftest import random_word, reference_in_kernel
+from conftest import partition, random_word, reference_in_kernel, reference_level_action
 from contracta import catalog, contraction, grig
 from contracta import gomega as GO
-from contracta.contraction import Budget, DEFAULT_BUDGET
+from contracta.contraction import Budget, DEFAULT_BUDGET, portrait
 from contracta.errors import BudgetExceeded, ParseError
 from contracta.gomega import OmegaSequence
 from contracta.grig import A, B, C, D, GENS, reduce_word
@@ -643,29 +643,54 @@ def reference_level_permutation(om, word, n):
 
 
 class TestLevelAction:
+    """`contraction.portrait` over `split` numbers a normal form's action on
+    a level: equal numbers exactly when the vertex-by-vertex actions are
+    equal."""
+
     @pytest.mark.parametrize("text", AGREEMENT_OMEGAS)
     def test_matches_the_vertex_by_vertex_action(self, text, ball9):
         om = OmegaSequence.parse(text)
         for n in (1, 3, 6):
-            action = om.level_action(n)
-            for u in ball9[::5]:
-                assert action(u) == reference_level_permutation(om, u, n), (text, u, n)
+            number = portrait(om.split, n)
+            words = ball9[::5]
+            assert partition(number((u, 0)) for u in words) == partition(
+                reference_level_permutation(om, u, n) for u in words), (text, n)
 
     def test_is_the_grigorchuk_recursions_action_at_012(self, grig, rng):
-        action = OmegaSequence.parse(":012").level_action(6)
-        reference = grig.recursion.level_action(6)
-        for _ in range(300):
-            u = random_word(rng, 4, 20)
-            assert action(reduce_word(u)) == reference(u)
+        words = [random_word(rng, 4, 20) for _ in range(300)]
+        words += [u + (s, s) for u in words[:50] for s in (A, D)]  # equal elements
+        assert partition(map(catalog.load("gomega::012").invariant, words)) == partition(
+            map(reference_level_action(grig.recursion, 6), words))
 
     def test_the_catalog_invariant_takes_any_word(self, rng):
         g = catalog.load("gomega:1:02")
-        action = OmegaSequence.parse("1:02").level_action(6)
+        identity = g.invariant(())
         for _ in range(200):
             u = random_word(rng, 4, 16)
-            assert g.invariant(u) == action(reduce_word(u))
+            assert g.invariant(u) == g.invariant(reduce_word(u))
             if g.is_trivial(u):
-                assert g.invariant(u) == tuple(range(64))
+                assert g.invariant(u) == identity
+
+    def test_each_state_and_level_is_split_once(self, ball9):
+        # the states below the asked word are kept per level, so over a ball
+        # each (state, level) under 6 is split once, and each ball word once
+        om = OmegaSequence.parse("01:201")
+        splits = []
+
+        def split(state):
+            splits.append(state)
+            return om.split(state)
+
+        number = portrait(split, 6)
+        words = ball9[:400]
+        for u in words:
+            number((u, 0))
+        pairs = {((u, 0), 6) for u in words}
+        for level in range(5, 0, -1):
+            pairs |= {(sec, level) for state, above in pairs if above == level + 1
+                      for sec in om.split(state)[1]}
+        assert sorted(splits) == sorted(state for state, _ in pairs)
+        assert len(splits) > len(words)
 
 
 def lift(symbol, word):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import reference_level_action
 from contracta import catalog
 from contracta.errors import BudgetExceeded
 from contracta.growth import ball_sizes, growth_probe
@@ -101,7 +102,7 @@ class TestBallSizes:
             lambda u, v: True,
             4,
             6,
-            invariant=rec.level_action(6),
+            invariant=reference_level_action(rec, 6),
         )
         assert bisim.gamma == by_perm.gamma
 

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import ALTERNATING, LONG_REC, long_cover
+from conftest import ALTERNATING, LONG_REC, free_ball, free_follow, long_cover
 from contracta import catalog, grig, marked
 from contracta.errors import BudgetExceeded
 from contracta.gomega import OmegaSequence, normal_form_kernel_member
@@ -78,19 +78,6 @@ def reference_length_order(follow, radius):
         yield from extend((), None, r)
 
 
-def free_follow(k):
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    follow = {s: [t for t in letters if t != -s] for s in letters}
-    follow[None] = letters
-    return follow
-
-
-def free_ball(k, n, cap=marked.DEFAULT_BALL_CAP):
-    """All freely reduced words of length <= n in rank k, shortest first,
-    within `length_order`'s `cap`."""
-    return list(marked.length_order(free_follow(k), n, cap))
-
-
 def reference_scan(members, limit, radius):
     """`marked.scan` as it was: one pass over the whole ball, shortest words
     first, the limit asked once per word and each member asked about the
@@ -106,7 +93,7 @@ def reference_scan(members, limit, radius):
         words = congruence.ball(radius, marked.DEFAULT_BALL_CAP)
         limit_asks, asks = limit.oracle, [g.oracle for g in members]
     else:
-        words = marked._free_words(limit.rank, radius, marked.DEFAULT_BALL_CAP)
+        words = marked.length_order(free_follow(limit.rank), radius, marked.DEFAULT_BALL_CAP)
         limit_asks, asks = limit.is_trivial, [g.is_trivial for g in members]
     first = [None] * len(members)
     live = [(i, a, g.onto is limit) for i, (g, a) in enumerate(zip(members, asks))]
@@ -370,7 +357,7 @@ class TestScan:
         def free_ball(*args):
             raise AssertionError("the scan walked the free ball")
 
-        monkeypatch.setattr(marked, "_free_words", free_ball)
+        monkeypatch.setattr(marked, "_free", free_ball)
         assert valuation(member, limit, 8) == Valuation(7, False, 8)
         assert valuation(catalog.marked("grigorchuk@1"), limit, 8) == Valuation(8, True, 8)
 

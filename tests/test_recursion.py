@@ -1,19 +1,29 @@
 import random
-from collections import deque
-from operator import itemgetter
+from collections import Counter, deque
 
 import pytest
 
-from conftest import are_equal, level_permutation, random_vertex, random_word
-from contracta import catalog, recursion
+from conftest import (
+    are_equal,
+    level_permutation,
+    partition,
+    random_vertex,
+    random_word,
+    reference_level_action,
+)
+from contracta import catalog
 from contracta.contraction import (
     Budget,
     SectionAutomaton,
     _bisimulation_classes,
+    portrait,
     section_closure,
 )
 from contracta.errors import BudgetExceeded, ParseError, SemanticError
+from contracta.gomega import OmegaSequence
+from contracta.grig import A, B, C, D, GENS, reduce_word
 from contracta.recursion import (
+    WreathRecursion,
     parse_recursion,
     perm_identity,
     perm_inverse,
@@ -162,10 +172,6 @@ class TestLevels:
         rec = grig.recursion
         assert level_permutation(rec, w(rec, "b"), 1) == (0, 1)
 
-    def test_level_cap(self, grig):
-        with pytest.raises(BudgetExceeded, match="^level 30 has 1073741824 vertices, cap is 1048576$"):
-            grig.recursion.level_action(30)
-
     def test_vertex_letters_out_of_range(self, grig):
         rec = grig.recursion
         with pytest.raises(SemanticError):
@@ -221,8 +227,8 @@ def reference_level_permutation(rec, word, n):
 
 
 class TestLevelAction:
-    """`level_action`, whose letters' permutations are composed one level at
-    a time, agrees with the recursive reference it replaced (and with `act`,
+    """`reference_level_action`, whose letters' permutations are composed one
+    level at a time, agrees with the recursive reference (and with `act`,
     vertex by vertex: `TestLevels`)."""
 
     def test_agrees_with_the_recursive_reference(self, rng):
@@ -232,47 +238,33 @@ class TestLevelAction:
             samples = [(), *((s,) for s in range(-n_gens, n_gens + 1) if s)]
             samples += [random_word(rng, n_gens, 10) for _ in range(8)]  # often not reduced
             for n in range(1, 5):
-                act = rec.level_action(n)
+                act = reference_level_action(rec, n)
                 for word in samples:
                     assert act(word) == reference_level_permutation(rec, word, n), (rec, word, n)
                     checked += 1
         assert checked > 3_000
 
 
-def reference_level_action(rec, n):
-    """`level_action` as it was: every signed letter's permutation of every
-    level up to n, built on the first call."""
-    d = rec.degree
-    letters = [s for g in range(1, len(rec.gens) + 1) for s in (g, -g)]
-    identity = tuple(range(d**n))
-    apply_letter = {}
-
-    def compose(word, p):
-        for s in reversed(word):
-            p = apply_letter[s](p)
-        return p
-
-    def permutation(word):
-        if not apply_letter:
-            for s in letters:
-                apply_letter[s] = itemgetter(*rec._letters[s][0])
-            for k in range(1, n):
-                block = tuple(range(d**k))
-                perms = {}
-                for s in letters:
-                    images, secs = rec._letters[s]
-                    perms[s] = tuple(
-                        images[x] * len(block) + j for x in range(d) for j in compose(secs[x], block)
-                    )
-                apply_letter.update((s, itemgetter(*p)) for s, p in perms.items())
-        return compose(word, identity)
-
-    return permutation
+def omega_recursion(om):
+    """The wreath recursion of the four letters at every canonical offset of
+    `om`: letter s at offset k is generator 4k + s, with the flip and
+    sections that `om.split` gives it.  A C2 * V normal form is a word in
+    its first four generators, which act as the letters do at offset 0."""
+    sections, perms = [], []
+    for offset in range(len(om.steps)):
+        for s in (A, B, C, D):
+            flip, halves = om.split(((s,), offset))
+            sections.append(tuple(tuple(4 * to + x for x in sec) for sec, to in halves))
+            perms.append((1, 0) if flip else (0, 1))
+    gens = tuple(f"{g}{k}" for k in range(len(om.steps)) for g in GENS)
+    return WreathRecursion(2, gens, tuple(sections), tuple(perms))
 
 
 class TestLazyLevelAction:
-    """`level_action` builds a letter's permutation of a level when a word
-    first needs it; the eager build it replaced is the reference."""
+    """`contraction.portrait` numbers a word's action on a level when a word
+    first needs it; the eager level action, every letter's permutation of
+    every level built on the first call, is the reference.  Equal numbers
+    must be equal permutations, and equal permutations equal numbers."""
 
     @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
     def test_agrees_with_the_eager_build_at_every_level(self, name, rng):
@@ -282,22 +274,21 @@ class TestLazyLevelAction:
         n_gens = len(rec.gens)
         samples = [(), *((s,) for s in range(-n_gens, n_gens + 1) if s)]
         samples += [random_word(rng, n_gens, 12) for _ in range(30)]
+        samples += [u + (s, -s) for u in samples[-10:] for s in (1, -n_gens)]  # equal elements
         for n in range(1, depth + 1):
-            lazy, eager = rec.level_action(n), reference_level_action(rec, n)
-            for word in samples:
-                assert lazy(word) == eager(word), (name, word, n)
-        assert g.invariant(samples[-1]) == reference_level_action(rec, depth)(samples[-1])
+            eager = partition(map(reference_level_action(rec, n), samples))
+            assert partition(map(portrait(rec.split, n), samples)) == eager, (name, n)
+        assert partition(map(g.invariant, samples)) == eager
 
     @pytest.mark.parametrize("text", [":012", "1:02", "01:201", "12:10220", ":01202"])
     def test_agrees_on_the_omega_recursions(self, text, rng):
-        from contracta.gomega import OmegaSequence
-        from contracta.grig import reduce_word
-
-        rec = OmegaSequence.parse(text).recursion
+        om = OmegaSequence.parse(text)
+        rec = omega_recursion(om)
         words = [reduce_word(random_word(rng, 4, 16)) for _ in range(40)]
         for n in range(1, 7):
-            lazy, eager = rec.level_action(n), reference_level_action(rec, n)
-            assert [lazy(u) for u in words] == [eager(u) for u in words], (text, n)
+            number = portrait(om.split, n)
+            assert partition(number((u, 0)) for u in words) == partition(
+                map(reference_level_action(rec, n), words)), (text, n)
 
 
 class TestIterate:
@@ -465,37 +456,36 @@ class TestOnePassKernel:
             depth = 6 if rec.degree == 2 else 4
             samples = [(), (1, -1), (-1, 1, 1)]
             samples += [random_word(rng, len(rec.gens), 10) for _ in range(25)]
-            for word in samples:
-                assert g.invariant(word) == reference_level_permutation(rec, word, depth)
-
-    def test_level_action_checks_its_level(self, grig):
-        rec = grig.recursion
-        with pytest.raises(BudgetExceeded):
-            rec.level_action(21)
-        with pytest.raises(ValueError):
-            rec.level_action(0)
+            assert partition(map(g.invariant, samples)) == partition(
+                reference_level_permutation(rec, word, depth) for word in samples)
 
     def test_invariant_tables_wait_for_the_first_call(self, monkeypatch):
+        # a recursion group's invariant splits nothing until it is asked;
+        # then each state below the asked word is split once per level it
+        # sits at, over every ask, and the asked word on each ask
+        splits = []
+        plain = WreathRecursion.split
+
+        def counted(self, word, at=None):
+            splits.append(word)
+            return plain(self, word, at)
+
+        monkeypatch.setattr(WreathRecursion, "split", counted)
         rec = parse_recursion(GRIG_TEXT)
-        tables = []
-
-        def counted(*images):
-            tables.append(images)
-            return itemgetter(*images)
-
-        monkeypatch.setattr(recursion, "itemgetter", counted)
         g = catalog.recursion_group(rec, "grig")
-        assert tables == []
-        g.invariant((1, 2))
-        # a b needs a and b at level 6, and the sections of b below it: a and
-        # c at level 5, a and d at 4, b at 3, a and c at 2, a and d at 1
-        assert sorted(map(len, tables)) == [2, 2, 4, 4, 8, 16, 16, 32, 32, 64, 64]
-        g.invariant((2, 1, 2))
-        assert len(tables) == 11
-        # c needs c at level 6 and its sections' tables below it, some of
-        # them new; the eager build made 8 * 6 tables on the first call
-        g.invariant((3,))
-        assert sorted(map(len, tables))[-3:] == [64, 64, 64] and len(tables) == 18
+        assert splits == []
+        asked = [(1, 2), (2, 1, 2), (3,), (1, 2)]
+        for word in asked:
+            g.invariant(word)
+        pairs = {(word, 6) for word in asked}
+        for level in range(5, 0, -1):
+            pairs |= {(sec, level) for word, above in pairs if above == level + 1
+                      for sec in plain(rec, word)[1]}
+        expected = Counter(word for word, _ in pairs)
+        expected[(1, 2)] += 1  # asked twice
+        assert Counter(splits) == expected
+        assert len(splits) == len(pairs) + 1 > 10
+
     def test_closure_matches_the_per_vertex_closure(self, rng):
         budget = Budget(max_states=300, max_depth=32, max_word_length=96)
         answered = 0
