@@ -139,6 +139,8 @@ def cmd_cover(args):
 
 
 def cmd_standard_cover(args):
+    if args.radius < 0:  # before the nucleus, which can run for minutes
+        raise ValueError("radius must be >= 0")
     cov, budget = _cover(args)
     result = covers.standard_cover(cov, budget=budget, search_radius=args.radius)
     gens = cov.presentation.gens

@@ -224,11 +224,9 @@ def portrait(split, depth: int):
 
 def is_trivial(rec, g, budget: Budget = DEFAULT_BUDGET, memo=None) -> bool:
     """`walk` over the freely reduced section words of g, which key `memo`."""
-    identity = tuple(range(rec.degree))
-
     def split(word):
-        perm, sections = rec.split(word)
-        if perm != identity:
+        sections = rec.fixed_sections(word)
+        if sections is None:
             return True, ()
         for sec in sections:
             _check_length(sec, budget)

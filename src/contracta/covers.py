@@ -18,7 +18,7 @@ from . import contraction, marked, rewriting
 from .contraction import Budget, DEFAULT_BUDGET, Nucleus
 from .errors import BudgetExceeded
 from .record import Record
-from .recursion import WreathRecursion, perm_identity
+from .recursion import WreathRecursion
 from .rewriting import Presentation, RewriteSystem, normal_form
 from .words import Word, concat, format_word, free_reduce, invert, shortlex_key
 
@@ -267,15 +267,14 @@ def section_split(cover: CoverPresentation, sys: RewriteSystem, budget: Budget =
     forms of its first-level sections, each charged `max_word_length` and
     rewritten only when it is reached."""
     rec = cover.recursion
-    identity = perm_identity(rec.degree)
 
     def section_state(sec):
         contraction._check_length(sec, budget)
         return normal_form(sys, sec)
 
     def split(word):
-        perm, sections = rec.split(word)
-        if perm != identity:
+        sections = rec.fixed_sections(word)
+        if sections is None:
             return True, ()
         return False, map(section_state, sections)
 

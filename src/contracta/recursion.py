@@ -6,7 +6,8 @@ letters) from the right: the root permutation moves the first letter and the
 section at the original first letter acts on the rest.  A table built once
 holds every letter's root permutation and sections, those of the inverse
 generators included, so that one pass over a word gives its permutation and
-all of its first-level sections (`split`).
+all of its first-level sections (`split`).  The walkers read
+`fixed_sections`, which stops at the first vertex a word moves.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def perm_inverse(p):
     return tuple(out)
 
 
-def perm_identity(d):
-    return tuple(range(d))
-
-
 class WreathRecursion(Record):
     __slots__ = ("degree", "gens", "section_table", "perm_table", "_letters")
 
@@ -55,13 +52,13 @@ class WreathRecursion(Record):
         if not 0 <= x < self.degree:
             raise SemanticError(f"letter {x} out of range for degree {self.degree}")
 
-    def split(self, word, at=None):
-        """(root permutation, its d first-level sections) of a word, via
-        (gh)_x = g_x h_{x tau_g}; the sections come out freely reduced.  With
-        vertex letters `at`, only the images and sections of those letters."""
+    def _split(self, word, vertices, fixed):
+        """(images, sections) of the vertex letters `vertices`, via
+        (gh)_x = g_x h_{x tau_g}, the sections freely reduced; with `fixed`,
+        None at the first vertex the word moves, before reading the next."""
         letters = self._letters
         perm, sections = [], []
-        for x in range(self.degree) if at is None else at:
+        for x in vertices:
             out = []
             pos = x
             for s in word:
@@ -72,9 +69,23 @@ class WreathRecursion(Record):
                     else:
                         out.append(y)
                 pos = images[pos]
+            if fixed and pos != x:
+                return None
             perm.append(pos)
             sections.append(tuple(out))
         return tuple(perm), tuple(sections)
+
+    def split(self, word, at=None):
+        """(root permutation, its d first-level sections) of a word; with
+        vertex letters `at`, only the images and sections of those letters."""
+        return self._split(word, range(self.degree) if at is None else at, False)
+
+    def fixed_sections(self, word):
+        """The d first-level sections of a word that fixes the first level,
+        else None: `split` for the walkers, which need no more of a word
+        that moves the root."""
+        split = self._split(word, range(self.degree), True)
+        return None if split is None else split[1]
 
     def section(self, word, vertex) -> Word:
         """g_v, one vertex letter at a time."""

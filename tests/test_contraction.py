@@ -27,6 +27,7 @@ from contracta.covers import section_split, standard_cover, universal_cover
 from contracta.errors import BudgetExceeded
 from contracta.gomega import OmegaSequence
 from contracta.marked import Congruence
+from contracta.rewriting import normal_form
 from contracta.recursion import WreathRecursion, parse_recursion
 from contracta.words import concat, free_reduce, invert, parse_word, shortlex_key
 from test_fuzz import SMALL, random_recursion
@@ -713,6 +714,41 @@ def _walk_outcomes(decide, starts):
     return fresh, memos, shared, memo
 
 
+def reference_is_trivial(rec, g, budget=DEFAULT_BUDGET, memo=None):
+    """`is_trivial` as it was before `fixed_sections`: each state's whole
+    split, then its root permutation compared with the identity."""
+    identity = tuple(range(rec.degree))
+
+    def split(word):
+        perm, sections = rec.split(word)
+        if perm != identity:
+            return True, ()
+        for sec in sections:
+            contraction._check_length(sec, budget)
+        return False, sections
+
+    word = free_reduce(g)
+    contraction._check_length(word, budget)
+    return contraction.walk(word, split, budget, memo)
+
+
+def reference_section_split(cover, sys_, budget=DEFAULT_BUDGET):
+    """`section_split` as it was before `fixed_sections`, as above."""
+    identity = tuple(range(cover.recursion.degree))
+
+    def section_state(sec):
+        contraction._check_length(sec, budget)
+        return normal_form(sys_, sec)
+
+    def split(word):
+        perm, sections = cover.recursion.split(word)
+        if perm != identity:
+            return True, ()
+        return False, map(section_state, sections)
+
+    return split
+
+
 TIGHT = Budget(max_states=2)
 
 
@@ -720,15 +756,19 @@ class TestWalkFastPath:
     """`walk` gives `reference_walk`'s answers, memo entries and
     BudgetExceeded on every split that takes it: the catalog recursions'
     (through `is_trivial`), the `gomega` split and the cover split, at the
-    default budget and at a tight one."""
+    default budget and at a tight one; and the recursion splits, which read
+    `fixed_sections`, give those of the whole split."""
 
-    def agree(self, monkeypatch, decide, starts):
+    def agree(self, monkeypatch, decide, starts, reference=None):
         """Every answer of `decide`, which asks `contraction.walk`, and of it
-        asking `reference_walk`, after checking that they agree."""
+        asking `reference_walk`, after checking that they agree, and agree
+        with `reference`, the same question over the whole split."""
         got = _walk_outcomes(decide, starts)
         with monkeypatch.context() as patched:
             patched.setattr(contraction, "walk", reference_walk)
             assert _walk_outcomes(decide, starts) == got
+        if reference is not None:
+            assert _walk_outcomes(reference, starts) == got
         return got[0] + got[2]
 
     def outcomes(self, answers):
@@ -741,7 +781,8 @@ class TestWalkFastPath:
         answers = []
         for budget in (DEFAULT_BUDGET, TIGHT):
             answers += self.agree(
-                monkeypatch, lambda u, m: is_trivial(rec, u, budget, m), words)
+                monkeypatch, lambda u, m: is_trivial(rec, u, budget, m), words,
+                lambda u, m: reference_is_trivial(rec, u, budget, m))
         assert self.outcomes(answers) == {True, False, "budget"}
 
     @pytest.mark.parametrize("text", [":012", "0:12", "12:10220", ":0"])
@@ -761,6 +802,67 @@ class TestWalkFastPath:
         answers = []
         for budget in (DEFAULT_BUDGET, TIGHT):
             split = section_split(cover, sys_, budget)
+            reference = reference_section_split(cover, sys_, budget)
             answers += self.agree(
-                monkeypatch, lambda u, m: contraction.walk(u, split, budget, m), words)
+                monkeypatch, lambda u, m: contraction.walk(u, split, budget, m), words,
+                lambda u, m: contraction.walk(u, reference, budget, m))
         assert self.outcomes(answers) == {True, False, "budget"}
+
+
+def _tree_words(rec, rng, lysenok):
+    """Words shaped like the benchmark's `tree` word problems: raw random
+    words of 40-200 letters, products of 2-3 conjugated relators x y z^-1
+    of the nucleus, unreduced, and with `lysenok` the Lysenok relators u_n
+    and v_n, n <= 6."""
+    n = len(rec.gens)
+    letters = [s for s in range(-n, n + 1) if s]
+    words = [tuple(rng.choice(letters) for _ in range(rng.randint(40, 200))) for _ in range(60)]
+    # basilica's nucleus products give none: its relator [b^a, b] instead
+    relators = _relators(nucleus(rec)) or [w(rec, "b a^-1 b a b^-1 a^-1 b^-1 a")]
+    for _ in range(40):
+        word = ()
+        for _ in range(rng.randint(2, 3)):
+            c = random_word(rng, n, 12)
+            rel = rng.choice(relators)
+            word += c + (rel if rng.random() < 0.5 else invert(rel)) + invert(c)
+        words.append(word)
+    if lysenok:
+        words += [grig.lysenok_relator(kind, k) for k in range(7) for kind in "uv"]
+    return words
+
+
+class TestFixedSectionsWalkers:
+    """`is_trivial` and `section_split`, which read `fixed_sections`, give
+    the answers, memo entries and BudgetExceeded texts of the same walks
+    over the whole split, on words shaped like the benchmark's."""
+
+    BUDGETS = (DEFAULT_BUDGET, TIGHT, Budget(max_word_length=60))
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_is_trivial(self, name):
+        rec = catalog.load(name).recursion
+        words = _tree_words(rec, random.Random(name), name == "grigorchuk")
+        answers = []
+        for budget in self.BUDGETS:
+            got = _walk_outcomes(lambda u, m: is_trivial(rec, u, budget, m), words)
+            assert got == _walk_outcomes(
+                lambda u, m: reference_is_trivial(rec, u, budget, m), words)
+            answers += got[0]
+        assert {a if isinstance(a, bool) else a.split()[0] for a in answers} == {
+            True, False, "section"}
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "hanoi3", "basilica"])
+    def test_section_split(self, name):
+        cover, sys_ = catalog.cover_for(name)
+        words = _tree_words(cover.recursion, random.Random(name), name == "grigorchuk")
+        words = [normal_form(sys_, u) for u in words]
+        answers = []
+        for budget in self.BUDGETS:
+            split = section_split(cover, sys_, budget)
+            reference = reference_section_split(cover, sys_, budget)
+            got = _walk_outcomes(lambda u, m: contraction.walk(u, split, budget, m), words)
+            assert got == _walk_outcomes(
+                lambda u, m: contraction.walk(u, reference, budget, m), words)
+            answers += got[0]
+        assert {a if isinstance(a, bool) else a.split()[0] for a in answers} >= {
+            True, False, "section"}

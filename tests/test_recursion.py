@@ -25,7 +25,6 @@ from contracta.grig import A, B, C, D, GENS, reduce_word
 from contracta.recursion import (
     WreathRecursion,
     parse_recursion,
-    perm_identity,
     perm_inverse,
 )
 from contracta.words import concat, free_reduce, invert, parse_word
@@ -338,6 +337,10 @@ class TestIterate:
 # and the root permutation composed letter by letter.
 
 
+def perm_identity(d):
+    return tuple(range(d))
+
+
 def reference_perm_mul(p, q):
     """Right-action composition: apply p, then q."""
     return tuple(q[x] for x in p)
@@ -504,3 +507,84 @@ class TestOnePassKernel:
             assert outcome(section_closure) == expected
             answered += not isinstance(expected, str)
         assert 90 < answered < 106  # and some closures exceed the budget
+
+
+class CountedLetters:
+    """A recursion's letter table that counts the letters read from it."""
+
+    def __init__(self, letters):
+        self.letters, self.reads = letters, 0
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return self.letters[s]
+
+
+class TestFixedSections:
+    """`fixed_sections(w)` is `split(w)[1]` when `split(w)[0]` is the
+    identity and None otherwise, and reads no vertex after the first one
+    the word moves."""
+
+    @staticmethod
+    def check(rec, words):
+        """Check every word, and return how many fix the first level, move
+        vertex 0, and fix vertex 0 but move a later vertex."""
+        identity = perm_identity(rec.degree)
+        counts = Counter()
+        for word in words:
+            perm, sections = rec.split(word)
+            got = rec.fixed_sections(word)
+            if perm == identity:
+                assert got == sections, (rec, word)
+                counts["fixed"] += 1
+            else:
+                assert got is None, (rec, word)
+                counts["moves 0" if perm[0] else "moves later"] += 1
+        return counts
+
+    @pytest.mark.parametrize("name", catalog.RECURSION_NAMES)
+    def test_agrees_with_split_on_the_catalog_recursions(self, name):
+        rec = catalog.load(name).recursion
+        rng = random.Random(name)
+        raw = [random_word(rng, len(rec.gens), 30) for _ in range(3_000)]
+        counts = self.check(rec, raw + [free_reduce(u) for u in raw])
+        assert counts["fixed"] and counts["moves 0"]
+        # a root permutation of gupta_sidki and fabrykowski_gupta is a power
+        # of (0 1 2), which fixes every vertex or none
+        assert bool(counts["moves later"]) == (name == "hanoi3")
+
+    def test_agrees_with_split_on_random_recursions(self):
+        draw, rng = random.Random(33), random.Random(34)
+        counts = Counter()
+        for _ in range(40):
+            rec = random_recursion(draw)
+            raw = [random_word(rng, len(rec.gens), 12) for _ in range(50)]
+            counts += self.check(rec, raw + [free_reduce(u) for u in raw])
+        assert min(counts[k] for k in ("fixed", "moves 0", "moves later")) > 100, counts
+
+    def test_a_word_that_fixes_vertex_0_and_moves_vertex_1(self):
+        # hanoi3's a = (a, 1, 1)(1 2)
+        rec = catalog.load("hanoi3").recursion
+        a = w(rec, "a")
+        assert rec.split(a)[0] == (0, 2, 1)
+        assert rec.fixed_sections(a) is None
+        assert rec.fixed_sections(a + a) == rec.split(a + a)[1] == (a + a, (), ())
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "hanoi3"])
+    def test_a_word_that_moves_vertex_0_reads_each_letter_once(self, name):
+        base = catalog.load(name).recursion
+        rec = WreathRecursion(base.degree, base.gens, base.section_table, base.perm_table)
+        rec._letters = counted = CountedLetters(rec._letters)
+        rng = random.Random(name)
+        seen = Counter()
+        for _ in range(200):
+            word = random_word(rng, len(rec.gens), 40)
+            perm = rec.split(word)[0]
+            counted.reads = 0
+            fixed = rec.fixed_sections(word)
+            # vertices up to the first moved one, or all of them
+            read = next((x + 1 for x in range(rec.degree) if perm[x] != x), rec.degree)
+            assert counted.reads == read * len(word)
+            assert (fixed is None) == (read < rec.degree)  # no perm moves one vertex
+            seen[read] += bool(word)
+        assert seen[1] and seen[rec.degree]
