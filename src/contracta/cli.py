@@ -31,11 +31,11 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _group(args):
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             rec = parse_recursion(fh.read())
         return catalog.recursion_group(rec, args.file, _budget(args))
-    if not getattr(args, "group", None):
+    if not args.group:
         raise ContractaError("need --group NAME or --file PATH")
     return catalog.load(args.group, _budget(args))
 

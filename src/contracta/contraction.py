@@ -48,7 +48,7 @@ class SectionAutomaton(Record):
 
     __slots__ = ("states", "trans", "perms", "index", "classes")
 
-    def __init__(self, states: list, trans: list, perms: list, index: dict, classes: list = None):
+    def __init__(self, states: list, trans: list, perms: list, index: dict, classes: list):
         self.states, self.trans, self.perms, self.index = states, trans, perms, index
         self.classes = classes
 
@@ -82,22 +82,20 @@ def section_closure(rec, seeds, budget: Budget = DEFAULT_BUDGET) -> SectionAutom
         perm, sections = rec.split(states[i])
         perms.append(perm)
         trans.append(tuple(add(sec, depth + 1) for sec in sections))
-    auto = SectionAutomaton(states, trans, perms, index)
-    auto.classes = _bisimulation_classes(auto)
-    return auto
+    return SectionAutomaton(states, trans, perms, index, _bisimulation_classes(perms, trans))
 
 
-def _bisimulation_classes(auto: SectionAutomaton):
+def _bisimulation_classes(perms, trans):
     """Coarsest partition refining root-permutation labels and respecting
     transitions; equal class ids = bisimilar = equal tree automorphisms."""
-    n = len(auto.states)
+    n = len(perms)
     labels = {}
-    cls = [labels.setdefault(auto.perms[i], len(labels)) for i in range(n)]
+    cls = [labels.setdefault(perms[i], len(labels)) for i in range(n)]
     while True:
         sigs = {}
         new = [0] * n
         for i in range(n):
-            sig = (cls[i], tuple(cls[j] for j in auto.trans[i]))
+            sig = (cls[i], tuple(cls[j] for j in trans[i]))
             new[i] = sigs.setdefault(sig, len(sigs))
         if new == cls:
             return cls

@@ -65,25 +65,23 @@ def universal_cover(
     # one of each inverse pair, the one listed first, and never the identity
     kept = [i for i in range(n) if i != identity and nucleus.inverses[i] >= i]
 
+    # one pass, longest first: a drop never makes a kept element droppable
     expressions = {}
-    while prune:
-        for k in sorted(kept, key=lambda i: shortlex_key(nucleus.elements[i]), reverse=True):
-            available = []
-            for m in kept:
-                if m != k:
-                    available.append(m)
-                    if nucleus.inverses[m] != m:
-                        available.append(nucleus.inverses[m])
-            expr = next(
-                (e for e in product(available, repeat=2) if nucleus.products.get(e) == k),
-                None,
-            )
-            if expr is not None:
-                kept.remove(k)
-                expressions[k] = expr
-                break  # kept changed: look again, from the longest element
-        else:
-            break
+    longest_first = sorted(kept, key=lambda i: shortlex_key(nucleus.elements[i]), reverse=True)
+    for k in longest_first if prune else ():
+        available = []
+        for m in kept:
+            if m != k:
+                available.append(m)
+                if nucleus.inverses[m] != m:
+                    available.append(nucleus.inverses[m])
+        expr = next(
+            (e for e in product(available, repeat=2) if nucleus.products.get(e) == k),
+            None,
+        )
+        if expr is not None:
+            kept.remove(k)
+            expressions[k] = expr
 
     # a generator letter keeps its name; a fresh s<k> can only meet a base name
     names, fresh = {}, (f"s{k}" for k in count())

@@ -108,8 +108,6 @@ def normal_form_is_trivial(
     letter puts at most one letter into each section."""
     if len(word) > budget.max_word_length:
         _check_length(word, budget)
-    if word.count(A) % 2:  # the first split moves the root
-        return False
     return walk((word, 0), omega.split, budget, memo)
 
 

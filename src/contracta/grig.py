@@ -47,19 +47,17 @@ def reduce_word(word) -> Word:
 _SIGMA = {A: (A, C, A), B: (D,), C: (B,), D: (C,)}
 
 
-def sigma_apply(word, k: int = 1) -> Word:
-    """k-fold substitution a -> aca, b -> d, c -> b, d -> c, freely reduced."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    w = free_reduce(word)
-    for _ in range(k):
-        out = []
-        for x in w:
-            img = _SIGMA[abs(x)]
-            out.extend(img if x > 0 else tuple(-y for y in reversed(img)))
-        w = free_reduce(out)
-        if len(w) > MAX_RELATOR_LENGTH:
-            raise SemanticError(f"substitution iterate longer than {MAX_RELATOR_LENGTH}")
+def sigma_apply(word) -> Word:
+    """One substitution a -> aca, b -> d, c -> b, d -> c, freely reduced once:
+    it is a free-group homomorphism, so the image of a word reduces to the
+    image of its reduced word."""
+    out = []
+    for x in word:
+        img = _SIGMA[abs(x)]
+        out.extend(img if x > 0 else tuple(-y for y in reversed(img)))
+    w = free_reduce(out)
+    if len(w) > MAX_RELATOR_LENGTH:
+        raise SemanticError(f"substitution iterate longer than {MAX_RELATOR_LENGTH}")
     return w
 
 
@@ -78,7 +76,7 @@ def lysenok_relator(kind: str, n: int) -> Word:
     best = max(m for k, m in _relators if k == kind and m <= n)
     w = _relators[(kind, best)]
     for m in range(best + 1, n + 1):
-        w = sigma_apply(w, 1)
+        w = sigma_apply(w)
         _relators[(kind, m)] = w
     return w
 

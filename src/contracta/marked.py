@@ -89,14 +89,14 @@ class Congruence(Record):
     def normal_form(self, word) -> Word:
         return self._rewrite(word)
 
-    def ball(self, radius: int, cap=None):
+    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP):
         """The irreducible words of length <= radius in shortlex order, within
         `length_order`'s `cap` on the words of the last-letter table."""
         words = length_order(self._follow, radius, cap)
         return (w for w in words if self._rewrite(w) == w) if self._long else words
 
 
-def length_order(follow, radius: int, cap=None):
+def length_order(follow, radius: int, cap: int = DEFAULT_BALL_CAP):
     """Words of length <= radius, shortest first: the first letter ranges over
     `follow[None]`, each next one over `follow[previous]`.  Each length is
     built when its first word is asked for, from the longest length kept as
@@ -108,7 +108,7 @@ def length_order(follow, radius: int, cap=None):
     kept, depth = [()], 0  # the longest length kept as a list, and that length
     for r, size in zip(range(radius + 1), _level_sizes(follow)):
         total += size
-        if cap is not None and total > cap:
+        if total > cap:
             raise BudgetExceeded(f"marked-group scan passed the ball cap of {cap} words")
         level = kept
         for _ in range(depth, r):
@@ -200,7 +200,7 @@ def scan(members, limit: MarkedGroup, radius: int):
         raise BudgetExceeded(f"marked-group scan passed the ball cap of {cap} words")
     # the half ball by length; its words are closed under prefixes, so no
     # length is missing before the last one that has words
-    levels = [list(run) for _, run in groupby(congruence.ball(half), len)]
+    levels = [list(run) for _, run in groupby(congruence.ball(half, cap), len)]
     levels += [[]] * (half + 1 - len(levels))
 
     def kernels(group):

@@ -75,10 +75,9 @@ class WreathRecursion(Record):
             sections.append(tuple(out))
         return tuple(perm), tuple(sections)
 
-    def split(self, word, at=None):
-        """(root permutation, its d first-level sections) of a word; with
-        vertex letters `at`, only the images and sections of those letters."""
-        return self._split(word, range(self.degree) if at is None else at, False)
+    def split(self, word):
+        """(root permutation, its d first-level sections) of a word."""
+        return self._split(word, range(self.degree), False)
 
     def fixed_sections(self, word):
         """The d first-level sections of a word that fixes the first level,
@@ -91,7 +90,7 @@ class WreathRecursion(Record):
         """g_v, one vertex letter at a time."""
         for x in vertex:
             self._check_vertex_letter(x)
-            word = self.split(word, (x,))[1][0]
+            word = self._split(word, (x,), False)[1][0]
         return word
 
     def act(self, word, vertex) -> tuple:
@@ -99,7 +98,7 @@ class WreathRecursion(Record):
         out = []
         for x in vertex:
             self._check_vertex_letter(x)
-            (image,), (word,) = self.split(word, (x,))
+            (image,), (word,) = self._split(word, (x,), False)
             out.append(image)
         return tuple(out)
 

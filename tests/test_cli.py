@@ -60,6 +60,15 @@ class TestGroupSources:
             assert run(capsys, "wp", *source, "--word", word)[0] == 1
             assert run(capsys, "wp", *source, flag, "--word", word)[0] == 2
 
+    def test_a_name_with_no_definition_file_is_refused(self, capsys, tmp_path, monkeypatch):
+        # an empty catalog directory; the uncached loader, so that no earlier
+        # load of the name answers
+        monkeypatch.setenv("CONTRACTA_CATALOG", str(tmp_path))
+        monkeypatch.setattr(catalog, "_recursion_entry", catalog._recursion_entry.__wrapped__)
+        assert cli.main(["wp", "--group", "basilica", "--word", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no catalog definition 'basilica' (looked in ")
+
     def test_nucleus_depth_flag_reaches_the_closure(self, capsys, tmp_path):
         path = tmp_path / "g.rec"
         path.write_text("alphabet 2\ngen g = perm(1 0) sections(g g, g)\n")

@@ -28,6 +28,25 @@ README = os.path.join(ROOT, "README.md")
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 COLUMNS = "80"
 
+# one file for each error of the .rec and .pres readers; one.rec is also the
+# CI step's
+BAD_REC = {
+    "one.rec": "alphabet 1\n",
+    "two_alphabets.rec": "alphabet 2\nalphabet 2\n",
+    "no_degree.rec": "alphabet two\n",
+    "no_sections.rec": "alphabet 2\ngen a = perm(1 0)\n",
+    "two_a.rec": "alphabet 2\ngen a = perm(1 0) sections(1, 1)\ngen a = perm(0 1) sections(a, a)\n",
+    "empty.rec": "",
+    "no_gens.rec": "alphabet 2\n",
+    "bad_perm.rec": "alphabet 2\ngen a = perm(1 x) sections(1, 1)\n",
+}
+BAD_PRES = {
+    "two_gens.pres": "pres\ngens a\ngens b\n",
+    "empty_gens.pres": "pres\ngens\n",
+    "trivial_rel.pres": "pres\ngens a\nrel 1\n",
+    "no_gens.pres": "pres\n",
+}
+
 # the files that `contracta gn-pres --n 0 > gn0.pres` and the CI step's
 # printf lines write
 FILES = {
@@ -37,6 +56,8 @@ FILES = {
     "long.rec": "alphabet 3\ngen x = perm(2 0 1) sections(x^-1, x, 1)\n"
                 "gen y = perm(1 2 0) sections(1, y^-1, y)\n",
     "powers.rec": "alphabet 3\ngen x = perm(2 1 0) sections(1, x^-1, x)\n",
+    **BAD_REC,
+    **BAD_PRES,
 }
 
 # one omega of each shape of the benchmark's converge workload: a preperiod
@@ -53,7 +74,8 @@ GROWTH = (("hanoi3", 8), ("basilica", 6), ("img_z2_plus_i", 7), ("gupta_sidki", 
 # the error and budget corners: each --max-states and --max-word-length
 # error of the word problems, the argument errors, and standard-cover with
 # too small a radius for a witness, and with a negative one, which it refuses
-# before it builds a nucleus
+# before it builds a nucleus; then the other subcommands' argument errors,
+# the file readers' errors and the pruned covers of the catalog recursions
 CORNERS = [
     *([command, "--group", "grigorchuk", "--word", "a b a c a d a b a c a d", *other,
        "--max-states", "2"] for command, other in (("wp", ()), ("eq", ("--other", "1")))),
@@ -75,6 +97,17 @@ CORNERS = [
     ["standard-cover", "--group", "hanoi3", "--radius", "-3"],
     ["standard-cover", "--file", "powers.rec", "--radius", "-1", "--max-states", "800",
      "--max-depth", "32", "--max-word-length", "256"],
+    ["wp", "--word", "a"],
+    ["act", "--group", "gomega::012", "--word", "a", "--vertex", "0"],
+    ["tc", "--subgroup", "1"],
+    ["rank", "--orders", "2", "--free-rank", "-1", "--index", "1"],
+    ["wreath", "--base", "z1", "--word", "s"],
+    ["bs", "--params", "0:1", "--word", "s"],
+    ["dist", "--group-a", "w_n:0", "--group-b", "wreath:z", "--radius", "2"],
+    *(["wp", "--file", name, "--word", "1"] for name in BAD_REC),
+    *(["kb", "--pres", name] for name in BAD_PRES),
+    *(["cover", "--group", name, "--prune"]
+      for name in ("grigorchuk", "img_z2_plus_i", "gupta_sidki", "fabrykowski_gupta", "hanoi3")),
 ]
 
 # the shapes of the benchmark's converge workload: its dist ops at radius 8,

@@ -59,6 +59,9 @@ class TestEnumeration:
             == enumerate_cosets(g0, grig.B0_GENS).index * 2
         )
 
+    def test_no_generators_give_index_one(self):
+        assert enumerate_cosets(Presentation((), ()), []).index == 1
+
     def test_klein_four_quotient(self):
         gens = ("x", "y")
         pres = Presentation(
@@ -107,6 +110,39 @@ class TestEnumeration:
         layout, inv = _layout(pres)
         enum = _Enumerator(inv, 4)
         with pytest.raises(ContractaError, match="incomplete coset table"):
+            _standardize(enum, layout, pres)
+
+    def test_renumbered_base_coset_raises(self):
+        # <x> has index 3 in S3 = <x, y | x^2, y^3, (xy)^2> and is not normal:
+        # with cosets 0 and 1 trading numbers, the table is still an action
+        # that every relator fixes, but x moves the new coset 0
+        gens = ("x", "y")
+        s3 = Presentation(gens, tuple(parse_word(r, gens) for r in ("x x", "y y y", "x y x y")))
+        x = parse_word("x", gens)
+        table = enumerate_cosets(s3, [x])
+        assert table.index == 3
+        rel_cols = [tuple(_col(c) for c in r) for r in s3.relators]
+        sub_cols = [tuple(_col(c) for c in x)]
+        _verify(table, rel_cols, sub_cols)
+        swap = {0: 1, 1: 0}
+        rows = table.table
+        rows[0], rows[1] = rows[1], rows[0]
+        for row in rows:
+            row[:] = [swap.get(c, c) for c in row]
+        with pytest.raises(ContractaError, match="subgroup generator moves coset 0"):
+            _verify(table, rel_cols, sub_cols)
+
+    def test_unreachable_coset_raises(self):
+        # two live cosets, each its own image under x and x^-1: coset 0
+        # never reaches the other
+        pres = Presentation(("x",), ())
+        layout, inv = _layout(pres)
+        enum = _Enumerator(inv, 4)
+        enum.t += enum.blank
+        for coset in (1, 2):
+            for col in range(enum.ncols):
+                enum.t[coset * enum.ncols + col] = coset * enum.ncols
+        with pytest.raises(ContractaError, match="coset table is not transitive"):
             _standardize(enum, layout, pres)
 
     def test_one_pass_over_the_cosets(self, monkeypatch):

@@ -178,6 +178,60 @@ def test_relators_from_the_nucleus_tables_agree_with_per_word_triviality(
 PIPELINE_BUDGET = Budget(max_states=300, max_depth=32, max_word_length=96)
 
 
+def reference_pruning(nuc):
+    """`universal_cover`'s pruning as it was: after each drop the search
+    starts again from the longest element.  The kept elements, in order, and
+    the pair of elements that each dropped one is the product of."""
+    kept = [i for i in range(len(nuc)) if i != nuc.identity and nuc.inverses[i] >= i]
+    expressions = {}
+    while True:
+        for k in sorted(kept, key=lambda i: shortlex_key(nuc.elements[i]), reverse=True):
+            available = []
+            for m in kept:
+                if m != k:
+                    available.append(m)
+                    if nuc.inverses[m] != m:
+                        available.append(nuc.inverses[m])
+            expr = next(
+                (e for e in product(available, repeat=2) if nuc.products.get(e) == k), None
+            )
+            if expr is not None:
+                kept.remove(k)
+                expressions[k] = expr
+                break
+        else:
+            return kept, expressions
+
+
+def test_one_pruning_pass_drops_what_the_restarting_search_drops(all_recursion_groups):
+    # the catalog nuclei, and the fuzz nuclei of generator seeds 0-9, twenty
+    # draws each, that finish within the pipeline budget
+    catalog_nuclei = [nucleus(g.recursion) for g in all_recursion_groups]
+    nuclei = []
+    for seed in range(10):
+        draw = random.Random(seed)
+        for _ in range(20):
+            try:
+                nuclei.append(nucleus(random_recursion(draw), PIPELINE_BUDGET))
+            except BudgetExceeded:
+                pass
+    several = 0  # nuclei with more than one product dropped
+    for nuc in catalog_nuclei + nuclei:
+        kept, expressions = reference_pruning(nuc)
+        cover = universal_cover(nuc, prune=True)
+        gens = cover.presentation.gens
+        assert [cover.gen_to_nucleus[g] for g in gens] == [nuc.elements[i] for i in kept]
+        assert [e for e in cover.pruning if e.reason.startswith("product")] == [
+            (nuc.elements[k], "product " + " . ".join(
+                format_word(nuc.elements[m], nuc.rec.gens) for m in expressions[k]))
+            for k in sorted(expressions)
+        ]
+        words = cover.element_words
+        assert all(words[k] == concat(words[i], words[j]) for k, (i, j) in expressions.items())
+        several += len(expressions) > 1
+    assert len(nuclei) > 100 and several > 10
+
+
 def extra_relator_cover():
     rec = parse_recursion(
         "alphabet 3\n"
@@ -342,6 +396,13 @@ class TestStandardCover:
             with pytest.raises(ValueError, match="^radius must be >= 0$"):
                 standard_cover(grig_cover[0], search_radius=radius)
 
+    def test_an_incomplete_system_is_refused(self, grig_cover):
+        cover, _ = grig_cover
+        sys_ = rewriting.complete(cover.presentation, max_rules=1)
+        assert not sys_.complete
+        with pytest.raises(BudgetExceeded, match="^cover rewriting system did not complete$"):
+            standard_cover(cover, sys=sys_)
+
     def test_ball_is_charged_before_each_length(self, grig_cover, monkeypatch):
         # the C2 * V ball has 11 words through length 2 and 23 through 3,
         # where the last witness lies: at a cap of 11 the search stops before
@@ -353,9 +414,9 @@ class TestStandardCover:
         cover, sys_ = grig_cover
         split, lengths = WreathRecursion.split, []
 
-        def recorded(self, word, at=None):
+        def recorded(self, word):
             lengths.append(len(word))
-            return split(self, word, at)
+            return split(self, word)
 
         monkeypatch.setattr(WreathRecursion, "split", recorded)
         monkeypatch.setattr(marked, "DEFAULT_BALL_CAP", 11)
@@ -461,6 +522,14 @@ def chain_profile(name, w, n_max):
 
 
 class TestKernelChain:
+    def test_an_incomplete_system_is_refused(self, grig_cover):
+        cover, _ = grig_cover
+        sys_ = rewriting.complete(cover.presentation, max_rules=1)
+        assert not sys_.complete
+        with pytest.raises(BudgetExceeded,
+                           match="^kernel membership needs a complete rewrite system$"):
+            kernel_oracle(cover, sys_, 1, {})
+
     def test_agrees_with_the_reference_recursion(self, rng):
         # random words, and their squares and fourth powers, which enter later
         # kernels in the torsion groups; a fresh chain, so a fresh memo, per

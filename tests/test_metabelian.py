@@ -141,6 +141,10 @@ class TestWreath:
         with pytest.raises(SemanticError):
             wreath_eval(w("s"), 1)
 
+    def test_letters_other_than_s_and_t_are_refused(self):
+        with pytest.raises(SemanticError, match="^wreath words use the letters s and t only$"):
+            wreath_eval((1, 3))
+
 
 class TestBritton:
     def test_defining_relator_dies(self):
@@ -163,6 +167,11 @@ class TestBritton:
         # t^-2 s^4 t^2 = s^9 in BS(2, 3)
         word = concat(w("t^-1 t^-1 s^4 t t"), w("s^-9"))
         assert britton_reduce(BsDatum(2, 3), word).is_trivial
+
+    def test_letters_other_than_s_and_t_are_refused(self):
+        for datum in (BsDatum(2, 3), WnDatum(1)):
+            with pytest.raises(SemanticError, match="^HNN words use the letters s and t only$"):
+                britton_reduce(datum, (1, -3))
 
     def test_wn_relators(self):
         for n in (1, 2, 3):

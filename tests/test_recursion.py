@@ -424,9 +424,7 @@ def reference_section_closure(rec, seeds, budget):
         trans[i] = tuple(
             add(reference_section(rec, states[i], (x,)), depth + 1) for x in range(d)
         )
-    auto = SectionAutomaton(states, trans, perms, index)
-    auto.classes = _bisimulation_classes(auto)
-    return auto
+    return SectionAutomaton(states, trans, perms, index, _bisimulation_classes(perms, trans))
 
 
 def kernel_recursions():
@@ -449,7 +447,8 @@ class TestOnePassKernel:
                     reference_section(rec, word, (x,)) for x in range(rec.degree)
                 )
                 x = rng.randrange(rec.degree)
-                assert rec.split(word, (x,)) == ((perm[x],), (sections[x],))
+                assert rec.act(word, (x,)) == (perm[x],)
+                assert rec.section(word, (x,)) == sections[x]
                 v = random_vertex(rng, rec.degree, 4)
                 assert rec.section(word, v) == reference_section(rec, word, v)
 
@@ -469,9 +468,9 @@ class TestOnePassKernel:
         splits = []
         plain = WreathRecursion.split
 
-        def counted(self, word, at=None):
+        def counted(self, word):
             splits.append(word)
-            return plain(self, word, at)
+            return plain(self, word)
 
         monkeypatch.setattr(WreathRecursion, "split", counted)
         rec = parse_recursion(GRIG_TEXT)
